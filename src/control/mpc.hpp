@@ -17,12 +17,14 @@
 // future moves.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "control/arx.hpp"
 #include "control/reference.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/qp.hpp"
 
 namespace vdc::control {
 
@@ -79,6 +81,34 @@ struct MpcDiagnostics {
   double cost = 0.0;
 };
 
+/// The constant part of one controller's QP: everything that depends only
+/// on the model and the shape of the MpcConfig (horizons, weights, terminal
+/// mode, whether the rate limit exists). Built once per controller and
+/// shared by its copies; per period only the gradient and the constraint
+/// bounds gamma = f(c_prev, c_min, c_max, delta) change.
+struct MpcProblem {
+  /// `config` must already be broadcast to the model's input count and
+  /// validated.
+  MpcProblem(ArxModel model, const MpcConfig& config);
+
+  ArxModel model;
+  /// Step-response coefficients s_m(i), i=1..P (P x nu).
+  linalg::Matrix step_response;
+  /// Prediction matrix G (P x M*nu): column j*nu+m of row i-1 holds s_m(i-j).
+  linalg::Matrix prediction;
+  linalg::Matrix prediction_t;  ///< G'
+  linalg::Matrix hessian;       ///< 2 (G'QG + Rbar), plus the soft terminal term
+  /// Inequality rows: for each move j and input m the cumulative-sum range
+  /// rows (+, -), then, when delta_max > 0, the rate rows (+, -) per move.
+  linalg::Matrix inequalities;
+  /// The prepared QP; empty when not even the unconstrained problem could be
+  /// factored (every step then holds the allocation).
+  std::optional<linalg::GeneralQp> qp;
+  /// True when `qp` eliminates the hard terminal row t(k+M|k) = Ts. False in
+  /// kSoft/kOff, and in kHard when that row could not be prepared.
+  bool terminal_equality = false;
+};
+
 class MpcController {
  public:
   MpcController(ArxModel model, MpcConfig config);
@@ -102,29 +132,34 @@ class MpcController {
   void set_setpoint(double setpoint) noexcept { config_.setpoint = setpoint; }
   [[nodiscard]] double setpoint() const noexcept { return config_.setpoint; }
   [[nodiscard]] const MpcConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ArxModel& model() const noexcept { return model_; }
+  [[nodiscard]] const ArxModel& model() const noexcept { return problem_->model; }
   [[nodiscard]] const MpcDiagnostics& diagnostics() const noexcept { return diagnostics_; }
   [[nodiscard]] std::vector<double> current_allocations() const;
 
   /// Step-response coefficients s_m(i), i=1..P: output response at step i
   /// to a unit step on input m (exposed for analysis/tests).
-  [[nodiscard]] const linalg::Matrix& step_response() const noexcept { return step_response_; }
+  [[nodiscard]] const linalg::Matrix& step_response() const noexcept {
+    return problem_->step_response;
+  }
+  /// The constant QP data. Copies of a controller share one object.
+  [[nodiscard]] const MpcProblem& problem() const noexcept { return *problem_; }
 
  private:
-  void compute_step_response();
-  [[nodiscard]] std::vector<double> free_response() const;
+  void free_response();
 
-  ArxModel model_;
+  std::shared_ptr<const MpcProblem> problem_;
   MpcConfig config_;
   ReferenceTrajectory reference_;
-  linalg::Matrix step_response_;  // P x nu
-  linalg::Matrix g_;              // P x (M*nu), prediction matrix
-  linalg::Matrix hessian_;        // QP Hessian (constant)
   std::vector<double> t_hist_;               // t(k), t(k-1), ... (most recent first)
   std::vector<std::vector<double>> c_hist_;  // c(k-1), c(k-2), ... (most recent first)
   double disturbance_ = 0.0;                 // filtered one-step prediction error
   bool initialized_ = false;
   MpcDiagnostics diagnostics_;
+  // Per-step buffers, reused across periods.
+  std::vector<double> free_;      // free response f, P entries
+  std::vector<double> err_;       // f - ref
+  std::vector<double> gradient_;  // QP gradient, M*nu entries
+  std::vector<double> gamma_;     // inequality bounds, one per row
 };
 
 }  // namespace vdc::control

@@ -67,31 +67,11 @@ StabilityReport analyze_closed_loop(const ArxModel& model, const MpcConfig& raw_
   const std::size_t mh = config.control_horizon;
   const std::size_t nx = mh * nu;
 
-  // Step-response / prediction matrix — identical construction to the
-  // controller's (via a throwaway controller instance to avoid divergence).
+  // Prediction matrix and Hessian: the controller's own (via a throwaway
+  // controller instance to avoid divergence).
   const MpcController probe(model, config);
-  const linalg::Matrix& sr = probe.step_response();
-  linalg::Matrix g(p, nx);
-  for (std::size_t i = 1; i <= p; ++i) {
-    for (std::size_t j = 0; j < mh; ++j) {
-      if (i <= j) continue;
-      for (std::size_t m = 0; m < nu; ++m) g(i - 1, j * nu + m) = sr(i - j - 1, m);
-    }
-  }
-  linalg::Matrix hessian = g.transpose() * g * (2.0 * config.q_weight);
-  for (std::size_t j = 0; j < mh; ++j) {
-    for (std::size_t m = 0; m < nu; ++m) {
-      hessian(j * nu + m, j * nu + m) += 2.0 * config.r_weight[m];
-    }
-  }
-  if (config.terminal == MpcConfig::Terminal::kSoft) {
-    const double wt = 2.0 * config.q_weight * config.terminal_weight;
-    for (std::size_t r = 0; r < nx; ++r) {
-      for (std::size_t c = 0; c < nx; ++c) {
-        hessian(r, c) += wt * g(mh - 1, r) * g(mh - 1, c);
-      }
-    }
-  }
+  const linalg::Matrix& g = probe.problem().prediction;
+  const linalg::Matrix& hessian = probe.problem().hessian;
 
   const ReferenceTrajectory reference(config.period_s, config.tref_s);
 

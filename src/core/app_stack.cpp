@@ -47,11 +47,20 @@ AppStack::AppStack(sim::Simulation& sim, AppStackConfig config)
 
 AppStack::AppStack(sim::Simulation& sim, const control::ArxModel& model,
                    AppStackConfig config)
+    : AppStack(sim,
+               ResponseTimeController(
+                   model, config.mpc,
+                   std::vector<double>(config.app.tiers.size(), config.initial_allocation_ghz),
+                   config.robust),
+               config) {}
+
+AppStack::AppStack(sim::Simulation& sim, const ResponseTimeController& controller,
+                   AppStackConfig config)
     : AppStack(sim, std::move(config)) {
-  controller_ = std::make_unique<ResponseTimeController>(
-      model, config_.mpc,
-      std::vector<double>(app_->tier_count(), config_.initial_allocation_ghz),
-      config_.robust);
+  if (controller.current_demands().size() != app_->tier_count()) {
+    throw std::invalid_argument("AppStack: controller width differs from the tier count");
+  }
+  controller_ = std::make_unique<ResponseTimeController>(controller);
   if (config_.supervisor.enabled) {
     supervisor_.emplace(config_.supervisor, app_->tier_count());
   }

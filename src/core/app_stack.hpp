@@ -69,6 +69,14 @@ class AppStack {
 
   /// MPC-controlled stack; `model` is copied into the controller.
   AppStack(sim::Simulation& sim, const control::ArxModel& model, AppStackConfig config);
+  /// MPC-controlled stack driven by a copy of `controller`, which shares
+  /// the original's constant QP data (control::MpcProblem). Lets an owner
+  /// with many identical applications factor the QP once. The controller
+  /// must drive one input per tier; its state is taken as is, so pass one
+  /// that has not stepped yet. `config.mpc` and `config.robust` should be
+  /// the ones it was built from.
+  AppStack(sim::Simulation& sim, const ResponseTimeController& controller,
+           AppStackConfig config);
   /// Policy-driven stack (no model, no MPC).
   AppStack(sim::Simulation& sim, AppStackConfig config, Policy policy);
 

@@ -1,6 +1,7 @@
 #include "core/testbed.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -74,9 +75,19 @@ Testbed::Testbed(TestbedConfig config)
   // servers. With one replica per tier the cursor visits exactly the
   // (i * tiers + j) % num_servers sequence of the pre-replication build.
   std::size_t placement_cursor = 0;
+  // Every application shares the model, the MPC tuning and the initial
+  // allocations, so one controller is built and each stack copies it: the
+  // copies share a single factored QP (control::MpcProblem).
+  std::optional<ResponseTimeController> controller;
   for (std::size_t i = 0; i < config_.num_apps; ++i) {
     stack.app = app::default_two_tier_app("app" + std::to_string(i + 1),
                                           config_.seed + i, config_.concurrency);
+    if (!controller) {
+      controller.emplace(model_, stack.mpc,
+                         std::vector<double>(stack.app.tiers.size(),
+                                             stack.initial_allocation_ghz),
+                         stack.robust);
+    }
     for (app::TierConfig& tier : stack.app.tiers) {
       tier.initial_replicas = config_.initial_replicas;
       tier.max_replicas = std::max(config_.max_replicas, config_.initial_replicas);
@@ -86,7 +97,7 @@ Testbed::Testbed(TestbedConfig config)
     // boots) lives on its shard's event loop; only control-plane events
     // touch the spine.
     auto app_stack =
-        std::make_unique<AppStack>(engine_.shard(shard_of_app(i)), model_, stack);
+        std::make_unique<AppStack>(engine_.shard(shard_of_app(i)), *controller, stack);
     app_stack->bind_recorder(&recorder_for_app(i), response_series_name(i),
                              allocation_series_name(i));
 

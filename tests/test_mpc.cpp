@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+
+#include "util/log.hpp"
 
 namespace vdc::control {
 namespace {
@@ -257,6 +260,82 @@ TEST(Mpc, HardTerminalInfeasibleFallsBackGracefully) {
   const std::vector<double> c = ctl.step(50.0);
   EXPECT_GE(c[0], config.c_min[0] - 1e-9);
   EXPECT_LE(c[0], config.c_max[0] + 1e-9);
+}
+
+TEST(Mpc, HardTerminalThatCannotBePreparedLogsOnce) {
+  // One input and M = 1: the terminal equality would fix the only move, so
+  // the null-space elimination is impossible. That depends only on the
+  // model and the config: it is found once, at construction, and every
+  // period then solves the unconstrained (inequality-only) QP.
+  MpcConfig config = base_config();
+  config.terminal = MpcConfig::Terminal::kHard;
+  config.control_horizon = 1;
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  MpcController ctl(siso_model(), config);
+  ctl.reset(2.0, std::vector<double>{0.5});
+  std::vector<double> c;
+  for (int k = 0; k < 20; ++k) c = ctl.step(2.0 - 0.05 * k);
+  const MpcController copy = ctl;
+  const std::string log = testing::internal::GetCapturedStderr();
+  util::set_log_level(saved);
+
+  std::size_t mentions = 0;
+  for (std::size_t at = log.find("terminal-constrained"); at != std::string::npos;
+       at = log.find("terminal-constrained", at + 1)) {
+    ++mentions;
+  }
+  EXPECT_EQ(mentions, 1u) << log;
+  EXPECT_FALSE(ctl.problem().terminal_equality);
+  ASSERT_TRUE(ctl.problem().qp.has_value());
+  EXPECT_TRUE(ctl.diagnostics().qp_converged);
+  EXPECT_GE(c[0], config.c_min[0]);
+  EXPECT_LE(c[0], config.c_max[0]);
+}
+
+TEST(Mpc, HardTerminalIsEliminatedWhenPossible) {
+  MpcConfig config = base_config();
+  config.terminal = MpcConfig::Terminal::kHard;
+  const MpcController ctl(mimo_model(), config);
+  EXPECT_TRUE(ctl.problem().terminal_equality);
+  const MpcController soft(mimo_model(), base_config());
+  EXPECT_FALSE(soft.problem().terminal_equality);
+}
+
+TEST(Mpc, CopiesShareTheProblemAndKeepTheirOwnState) {
+  MpcConfig config = base_config();
+  MpcController original(mimo_model(), config);
+  original.reset(2.0, std::vector<double>{0.5, 0.5});
+  MpcController copy = original;
+  EXPECT_EQ(&copy.problem(), &original.problem());
+
+  // Same measurements: identical allocations and diagnostics, bit for bit.
+  for (const double t : {2.0, 1.7, 1.4, 1.2, 1.1}) {
+    EXPECT_EQ(copy.step(t), original.step(t));
+    EXPECT_EQ(copy.diagnostics().qp_iterations, original.diagnostics().qp_iterations);
+    EXPECT_EQ(copy.diagnostics().qp_converged, original.diagnostics().qp_converged);
+    EXPECT_EQ(copy.diagnostics().cost, original.diagnostics().cost);
+    EXPECT_EQ(copy.diagnostics().predicted_terminal,
+              original.diagnostics().predicted_terminal);
+  }
+
+  // Diverging measurements: the copy's history, disturbance estimate and
+  // setpoint do not leak into the original, which keeps matching a
+  // controller built on its own and fed the original's sequence.
+  MpcController independent(mimo_model(), config);
+  independent.reset(2.0, std::vector<double>{0.5, 0.5});
+  for (const double t : {2.0, 1.7, 1.4, 1.2, 1.1}) (void)independent.step(t);
+  copy.set_setpoint(0.6);
+  for (int k = 0; k < 10; ++k) {
+    (void)copy.step(3.0);
+    (void)copy.hold();
+    const double t = 1.0 + 0.01 * k;
+    EXPECT_EQ(original.step(t), independent.step(t));
+    EXPECT_EQ(original.diagnostics().cost, independent.diagnostics().cost);
+  }
+  EXPECT_EQ(original.setpoint(), config.setpoint);
+  EXPECT_NE(copy.current_allocations(), original.current_allocations());
 }
 
 }  // namespace

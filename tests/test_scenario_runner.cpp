@@ -5,7 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "core/app_stack.hpp"
+#include "core/response_time_controller.hpp"
 #include "core/sysid_experiment.hpp"
+#include "sim/simulation.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/export.hpp"
 
 namespace vdc::core {
@@ -163,6 +167,45 @@ TEST(ScenarioRunner, ChaosTelemetryIsByteIdenticalAcrossRerunsAndThreadCounts) {
       EXPECT_EQ(r.stale_holds, serial.stale_holds);
     }
   }
+}
+
+TEST(ScenarioRunner, StackOnACopiedControllerMatchesTheScenarioRun) {
+  // ScenarioRunner builds each scenario's controller from its model; the
+  // Testbed instead copies one controller into every app so that they share
+  // the factored QP. Both constructions must drive the plant identically.
+  const ScenarioSpec spec = mpc_spec("copied", 9);
+  const ScenarioResult run = ScenarioRunner().run(spec);
+
+  AppStackConfig stack = spec.stack;
+  stack.app.seed = spec.seed;
+  telemetry::RecorderConfig recorder_config = spec.telemetry;
+  recorder_config.sample_period_s = stack.mpc.period_s;
+  telemetry::Recorder recorder(recorder_config);
+  const ResponseTimeController prototype(
+      *spec.model, stack.mpc,
+      std::vector<double>(stack.app.tiers.size(), stack.initial_allocation_ghz), stack.robust);
+  sim::Simulation sim;
+  AppStack copied(sim, prototype, stack);
+  copied.bind_recorder(&recorder, response_series_name(0), allocation_series_name(0));
+  copied.start_control_loop();
+  sim.drain_until(spec.duration_s);
+
+  EXPECT_EQ(&copied.controller()->mpc().problem(), &prototype.mpc().problem());
+  EXPECT_EQ(recorder.rows(allocation_series_name(0)).size(), 40u);
+  EXPECT_TRUE(recorder == run.recorder);
+}
+
+TEST(ScenarioRunner, CopiedControllerMustMatchTheTierCount) {
+  const ScenarioSpec spec = mpc_spec("narrow", 9);  // two tiers
+  control::ArxModel siso;
+  siso.na = 1;
+  siso.nb = 1;
+  siso.nu = 1;
+  siso.a = {0.5};
+  siso.b = linalg::Matrix(1, 1, -1.0);
+  const ResponseTimeController one_input(siso, spec.stack.mpc, std::vector<double>{0.6});
+  sim::Simulation sim;
+  EXPECT_THROW(AppStack(sim, one_input, spec.stack), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace vdc::core {
@@ -173,6 +174,31 @@ TEST(Testbed, ParallelControlPlaneIsBitIdenticalToSerial) {
     EXPECT_EQ(serial.allocations[i], parallel.allocations[i]) << "app " << i;
   }
   EXPECT_EQ(serial.power, parallel.power);
+}
+
+TEST(Testbed, AllControllersShareOneQpProblem) {
+  // One controller is built from the shared model and MPC config and copied
+  // into every app, so all of them point at one factored QP — also in the
+  // robust variant, whose derated model and release limit are the same for
+  // every app.
+  TestbedConfig config = fast_config();
+  config.num_apps = 3;
+  std::optional<control::ArxModel> model;
+  for (const bool robust : {false, true}) {
+    if (robust) {
+      config.model = model;
+      config.robust = control::RobustConfig{};
+    }
+    Testbed tb{config};
+    model = tb.identified_model();
+    const control::MpcProblem& first = tb.app_stack(0).controller()->mpc().problem();
+    for (std::size_t i = 1; i < tb.app_count(); ++i) {
+      EXPECT_EQ(&tb.app_stack(i).controller()->mpc().problem(), &first) << "app " << i;
+    }
+    EXPECT_EQ(first.model.b == tb.identified_model().b, !robust);
+    tb.run_until(40.0);
+    EXPECT_EQ(&tb.app_stack(2).controller()->mpc().problem(), &first);
+  }
 }
 
 TEST(Testbed, ClusterTopologyMatchesConfig) {
