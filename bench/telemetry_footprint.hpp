@@ -1,8 +1,7 @@
 // Shared by the figure benches: one summary line about how the scenario's
-// telemetry was stored. With the tsdb backend (the default) this shows the
-// bounded footprint — ring pages, rollup points, and the storage-model
-// bytes/sample — next to the figure's own output; under the raw-vector
-// oracle backend it stays silent.
+// telemetry was stored — the tsdb store's bounded footprint (ring pages,
+// rollup points, and the storage-model bytes/sample) next to the figure's
+// own output.
 #pragma once
 
 #include <cstdio>
@@ -12,7 +11,6 @@
 namespace vdc::bench {
 
 inline void print_telemetry_footprint(const telemetry::Recorder& recorder) {
-  if (recorder.backend() != telemetry::RecorderConfig::Backend::kTsdb) return;
   const telemetry::tsdb::Tsdb& db = recorder.tsdb();
   std::size_t samples = 0;
   std::size_t tier1_points = 0;

@@ -30,7 +30,7 @@ VmId smallest_vm(const WorkingPlacement& placement, ServerId server) {
 
 }  // namespace
 
-// The fast engine. Three changes against the retained reference
+// The fast engine. Three changes against the reference in tests/oracle
 // (naive::ipac), all plan-preserving:
 //  * the fleet power estimate is WorkingPlacement's O(1) incremental sum
 //    instead of a full server scan per consolidation round;
@@ -163,13 +163,13 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
     // largest per-move payoff. Ties fall through to the baseline key, and
     // with one server per rack every occupancy is 1, so the order — and the
     // plan — degenerates to the flat engine's.
-    const auto occupancy = [&](ServerId s) -> std::uint32_t {
+    const auto occupancy = [&](ServerId s) -> std::size_t {
       const RackId r = snapshot.server(s).rack;
       return r == datacenter::kNoRack ? 1 : wp.rack_occupied_count(r);
     };
     std::sort(donors.begin(), donors.end(), [&](ServerId a, ServerId b) {
-      const std::uint32_t oa = occupancy(a);
-      const std::uint32_t ob = occupancy(b);
+      const std::size_t oa = occupancy(a);
+      const std::size_t ob = occupancy(b);
       if (oa != ob) return oa < ob;
       const double ea = snapshot.server(a).power_efficiency_ghz_per_w;
       const double eb = snapshot.server(b).power_efficiency_ghz_per_w;

@@ -10,7 +10,7 @@ namespace vdc::consolidate {
 
 namespace {
 
-// The fast engine for Algorithm 1. Five changes against the retained
+// The fast engine for Algorithm 1. Five changes against the test-only
 // reference (naive::minimum_slack), all of them *plan-exact*: the engine
 // returns the same selection as the reference for every input, including
 // when the step budget binds and epsilon escalates mid-search.

@@ -1,8 +1,7 @@
 #include "core/power_optimizer.hpp"
 
+#include <cmath>
 #include <stdexcept>
-
-#include "consolidate/naive.hpp"
 
 namespace vdc::core {
 
@@ -15,19 +14,15 @@ std::string to_string(ConsolidationAlgorithm algorithm) {
   return "?";
 }
 
-std::string to_string(ConsolidationEngine engine) {
-  switch (engine) {
-    case ConsolidationEngine::kFast: return "fast";
-    case ConsolidationEngine::kNaive: return "naive";
-  }
-  return "?";
-}
-
 PowerOptimizer::PowerOptimizer(OptimizerConfig config,
                                std::shared_ptr<consolidate::MigrationCostPolicy> policy)
     : config_(config),
       constraints_(consolidate::ConstraintSet::standard(config.utilization_target)),
       policy_(std::move(policy)) {
+  // NaN or negative would silently disable the backoff (see plan()).
+  if (std::isnan(config_.migration_backoff_s) || config_.migration_backoff_s < 0.0) {
+    throw std::invalid_argument("PowerOptimizer: migration_backoff_s must be >= 0");
+  }
   if (!policy_) policy_ = std::make_shared<consolidate::FreeMigrationPolicy>();
 }
 
@@ -41,23 +36,12 @@ consolidate::PlacementPlan PowerOptimizer::plan(const datacenter::Cluster& clust
   const consolidate::DataCenterSnapshot snapshot = consolidate::snapshot_of(cluster);
   consolidate::PlacementPlan out;
   switch (config_.algorithm) {
-    case ConsolidationAlgorithm::kIpac: {
-      const consolidate::IpacReport report =
-          config_.engine == ConsolidationEngine::kNaive
-              ? consolidate::naive::ipac(snapshot, constraints_, *policy_, config_.ipac,
-                                         config_.rack)
-              : consolidate::ipac(snapshot, constraints_, *policy_, config_.ipac, config_.rack);
-      out = report.plan;
+    case ConsolidationAlgorithm::kIpac:
+      out = consolidate::ipac(snapshot, constraints_, *policy_, config_.ipac, config_.rack).plan;
       break;
-    }
-    case ConsolidationAlgorithm::kPMapper: {
-      const consolidate::PMapperReport report =
-          config_.engine == ConsolidationEngine::kNaive
-              ? consolidate::naive::pmapper(snapshot, constraints_, config_.rack)
-              : consolidate::pmapper(snapshot, constraints_, config_.rack);
-      out = report.plan;
+    case ConsolidationAlgorithm::kPMapper:
+      out = consolidate::pmapper(snapshot, constraints_, config_.rack).plan;
       break;
-    }
     case ConsolidationAlgorithm::kNone:
       return out;
   }

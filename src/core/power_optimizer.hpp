@@ -1,7 +1,8 @@
 // Data-center-level power optimizer: periodically snapshots the cluster,
 // runs the configured consolidation algorithm (IPAC or the pMapper
 // baseline), pushes the resulting migrations/sleep transitions back to the
-// cluster, and keeps statistics.
+// cluster, and keeps statistics. The reference engine it is tested against
+// lives with the tests (tests/oracle/consolidate/naive.hpp).
 #pragma once
 
 #include <map>
@@ -18,23 +19,10 @@ namespace vdc::core {
 
 enum class ConsolidationAlgorithm { kIpac, kPMapper, kNone };
 
-/// Which implementation of the consolidation algorithms to run. kFast is
-/// the production engine (incremental aggregates, indexed target selection,
-/// plan-exact Minimum Slack pruning); kNaive is the retained reference
-/// implementation (consolidate::naive) used by differential tests and as a
-/// fallback oracle. The two compute move-for-move identical plans for every
-/// input — including under a binding step budget with epsilon escalation —
-/// and differ only in *reported* step counts, where the fast engine's
-/// pruning and analytic skips do less counted work (see DESIGN.md,
-/// "Consolidation performance").
-enum class ConsolidationEngine { kFast, kNaive };
-
 [[nodiscard]] std::string to_string(ConsolidationAlgorithm algorithm);
-[[nodiscard]] std::string to_string(ConsolidationEngine engine);
 
 struct OptimizerConfig {
   ConsolidationAlgorithm algorithm = ConsolidationAlgorithm::kIpac;
-  ConsolidationEngine engine = ConsolidationEngine::kFast;
   /// Target utilization the CPU constraint packs to (headroom for demand
   /// growth between invocations).
   double utilization_target = 0.9;
@@ -44,11 +32,12 @@ struct OptimizerConfig {
   /// this long — retrying a migration that just rolled back wastes
   /// bandwidth and usually fails again while the underlying fault window
   /// is open. Re-planning continues against the *realized* placement.
+  /// Must be >= 0 (0 disables the backoff); NaN or negative values are
+  /// rejected at PowerOptimizer construction.
   double migration_backoff_s = 600.0;
   /// Rack-aware, migration-energy-budgeted consolidation (off by default:
   /// flat clusters and disabled runs plan move-for-move identically to the
-  /// pre-topology optimizer). Forwarded to both engines so differential
-  /// tests exercise the same gates.
+  /// pre-topology optimizer).
   consolidate::RackAwareOptions rack;
 };
 

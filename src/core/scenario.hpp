@@ -75,13 +75,10 @@ struct ScenarioSpec {
   std::vector<SetpointEvent> setpoint_schedule;
   std::vector<ConcurrencyEvent> concurrency_schedule;
 
-  /// Telemetry storage for the scenario's recorder. Defaults to the tiered
-  /// tsdb backend (bounded memory, per-period + hourly rollups); switch to
-  /// Backend::kRawVectors for the historical unbounded vectors — the
-  /// differential oracle the tsdb path is tested against byte-for-byte.
-  /// `sample_period_s` is overwritten with the engine's control period.
+  /// Telemetry storage for the scenario's recorder: the tiered tsdb store
+  /// (bounded memory, per-period + hourly rollups). `sample_period_s` is
+  /// overwritten with the engine's control period.
   telemetry::RecorderConfig telemetry{
-      .backend = telemetry::RecorderConfig::Backend::kTsdb,
       .sample_period_s = 4.0,
       .tsdb = {},
   };

@@ -124,13 +124,10 @@ struct TestbedConfig {
   std::size_t shard_threads = 0;
 
   // ---- telemetry storage --------------------------------------------------
-  /// Recorder backend. Defaults to the tiered tsdb store so every figure
-  /// bench and golden test exercises the streaming path; with the default
-  /// retention covering a full testbed run its exports are byte-identical
-  /// to the raw-vector oracle (Backend::kRawVectors, the historical
-  /// behavior). `sample_period_s` is overwritten with `control_period_s`.
+  /// Recorder storage (tiered tsdb store). With the default retention
+  /// covering a full testbed run, its exports hold every appended sample.
+  /// `sample_period_s` is overwritten with `control_period_s`.
   telemetry::RecorderConfig telemetry{
-      .backend = telemetry::RecorderConfig::Backend::kTsdb,
       .sample_period_s = 4.0,
       .tsdb = {},
   };

@@ -25,8 +25,9 @@
 //   exact (vtime_ rebases to 0, marks == residuals); the down-conversion at
 //   kFastDownThreshold rounds once per job (<= 1 ulp of vtime_).
 //
-// The naive formulation is additionally retained in sim/naive.hpp as the
-// oracle for differential replay tests and the perf-bench baseline.
+// The pre-optimization queue (per-job residuals at every size) lives in
+// the test-only oracle target, tests/oracle/sim/naive.hpp, as the reference
+// for differential replay tests and the perf-bench baseline.
 #pragma once
 
 #include <cstdint>

@@ -124,7 +124,10 @@ void write_csv_file(const Recorder& recorder, const std::filesystem::path& path)
 
 Recorder from_csv(std::string_view text) {
   const util::CsvTable table = util::parse_csv(text);
-  Recorder recorder;
+  // tier0_max_pages = 0 keeps every raw sample, however long the CSV.
+  RecorderConfig config;
+  config.tsdb.tier0_max_pages = 0;
+  Recorder recorder(config);
   // Column metadata, preserving vector-column grouping.
   std::vector<std::optional<VectorColumn>> vector_columns;
   vector_columns.reserve(table.header.size());

@@ -1,19 +1,24 @@
 #include "telemetry/recorder.hpp"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace vdc::telemetry {
 
-Recorder::Recorder(RecorderConfig config) : config_(config), tsdb_(config.tsdb) {}
+Recorder::Recorder(RecorderConfig config) : config_(config), tsdb_(config.tsdb) {
+  if (!std::isfinite(config_.sample_period_s) || config_.sample_period_s <= 0.0) {
+    throw std::invalid_argument("Recorder: sample_period_s must be finite and > 0");
+  }
+}
 
 Recorder::Series& Recorder::open(const std::string& series, bool vector) {
   auto it = series_.find(series);
   if (it == series_.end()) {
     Series s;
     s.vector = vector;
-    if (use_tsdb() && !vector) s.metric = tsdb_.declare(series);
+    if (!vector) s.metric = tsdb_.declare(series);
     it = series_.emplace(series, std::move(s)).first;
     names_.push_back(series);
   } else if (it->second.vector != vector) {
@@ -34,27 +39,16 @@ void Recorder::declare_vector(const std::string& series) { open(series, /*vector
 
 void Recorder::append(const std::string& series, double value) {
   Series& s = open(series, /*vector=*/false);
-  if (use_tsdb()) {
-    const double time_s =
-        static_cast<double>(tsdb_.samples_appended(s.metric)) * config_.sample_period_s;
-    tsdb_.append(s.metric, time_s, value);
-    s.cache_dirty = true;
-    return;
-  }
-  s.scalars.push_back(value);
+  const double time_s =
+      static_cast<double>(tsdb_.samples_appended(s.metric)) * config_.sample_period_s;
+  tsdb_.append(s.metric, time_s, value);
+  s.cache_dirty = true;
 }
 
 void Recorder::append_at(const std::string& series, double time_s, double value) {
   Series& s = open(series, /*vector=*/false);
-  if (use_tsdb()) {
-    tsdb_.append(s.metric, time_s, value);
-    s.cache_dirty = true;
-    return;
-  }
-  // The raw backend is ordinal: sample order is the contract, timestamps
-  // are implicit — which is exactly what keeps it byte-identical to the
-  // tsdb path while nothing has been evicted.
-  s.scalars.push_back(value);
+  tsdb_.append(s.metric, time_s, value);
+  s.cache_dirty = true;
 }
 
 void Recorder::append(const std::string& series, std::vector<double> row) {
@@ -70,7 +64,6 @@ bool Recorder::is_vector(std::string_view series) const {
 }
 
 const std::vector<double>& Recorder::scalar_samples(const Series& s) const {
-  if (!use_tsdb()) return s.scalars;
   if (s.cache_dirty) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const std::vector<tsdb::RawSample> raw = tsdb_.raw(s.metric, -kInf, kInf);
@@ -102,15 +95,11 @@ std::size_t Recorder::size(std::string_view series) const noexcept {
   const Series* s = find(series);
   if (s == nullptr) return 0;
   if (s->vector) return s->rows.size();
-  if (use_tsdb()) {
-    return tsdb_.samples_appended(s->metric) - tsdb_.samples_evicted(s->metric);
-  }
-  return s->scalars.size();
+  return tsdb_.samples_appended(s->metric) - tsdb_.samples_evicted(s->metric);
 }
 
 void Recorder::absorb(Recorder&& other) {
-  if (config_.backend != other.config_.backend ||
-      !(config_.tsdb == other.config_.tsdb)) {
+  if (!(config_.tsdb == other.config_.tsdb)) {
     throw std::invalid_argument("Recorder::absorb: config mismatch");
   }
   for (const std::string& name : other.names_) {
@@ -118,7 +107,7 @@ void Recorder::absorb(Recorder&& other) {
       throw std::invalid_argument("Recorder::absorb: series '" + name + "' exists here too");
     }
     auto node = other.series_.extract(name);
-    if (use_tsdb() && !node.mapped().vector) {
+    if (!node.mapped().vector) {
       node.mapped().metric = tsdb_.adopt(other.tsdb_, node.mapped().metric);
     }
     series_.insert(std::move(node));

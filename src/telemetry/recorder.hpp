@@ -8,18 +8,14 @@
 //   * scalar — one double per sample (response time p90, cluster power, ...)
 //   * vector — one row of doubles per sample (per-tier CPU allocation)
 //
-// Two storage backends, selected by RecorderConfig:
-//   * kRawVectors — the historical append-only std::vector per series.
-//     Unbounded, byte-faithful, and retained as the differential oracle the
-//     tsdb backend is tested against.
-//   * kTsdb — scalar samples flow into the tiered telemetry::tsdb engine
-//     (bounded ring pages + per-period/hourly rollups). While tier-0
-//     retention covers the run, values() and every exporter reading it are
-//     byte-identical to the raw backend; past retention, raw history ages
-//     out but the rollups stay exact. NaN samples are rejected by this
-//     backend (counted, never stored) instead of being recorded verbatim.
-//     Vector series (rows) stay raw in both backends — they are per-tier
-//     allocation snapshots, small and structural, not streaming metrics.
+// Scalar samples flow into the tiered telemetry::tsdb engine (bounded ring
+// pages + per-period/hourly rollups). While tier-0 retention covers the run,
+// values() returns every appended sample in append order, so every exporter
+// reading it sees the same bytes an unbounded vector would hold; past
+// retention, raw history ages out but the rollups stay exact. NaN samples
+// are rejected (counted, never stored). Vector series (rows) are kept in
+// plain vectors — they are per-tier allocation snapshots, small and
+// structural, not streaming metrics.
 //
 // References returned by the accessors stay valid as more series are
 // created (series storage is node-based).
@@ -46,21 +42,19 @@ struct Annotation {
 };
 
 struct RecorderConfig {
-  enum class Backend {
-    kRawVectors,  ///< historical unbounded vectors (the differential oracle)
-    kTsdb,        ///< tiered streaming store with bounded memory
-  };
-  Backend backend = Backend::kRawVectors;
   /// Timestamp synthesized for the i-th sample of plain append() calls
   /// (i * sample_period_s). append_at() callers supply real times instead.
+  /// Must be finite and > 0; anything else would make the store reject
+  /// samples as out of order or NaN.
   double sample_period_s = 1.0;
   tsdb::TsdbConfig tsdb;
 };
 
 class Recorder {
  public:
-  /// Default recorder keeps the historical raw-vector behavior.
+  /// The tsdb store with the default TsdbConfig and a 1 s sample period.
   Recorder() = default;
+  /// Throws std::invalid_argument on a bad sample_period_s or tsdb config.
   explicit Recorder(RecorderConfig config);
 
   /// Creates an empty series up front so accessors are valid before the
@@ -68,12 +62,11 @@ class Recorder {
   void declare_scalar(const std::string& series);
   void declare_vector(const std::string& series);
 
-  /// Appends one sample to a scalar series, creating it on first use. The
-  /// tsdb backend synthesizes the timestamp index * sample_period_s.
+  /// Appends one sample to a scalar series, creating it on first use, at
+  /// the synthesized timestamp index * sample_period_s.
   void append(const std::string& series, double value);
-  /// Appends one sample with an explicit timestamp (simulation time).
-  /// The raw backend ignores the timestamp — sample order is the contract
-  /// there — so raw-vs-tsdb byte identity is unaffected by who supplies it.
+  /// Appends one sample with an explicit timestamp (simulation time). A
+  /// timestamp before the series' last accepted one is rejected.
   void append_at(const std::string& series, double time_s, double value);
   /// Appends one row to a vector series, creating it on first use.
   void append(const std::string& series, std::vector<double> row);
@@ -82,9 +75,9 @@ class Recorder {
   [[nodiscard]] bool is_vector(std::string_view series) const;
 
   /// Samples of a scalar series; throws std::out_of_range when unknown or
-  /// when the name refers to a vector series. Under the tsdb backend this
-  /// materializes the retained tier-0 samples into a per-series cache (the
-  /// returned reference stays valid and is refreshed in place).
+  /// when the name refers to a vector series. Materializes the retained
+  /// tier-0 samples into a per-series cache (the returned reference stays
+  /// valid and is refreshed in place).
   [[nodiscard]] const std::vector<double>& values(std::string_view series) const;
   /// Rows of a vector series; throws std::out_of_range when unknown or
   /// when the name refers to a scalar series.
@@ -98,7 +91,7 @@ class Recorder {
   /// creation order after this recorder's existing series, and appends its
   /// annotations. The sharded engine merges its per-shard recorders through
   /// this: series nodes and tsdb pages move, samples are never copied.
-  /// Requires the same backend/config and disjoint series names (throws
+  /// Requires the same tsdb config and disjoint series names (throws
   /// std::invalid_argument otherwise). `other` is left empty.
   void absorb(Recorder&& other);
 
@@ -119,38 +112,32 @@ class Recorder {
   void clear();
 
   [[nodiscard]] const RecorderConfig& config() const noexcept { return config_; }
-  [[nodiscard]] RecorderConfig::Backend backend() const noexcept { return config_.backend; }
-  /// The tiered store behind the kTsdb backend (scalar series only).
-  /// Tier/rollup queries go straight through it: tsdb().find(name) then
-  /// tsdb().query(...). Empty under the raw backend.
+  /// The tiered store behind the scalar series. Tier/rollup queries go
+  /// straight through it: tsdb().find(name) then tsdb().query(...).
   [[nodiscard]] const tsdb::Tsdb& tsdb() const noexcept { return tsdb_; }
 
   /// Exact equality of series names, kinds, and every retained sample —
   /// the determinism check the parallel ScenarioRunner is tested against.
-  /// Backend-agnostic: a raw and a tsdb recorder compare equal while their
+  /// Recorders with different tsdb configs compare equal while their
   /// materialized samples match.
   friend bool operator==(const Recorder& a, const Recorder& b);
 
  private:
   struct Series {
     bool vector = false;
-    std::vector<double> scalars;  // raw backend storage
     std::vector<std::vector<double>> rows;
-    tsdb::MetricId metric = 0;  // tsdb backend, scalar series only
-    // tsdb backend: tier-0 samples materialized on demand for values().
+    tsdb::MetricId metric = 0;  // scalar series only
+    // Tier-0 samples materialized on demand for values().
     mutable std::vector<double> cache;
     mutable bool cache_dirty = false;
   };
 
   Series& open(const std::string& series, bool vector);
   [[nodiscard]] const Series* find(std::string_view series) const noexcept;
-  [[nodiscard]] bool use_tsdb() const noexcept {
-    return config_.backend == RecorderConfig::Backend::kTsdb;
-  }
   [[nodiscard]] const std::vector<double>& scalar_samples(const Series& s) const;
 
   RecorderConfig config_;
-  tsdb::Tsdb tsdb_{};  // engaged only under the kTsdb backend
+  tsdb::Tsdb tsdb_{};
   // std::map with transparent comparison: node-based (stable references)
   // and lookups work from string_view without allocating.
   std::map<std::string, Series, std::less<>> series_;

@@ -268,13 +268,13 @@ TEST(FlatGolden, ShardedTestbedMatchesTheSameGolden) {
   check_golden("testbed.csv", csv.str());
 }
 
-// ---- telemetry backend byte-identity ----------------------------------------
+// ---- telemetry export bytes -------------------------------------------------
 
-TEST(FlatGolden, TelemetryBackendsExportIdenticalCsv) {
-  // The same fig2-style testbed run under both recorder backends. While
-  // tier-0 retention covers the run (the default by a wide margin), the
-  // tiered store must hand every exporter the exact bytes the historical
-  // raw vectors would have — cmp-equal CSV, pinned by a committed golden.
+TEST(FlatGolden, TelemetryTestbedCsvMatchesGolden) {
+  // A fig2-style testbed run. While tier-0 retention covers the run (the
+  // default by a wide margin), the tiered store must hand every exporter
+  // every appended sample — cmp-equal CSV, pinned by a committed golden
+  // that was generated from plain unbounded vectors.
   core::ScenarioSpec spec;
   spec.name = "telemetry-golden";
   spec.engine = core::ScenarioSpec::Engine::kTestbed;
@@ -284,15 +284,8 @@ TEST(FlatGolden, TelemetryBackendsExportIdenticalCsv) {
   spec.seed = 11;
   spec.duration_s = 200.0;
 
-  spec.telemetry.backend = telemetry::RecorderConfig::Backend::kTsdb;
-  const core::ScenarioResult tiered = core::ScenarioRunner().run(spec);
-  spec.telemetry.backend = telemetry::RecorderConfig::Backend::kRawVectors;
-  const core::ScenarioResult raw = core::ScenarioRunner().run(spec);
-
-  const std::string tiered_csv = telemetry::to_csv(tiered.recorder);
-  EXPECT_EQ(tiered_csv, telemetry::to_csv(raw.recorder));
-  EXPECT_TRUE(tiered.recorder == raw.recorder);
-  check_golden("telemetry_testbed.csv", tiered_csv);
+  const core::ScenarioResult result = core::ScenarioRunner().run(spec);
+  check_golden("telemetry_testbed.csv", telemetry::to_csv(result.recorder));
 }
 
 // ---- trace-driven simulation (the engine behind fig6) -----------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -95,30 +96,56 @@ TEST(Recorder, ClearRemovesEverything) {
   EXPECT_FALSE(rec.has("p90"));
 }
 
-// ---- tsdb backend -----------------------------------------------------------
-
-RecorderConfig tsdb_config() {
+TEST(Recorder, RejectsNegativeSamplePeriod) {
+  // A negative period would stamp sample 1 before sample 0, and the store
+  // would reject every sample after the first as out of order.
   RecorderConfig config;
-  config.backend = RecorderConfig::Backend::kTsdb;
-  return config;
+  config.sample_period_s = -1.0;
+  EXPECT_THROW(Recorder{config}, std::invalid_argument);
 }
 
-TEST(RecorderTsdb, ValuesIdenticalToRawBackend) {
-  Recorder raw;
-  Recorder tiered(tsdb_config());
+TEST(Recorder, RejectsNaNSamplePeriod) {
+  RecorderConfig config;
+  config.sample_period_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Recorder{config}, std::invalid_argument);
+}
+
+TEST(Recorder, RejectsInfiniteSamplePeriod) {
+  RecorderConfig config;
+  config.sample_period_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Recorder{config}, std::invalid_argument);
+}
+
+TEST(Recorder, RejectsZeroSamplePeriod) {
+  RecorderConfig config;
+  config.sample_period_s = 0.0;
+  EXPECT_THROW(Recorder{config}, std::invalid_argument);
+}
+
+// ---- tsdb store -------------------------------------------------------------
+
+TEST(RecorderTsdb, ValuesIdenticalToAppendedVector) {
+  std::vector<double> appended;
+  Recorder tiered;
   for (int i = 0; i < 300; ++i) {
     const double v = 1.0 / (1.0 + static_cast<double>(i));  // awkward decimals
-    raw.append("p90", v);
+    appended.push_back(v);
     tiered.append("p90", v);
   }
-  EXPECT_EQ(tiered.values("p90"), raw.values("p90"));
-  EXPECT_EQ(tiered.size("p90"), raw.size("p90"));
-  EXPECT_TRUE(tiered == raw);  // equality is backend-agnostic
-  EXPECT_TRUE(raw == tiered);
+  EXPECT_EQ(tiered.values("p90"), appended);
+  EXPECT_EQ(tiered.size("p90"), appended.size());
+  // Equality compares materialized samples, not the store's layout.
+  RecorderConfig small_pages;
+  small_pages.tsdb.page_samples = 16;
+  small_pages.tsdb.tier0_max_pages = 0;
+  Recorder other(small_pages);
+  for (const double v : appended) other.append("p90", v);
+  EXPECT_TRUE(tiered == other);
+  EXPECT_TRUE(other == tiered);
 }
 
 TEST(RecorderTsdb, AppendAtTimestampsLandInTheStore) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append_at("p90", 4.0, 1.0);
   rec.append_at("p90", 8.0, 2.0);
   EXPECT_EQ(rec.values("p90"), (std::vector<double>{1.0, 2.0}));
@@ -129,15 +156,10 @@ TEST(RecorderTsdb, AppendAtTimestampsLandInTheStore) {
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].time_s, 4.0);
   EXPECT_EQ(samples[1].time_s, 8.0);
-  // Raw backend ignores the timestamp entirely — same visible samples.
-  Recorder raw;
-  raw.append_at("p90", 4.0, 1.0);
-  raw.append_at("p90", 8.0, 2.0);
-  EXPECT_TRUE(raw == rec);
 }
 
 TEST(RecorderTsdb, VectorSeriesStayRawRows) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("alloc", std::vector<double>{0.3, 0.4});
   rec.append("alloc", std::vector<double>{0.5, 0.6});
   EXPECT_TRUE(rec.is_vector("alloc"));
@@ -146,7 +168,7 @@ TEST(RecorderTsdb, VectorSeriesStayRawRows) {
 }
 
 TEST(RecorderTsdb, ReferencesStayValidAndRefreshInPlace) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("first", 1.0);
   const std::vector<double>& first = rec.values("first");
   for (int i = 0; i < 64; ++i) rec.append("series" + std::to_string(i), double(i));
@@ -159,7 +181,7 @@ TEST(RecorderTsdb, ReferencesStayValidAndRefreshInPlace) {
 }
 
 TEST(RecorderTsdb, NaNSamplesAreRejectedNotStored) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("p90", 1.0);
   rec.append("p90", std::numeric_limits<double>::quiet_NaN());
   rec.append("p90", 2.0);
@@ -170,7 +192,7 @@ TEST(RecorderTsdb, NaNSamplesAreRejectedNotStored) {
 }
 
 TEST(RecorderTsdb, ClearResetsTheStore) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("p90", 1.0);
   rec.clear();
   EXPECT_TRUE(rec.empty());
@@ -181,7 +203,7 @@ TEST(RecorderTsdb, ClearResetsTheStore) {
 }
 
 TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
-  RecorderConfig config = tsdb_config();
+  RecorderConfig config;
   config.tsdb.page_samples = 4;
   config.tsdb.tier0_max_pages = 2;
   Recorder rec(config);
@@ -203,7 +225,7 @@ TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
 
 TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
   sim::Simulation sim;
-  Recorder rec(tsdb_config());
+  Recorder rec;
   ProbeSet probes;
   probes.add("clock", [&] { return sim.now(); });
   PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
@@ -216,17 +238,29 @@ TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
   EXPECT_EQ(*rec.tsdb().last_time_s(*id), 20.0);  // real sim time, not index
 }
 
-TEST(RecorderTsdb, CsvExportByteIdenticalToRawBackend) {
-  Recorder raw;
-  Recorder tiered(tsdb_config());
-  for (Recorder* rec : {&raw, &tiered}) {
-    for (int i = 0; i < 100; ++i) {
-      rec->append("p90", 0.9 + 0.01 * static_cast<double>(i % 7));
-      rec->append("alloc", std::vector<double>{0.3, 0.4 + 0.001 * i});
-    }
-    rec->append("power", 123.456789);
+/// The exporter's cell format: the shortest text that parses back exactly.
+std::string shortest(double value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  EXPECT_EQ(ec, std::errc{});
+  return std::string(buffer, end);
+}
+
+TEST(RecorderTsdb, CsvExportHoldsEveryAppendedValue) {
+  Recorder tiered;
+  std::ostringstream expected;
+  expected << "p90,alloc[0],alloc[1],power\n";
+  for (int i = 0; i < 100; ++i) {
+    const double p90 = 0.9 + 0.01 * static_cast<double>(i % 7);
+    const double alloc = 0.4 + 0.001 * i;
+    tiered.append("p90", p90);
+    tiered.append("alloc", std::vector<double>{0.3, alloc});
+    // "power" gets one sample, so only the first row has a cell for it.
+    expected << shortest(p90) << ",0.3," << shortest(alloc) << ','
+             << (i == 0 ? "123.456789" : "") << '\n';
   }
-  EXPECT_EQ(to_csv(tiered), to_csv(raw));
+  tiered.append("power", 123.456789);
+  EXPECT_EQ(to_csv(tiered), expected.str());
 }
 
 TEST(Probe, SetSamplesEveryGaugeIntoItsSeries) {
@@ -272,6 +306,23 @@ TEST(Export, CsvRoundTripsExactly) {
   // power has 1 sample, p90 has 2: ragged lengths pad with empty cells.
   const Recorder back = from_csv(to_csv(rec));
   EXPECT_TRUE(back == rec);
+}
+
+TEST(Export, CsvRoundTripKeepsRowsPastDefaultRetention) {
+  // 20,000 rows outlast the default tier-0 budget (64 pages x 256 samples);
+  // from_csv must still hand back every one.
+  RecorderConfig keep_all;
+  keep_all.tsdb.tier0_max_pages = 0;
+  Recorder rec(keep_all);
+  std::vector<double> appended;
+  for (int i = 0; i < 20'000; ++i) {
+    const double v = 1.0 / (1.0 + static_cast<double>(i));
+    rec.append("p90", v);
+    appended.push_back(v);
+  }
+  const Recorder back = from_csv(to_csv(rec));
+  EXPECT_EQ(back.size("p90"), appended.size());
+  EXPECT_EQ(back.values("p90"), appended);
 }
 
 TEST(Export, HeaderFlattensVectorSeries) {
