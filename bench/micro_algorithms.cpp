@@ -116,11 +116,18 @@ void BM_PMapperInvocation(benchmark::State& state) {
 }
 BENCHMARK(BM_PMapperInvocation)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_MpcStep(benchmark::State& state) {
+/// Reports the QP's active-set steps per control step.
+void count_qp_iterations(benchmark::State& state, std::size_t iterations) {
+  state.counters["qp_iterations"] =
+      benchmark::Counter(static_cast<double>(iterations), benchmark::Counter::kAvgIterations);
+}
+
+/// A controller on a stable nu-input ARX model (P = 12, M = 3).
+control::MpcController bench_controller(std::size_t nu) {
   control::ArxModel model;
   model.na = 2;
   model.nb = 2;
-  model.nu = static_cast<std::size_t>(state.range(0));
+  model.nu = nu;
   model.a = {0.5, 0.1};
   model.b = linalg::Matrix(2, model.nu);
   for (std::size_t m = 0; m < model.nu; ++m) {
@@ -134,15 +141,55 @@ void BM_MpcStep(benchmark::State& state) {
   config.r_weight = {1.0};
   config.c_min = {0.1};
   config.c_max = {2.0};
-  control::MpcController controller(model, config);
-  controller.reset(1.0, std::vector<double>(model.nu, 0.5));
+  return control::MpcController(model, config);
+}
+
+void BM_MpcStep(benchmark::State& state) {
+  control::MpcController controller = bench_controller(static_cast<std::size_t>(state.range(0)));
+  controller.reset(1.0, std::vector<double>(controller.model().nu, 0.5));
   double t = 1.3;
+  std::size_t iterations = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(controller.step(t));
+    iterations += controller.diagnostics().qp_iterations;
     t = t > 1.0 ? 0.8 : 1.3;  // keep the QP active
   }
+  count_qp_iterations(state, iterations);
 }
 BENCHMARK(BM_MpcStep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+/// Steady state, as in a lightly loaded fleet: the response time sits far
+/// below the setpoint, the allocation rests at c_min, and every period
+/// solves the same QP, so the previous active set is the answer.
+void BM_MpcStepSteady(benchmark::State& state) {
+  control::MpcController controller = bench_controller(static_cast<std::size_t>(state.range(0)));
+  controller.reset(0.2, std::vector<double>(controller.model().nu, 0.1));
+  for (int k = 0; k < 50; ++k) (void)controller.step(0.2);
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.step(0.2));
+    iterations += controller.diagnostics().qp_iterations;
+  }
+  count_qp_iterations(state, iterations);
+}
+BENCHMARK(BM_MpcStepSteady)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+/// Saturated, as in a flash crowd: every VM at c_max while the response
+/// time stays far above the setpoint, so the range rows bind and the
+/// unconstrained plan is far outside them.
+void BM_MpcStepSaturated(benchmark::State& state) {
+  control::MpcController controller = bench_controller(static_cast<std::size_t>(state.range(0)));
+  controller.reset(20.0, std::vector<double>(controller.model().nu, 2.0));
+  double t = 20.0;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.step(t));
+    iterations += controller.diagnostics().qp_iterations;
+    t = t > 20.0 ? 20.0 : 25.0;  // move the gradient, keep c at c_max
+  }
+  count_qp_iterations(state, iterations);
+}
+BENCHMARK(BM_MpcStepSaturated)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_PsQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {

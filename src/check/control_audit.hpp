@@ -1,11 +1,15 @@
-// Controller auditors: the MPC's QP solution must be primal-feasible
-// (M x <= gamma within tolerance — the actuator-range and rate-limit rows
-// of Section IV) and no worse than the zero-move plan, which is always
-// feasible for the MPC's constraint set because the previous allocation
-// already sits inside [c_min, c_max]. The applied allocation itself must
-// land inside the actuator box (equation 3's c_min <= c <= c_max).
+// Controller auditors: the MPC's QP solution must satisfy the KKT
+// conditions the solver claims. It is primal-feasible (M x <= gamma, the
+// actuator-range and rate-limit rows of Section IV) to a tight tolerance
+// relative to each row's scale, its multipliers are nonnegative, every row
+// with a positive multiplier is tight (complementarity), and the point is
+// no worse than the zero-move plan, which is always feasible for the MPC's
+// constraint set because the previous allocation already sits inside
+// [c_min, c_max]. The applied allocation itself must land inside the
+// actuator box (equation 3's c_min <= c <= c_max).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -15,10 +19,10 @@
 
 namespace vdc::control::audit {
 
-/// Primal-feasibility tolerance for Hildreth's dual iteration: the primal
-/// point converges from the infeasible side, so small violations at the
-/// stopping tolerance are expected.
-inline constexpr double kPrimalTol = 1e-4;
+/// Relative KKT tolerance. The active-set solver stops at a slack of
+/// -1e-9 * max(1, |gamma_i|) and holds its active rows tight to rounding,
+/// so a residual ten times that bound means a wrong solution.
+inline constexpr double kQpTol = 1e-8;
 
 /// Audits a converged QP solution. `equality_constrained` skips the
 /// zero-move optimality bound (with an eliminated equality block the zero
@@ -33,19 +37,54 @@ inline void qp_solution(const linalg::Matrix& hessian, std::span<const double> g
   for (const double v : qp.x) {
     VDC_INVARIANT(std::isfinite(v), "QP solution contains a non-finite entry");
   }
-  // KKT primal residual: max_i (Mx - gamma)_i clamped at 0.
-  double residual = 0.0;
-  for (std::size_t r = 0; r < m_ineq.rows(); ++r) {
+  VDC_INVARIANT(qp.multipliers.size() == qp.active.size(),
+                qp.active.size() << " active rows but " << qp.multipliers.size()
+                                 << " multipliers");
+  // Slack of each row, and the scale its residual is judged against:
+  // max(1, |gamma_r|, sum_c |m_rc x_c|).
+  const auto slack = [&](std::size_t r, double& scale) {
     double row = 0.0;
-    for (std::size_t c = 0; c < m_ineq.cols(); ++c) row += m_ineq(r, c) * qp.x[c];
-    residual = std::max(residual, row - gamma[r]);
+    double magnitude = 0.0;
+    for (std::size_t c = 0; c < m_ineq.cols(); ++c) {
+      const double term = m_ineq(r, c) * qp.x[c];
+      row += term;
+      magnitude += std::abs(term);
+    }
+    scale = std::max({1.0, std::abs(gamma[r]), magnitude});
+    return gamma[r] - row;
+  };
+  for (std::size_t r = 0; r < m_ineq.rows(); ++r) {
+    double scale = 1.0;
+    const double s = slack(r, scale);
+    VDC_INVARIANT(s >= -kQpTol * scale,
+                  "QP primal residual " << -s << " on row " << r << " exceeds " << kQpTol
+                                        << " x " << scale);
   }
-  VDC_INVARIANT(residual <= kPrimalTol,
-                "QP primal residual " << residual << " exceeds tolerance " << kPrimalTol);
+  // Each active row may sit kQpTol * scale off its bound, which moves J by
+  // its multiplier times that much.
+  double priced_slack = 0.0;
+  for (std::size_t j = 0; j < qp.active.size(); ++j) {
+    const std::size_t r = qp.active[j];
+    VDC_INVARIANT(r < m_ineq.rows(), "QP active row " << r << " out of range");
+    VDC_INVARIANT(qp.multipliers[j] >= 0.0,
+                  "QP multiplier " << qp.multipliers[j] << " of row " << r << " is negative");
+    double scale = 1.0;
+    const double s = slack(r, scale);
+    VDC_INVARIANT(check::is_exactly_zero(qp.multipliers[j]) || s <= kQpTol * scale,
+                  "QP row " << r << " has multiplier " << qp.multipliers[j]
+                            << " but slack " << s);
+    priced_slack += qp.multipliers[j] * scale;
+  }
   if (!equality_constrained) {
-    const double at_solution = linalg::qp_objective(hessian, gradient, qp.x);
-    VDC_INVARIANT(at_solution <= kPrimalTol,
-                  "QP solution worse than the feasible zero move: J = " << at_solution);
+    // J(0) = 0, so J at the optimum is <= 0 up to rounding of its two terms
+    // and the priced slack of the active rows.
+    const linalg::Vector hx = hessian * std::span<const double>(qp.x);
+    const double quadratic = 0.5 * linalg::dot(qp.x, hx);
+    const double linear = linalg::dot(gradient, qp.x);
+    const double bound = kQpTol * (std::abs(quadratic) + std::abs(linear) + priced_slack);
+    VDC_INVARIANT(quadratic + linear <= bound,
+                  "QP solution worse than the feasible zero move: J = " << quadratic + linear
+                                                                        << " > " << bound);
   }
 #else
   static_cast<void>(hessian);

@@ -306,7 +306,7 @@ std::vector<double> MpcController::step(double measured_output) {
   if (problem.qp) {
     qp = problem.qp->solve(gradient_,
                            std::span<const double>(&b_eq, problem.terminal_equality ? 1 : 0),
-                           gamma_);
+                           gamma_, diagnostics_.qp_active);
     audit::qp_solution(problem.hessian, gradient_, problem.inequalities, gamma_, qp,
                        problem.terminal_equality);
   } else {
@@ -329,6 +329,7 @@ std::vector<double> MpcController::step(double measured_output) {
 
   diagnostics_.qp_converged = qp.converged;
   diagnostics_.qp_iterations = qp.iterations;
+  diagnostics_.qp_active = std::move(qp.active);
   diagnostics_.cost = qp.objective;
   {
     double terminal_s = f[m_horizon - 1];
@@ -337,15 +338,30 @@ std::vector<double> MpcController::step(double measured_output) {
   }
 
   // Receding horizon: apply only the first move, clamped to the actuator.
+  // A first-move row the QP holds active is applied as its exact bound:
+  // the solution lies on it only to rounding, on either side.
   std::vector<double> c_new(nu);
+  const double delta_down = config_.delta_down_max > 0.0 ? config_.delta_down_max
+                                                         : config_.delta_max;
   for (std::size_t m = 0; m < nu; ++m) {
     double dc = qp.x[m];
-    if (config_.delta_max > 0.0) {
-      const double delta_down = config_.delta_down_max > 0.0 ? config_.delta_down_max
-                                                             : config_.delta_max;
-      dc = std::clamp(dc, -delta_down, config_.delta_max);
-    }
+    if (config_.delta_max > 0.0) dc = std::clamp(dc, -delta_down, config_.delta_max);
     c_new[m] = std::clamp(c_prev[m] + dc, config_.c_min[m], config_.c_max[m]);
+  }
+  for (const std::size_t r : diagnostics_.qp_active) {
+    // Rows 2m, 2m+1: range of input m after move 0; rows 2nx + 2m, 2nx + 2m + 1:
+    // rate of that move (see MpcProblem).
+    const bool range = r < 2 * nu;
+    const bool rate = r >= 2 * nx && r < 2 * nx + 2 * nu;
+    if (!range && !rate) continue;
+    const std::size_t m = (range ? r : r - 2 * nx) / 2;
+    const bool upper = r % 2 == 0;
+    if (range) {
+      c_new[m] = upper ? config_.c_max[m] : config_.c_min[m];
+    } else {
+      const double dc = upper ? config_.delta_max : -delta_down;
+      c_new[m] = std::clamp(c_prev[m] + dc, config_.c_min[m], config_.c_max[m]);
+    }
   }
   audit::allocation_bounds(c_new, config_.c_min, config_.c_max);
   push_front(c_hist_, c_new);

@@ -77,6 +77,10 @@ struct MpcConfig {
 struct MpcDiagnostics {
   bool qp_converged = true;
   std::size_t qp_iterations = 0;
+  /// Inequality rows of MpcProblem::inequalities held tight by the last
+  /// solve, in the solver's order. The next step offers them to the QP as
+  /// its warm start.
+  std::vector<std::size_t> qp_active;
   double predicted_terminal = 0.0;  ///< t(k+M|k) under the optimized plan
   double cost = 0.0;
 };

@@ -23,21 +23,25 @@ CholeskyDecomposition::CholeskyDecomposition(const Matrix& a) : l_(a.rows(), a.c
 }
 
 Vector CholeskyDecomposition::solve(std::span<const double> b) const {
+  Vector x(b.begin(), b.end());
+  solve_in_place(x);
+  return x;
+}
+
+void CholeskyDecomposition::solve_in_place(std::span<double> b) const {
   const std::size_t n = l_.rows();
   if (b.size() != n) throw std::invalid_argument("Cholesky::solve: dimension mismatch");
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::span<const double> l = l_.data();
+  for (std::size_t i = 0; i < n; ++i) {  // L y = b
     double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= l_(i, j) * y[j];
-    y[i] = s / l_(i, i);
+    for (std::size_t j = 0; j < i; ++j) s -= l[i * n + j] * b[j];
+    b[i] = s / l[i * n + i];
   }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= l_(j, ii) * x[j];
-    x[ii] = s / l_(ii, ii);
+  for (std::size_t ii = n; ii-- > 0;) {  // L' x = y
+    double s = b[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= l[j * n + ii] * b[j];
+    b[ii] = s / l[ii * n + ii];
   }
-  return x;
 }
 
 double CholeskyDecomposition::log_determinant() const noexcept {

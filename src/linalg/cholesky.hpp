@@ -13,6 +13,8 @@ class CholeskyDecomposition {
   explicit CholeskyDecomposition(const Matrix& a);
 
   [[nodiscard]] Vector solve(std::span<const double> b) const;
+  /// The same, overwriting b with the solution.
+  void solve_in_place(std::span<double> b) const;
   [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
   [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
   /// log(det A) — numerically safe product of squared diagonal entries.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "linalg/lu.hpp"
@@ -9,8 +10,20 @@
 namespace vdc::linalg {
 
 double qp_objective(const Matrix& h, std::span<const double> g, std::span<const double> x) {
-  const Vector hx = h * x;
-  return 0.5 * dot(x, hx) + dot(g, x);
+  const std::size_t n = x.size();
+  if (h.rows() != n || h.cols() != n || g.size() != n) {
+    throw std::invalid_argument("qp_objective: dimension mismatch");
+  }
+  const std::span<const double> hd = h.data();
+  double quadratic = 0.0;
+  double linear = 0.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    double hx = 0.0;
+    for (std::size_t c = 0; c < n; ++c) hx += hd[r * n + c] * x[c];
+    quadratic += x[r] * hx;
+  }
+  for (std::size_t r = 0; r < n; ++r) linear += g[r] * x[r];
+  return 0.5 * quadratic + linear;
 }
 
 QpResult solve_equality_qp(const Matrix& h, std::span<const double> g, const Matrix& a,
@@ -84,38 +97,221 @@ InequalityQp::InequalityQp(const Matrix& h, const Matrix& m)
   if (q > 0 && m_.cols() != n) throw std::invalid_argument("inequality_qp: M width mismatch");
   if (q == 0) return;
 
-  // Dual problem matrices: P = M H^-1 M^T, and per solve k = gamma - M x0
-  // (the dual is min_{lambda>=0} 1/2 lambda'P lambda + k'lambda, solved
-  // coordinate-wise; Hildreth's procedure).
+  // Dual problem matrices: P = M H^-1 M^T, and per solve k = gamma - M x0.
+  // The dual is min_{lambda>=0} 1/2 lambda'P lambda + k'lambda, and the
+  // slack of row i at x = x0 - H^-1 M^T lambda is (k + P lambda)_i.
   Vector col(n);
   for (std::size_t c = 0; c < q; ++c) {
     for (std::size_t r = 0; r < n; ++r) col[r] = m_(c, r);
     const Vector sol = chol_.solve(col);
     for (std::size_t r = 0; r < n; ++r) hinv_mt_(r, c) = sol[r];
   }
+  // P is symmetric; averaging it with its transpose makes it so bit for bit,
+  // so no result depends on whether a step reads P_ij or P_ji.
   p_ = m_ * hinv_mt_;
+  for (std::size_t r = 0; r < q; ++r) {
+    for (std::size_t c = 0; c < r; ++c) {
+      const double mean = 0.5 * (p_(r, c) + p_(c, r));
+      p_(r, c) = mean;
+      p_(c, r) = mean;
+    }
+  }
 }
 
+namespace {
+
+/// A row whose pivot in the factor of P_AA falls to this fraction of its
+/// diagonal entry P_ii or below depends on the rows before it (the range
+/// row and the rate row of the MPC's first move share one normal).
+constexpr double kDependentPivot = 1e-12;
+/// Row i is violated when its slack is below -kFeasibilityTol * max(1, |gamma_i|).
+constexpr double kFeasibilityTol = 1e-9;
+/// A warm-start multiplier above -kDualTol * max(1, max |lambda|) counts as
+/// nonnegative (it is rounding of a zero) and is clamped to zero.
+constexpr double kDualTol = 1e-12;
+/// The method is finite in exact arithmetic and needs a few steps per
+/// active row; this cap per row of M only stops rounding from cycling.
+constexpr std::size_t kStepsPerRow = 4;
+
+/// The active rows A in factor order and the factor L D L' = P_AA of the
+/// dual matrix over them (L unit lower triangular, D diagonal; no square
+/// roots, so with one active row its multiplier is -k_i / P_ii exactly). A
+/// has at most n rows, so removing one simply refactors the rows after it.
+class ActiveSet {
+ public:
+  /// `rows` receives A; `storage` holds n * n + 2 n doubles for L, D and a
+  /// scratch row.
+  ActiveSet(std::span<const double> p, std::size_t q, std::size_t n,
+            std::vector<std::size_t>& rows, std::span<double> storage)
+      : p_(p),
+        q_(q),
+        n_(n),
+        rows_(rows),
+        l_(storage.first(n * n)),
+        d_(storage.subspan(n * n, n)),
+        u_(storage.subspan(n * n + n, n)) {
+    rows_.clear();
+    rows_.reserve(n);
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  [[nodiscard]] bool contains(std::size_t row) const {
+    return std::find(rows_.begin(), rows_.end(), row) != rows_.end();
+  }
+
+  /// Replaces A by `rows`, in that order; false (and A empty) when a row is
+  /// out of range, repeated, or dependent on the rows before it.
+  bool assign(std::span<const std::size_t> rows) {
+    rows_.clear();
+    if (rows.size() > n_) return false;
+    for (const std::size_t row : rows) {
+      if (row >= q_ || contains(row)) {
+        rows_.clear();
+        return false;
+      }
+      rows_.push_back(row);
+    }
+    if (factor(0)) return true;
+    rows_.clear();
+    return false;
+  }
+
+  void clear() noexcept { rows_.clear(); }
+
+  /// u <- L^-1 P_{A,row}. Returns the pivot P_rr - sum_j u_j^2 / D_j that
+  /// `row` would get as the next row of the factor.
+  double project(std::size_t row, std::span<double> u) const {
+    return project(row, rows_.size(), u);
+  }
+
+  /// Appends `row` with the u and pivot that project() returned for it.
+  void append(std::size_t row, std::span<const double> u, double pivot) {
+    const std::size_t j = rows_.size();
+    for (std::size_t k = 0; k < j; ++k) l_[j * n_ + k] = u[k] / d_[k];
+    d_[j] = pivot;
+    rows_.push_back(row);
+  }
+
+  /// Removes the row at `index` of A. Each later row loses a predecessor,
+  /// which can only raise its pivot, so the factor stays valid.
+  void erase(std::size_t index) {
+    rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(index));
+    factor(index);
+  }
+
+  /// v <- D^-1 v, then v <- L^-T v: with v = L^-1 b on entry, P_AA^-1 b.
+  void finish_solve(std::span<double> v) const {
+    const std::size_t na = rows_.size();
+    for (std::size_t j = 0; j < na; ++j) v[j] /= d_[j];
+    for (std::size_t j = na; j-- > 0;) {
+      for (std::size_t k = j + 1; k < na; ++k) v[j] -= l_[k * n_ + j] * v[k];
+    }
+  }
+
+  /// v <- P_AA^-1 v, for v of length |A|.
+  void solve(std::span<double> v) const {
+    for (std::size_t j = 0; j < rows_.size(); ++j) {
+      for (std::size_t k = 0; k < j; ++k) v[j] -= l_[j * n_ + k] * v[k];
+    }
+    finish_solve(v);
+  }
+
+ private:
+  [[nodiscard]] double p(std::size_t r, std::size_t c) const { return p_[r * q_ + c]; }
+
+  /// project() against the first `count` rows of A.
+  double project(std::size_t row, std::size_t count, std::span<double> u) const {
+    double pivot = p(row, row);
+    for (std::size_t j = 0; j < count; ++j) {
+      double s = p(row, rows_[j]);
+      for (std::size_t k = 0; k < j; ++k) s -= l_[j * n_ + k] * u[k];
+      u[j] = s;
+      pivot -= s * (s / d_[j]);
+    }
+    return pivot;
+  }
+
+  /// Factors rows `from` onward, keeping the rows of L before them. Each
+  /// row is factored exactly as append() would add it.
+  bool factor(std::size_t from) {
+    for (std::size_t j = from; j < rows_.size(); ++j) {
+      const double pivot = project(rows_[j], j, u_);
+      if (!(pivot > kDependentPivot * p(rows_[j], rows_[j]))) return false;
+      for (std::size_t k = 0; k < j; ++k) l_[j * n_ + k] = u_[k] / d_[k];
+      d_[j] = pivot;
+    }
+    return true;
+  }
+
+  std::span<const double> p_;
+  std::size_t q_;
+  std::size_t n_;
+  std::vector<std::size_t>& rows_;
+  std::span<double> l_;  // n x n, row-major; strict lower part of the leading |A| block
+  std::span<double> d_;  // D
+  std::span<double> u_;  // factor()'s row being projected
+};
+
+/// Sets lambda to the KKT multipliers of the active rows, lambda_A =
+/// -P_AA^-1 k_A, and every other entry to zero. Returns min_j lambda_A[j]
+/// relative to max(1, max_j |lambda_A[j]|), or 0 when A is empty.
+double kkt_multipliers(const ActiveSet& active, std::span<const double> k,
+                       std::span<double> lambda, std::span<double> work) {
+  std::fill(lambda.begin(), lambda.end(), 0.0);
+  const std::vector<std::size_t>& rows = active.rows();
+  const std::span<double> v = work.first(rows.size());
+  for (std::size_t j = 0; j < rows.size(); ++j) v[j] = -k[rows[j]];
+  active.solve(v);
+  double lowest = 0.0;
+  double largest = 1.0;
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    lambda[rows[j]] = v[j];
+    lowest = std::min(lowest, v[j]);
+    largest = std::max(largest, std::abs(v[j]));
+  }
+  return lowest / largest;
+}
+
+}  // namespace
+
 QpResult InequalityQp::solve(std::span<const double> g, std::span<const double> gamma,
-                             std::size_t max_iterations, double tolerance) const {
+                             std::span<const std::size_t> warm) const {
   const std::size_t n = h_.rows();
   const std::size_t q = m_.rows();
   if (g.size() != n) throw std::invalid_argument("inequality_qp: bad dims");
   if (gamma.size() != q) throw std::invalid_argument("inequality_qp: gamma length mismatch");
 
   QpResult result;
-  result.x = chol_.solve(scale(g, -1.0));  // unconstrained minimizer x0
+  result.x.resize(n);  // the unconstrained minimizer x0 = -H^-1 g
+  for (std::size_t i = 0; i < n; ++i) result.x[i] = -g[i];
+  chol_.solve_in_place(result.x);
   result.converged = true;
   if (q == 0) {
     result.objective = qp_objective(h_, g, result.x);
     return result;
   }
 
+  // One buffer for every per-solve vector: k, lambda, slack, l and r, and
+  // the active-set factor.
+  Vector work(3 * q + 2 * n + n * n + 2 * n);
+  const std::span<double> k(work.data(), q);
+  const std::span<double> lambda(work.data() + q, q);
+  const std::span<double> slack(work.data() + 2 * q, q);  // gamma - M x = k + P lambda
+  const std::span<double> l(work.data() + 3 * q, n);
+  const std::span<double> r(work.data() + 3 * q + n, n);
+  const std::span<double> factor_storage(work.data() + 3 * q + 2 * n, n * n + 2 * n);
+
   // Check whether the unconstrained minimizer is already feasible.
-  const Vector mx0 = m_ * std::span<const double>(result.x);
+  const std::span<const double> m = m_.data();
+  for (std::size_t i = 0; i < q; ++i) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < n; ++c) s += m[i * n + c] * result.x[c];
+    k[i] = s;
+  }
   bool feasible = true;
   for (std::size_t i = 0; i < q; ++i) {
-    if (mx0[i] > gamma[i] + tolerance) {
+    if (k[i] > gamma[i] + 1e-9) {
       feasible = false;
       break;
     }
@@ -124,60 +320,121 @@ QpResult InequalityQp::solve(std::span<const double> g, std::span<const double> 
     result.objective = qp_objective(h_, g, result.x);
     return result;
   }
+  for (std::size_t i = 0; i < q; ++i) k[i] = gamma[i] - k[i];
 
-  Vector k(q);
-  for (std::size_t i = 0; i < q; ++i) k[i] = gamma[i] - mx0[i];
-
-  // Hildreth sweeps. `support` lists the rows with lambda > 0 in ascending
-  // order; lambda is never -0 (std::max returns the literal 0.0), so the
-  // rows left out would only add a signed zero to s.
   const std::span<const double> p = p_.data();
-  Vector lambda(q, 0.0);
-  std::vector<std::size_t> support;
-  support.reserve(q);
-  std::size_t iter = 0;
-  bool converged = false;
-  for (; iter < max_iterations; ++iter) {
-    double max_change = 0.0;
-    for (std::size_t i = 0; i < q; ++i) {
-      const std::span<const double> row = p.subspan(i * q, q);
-      const double pii = row[i];
-      if (pii <= 1e-14) continue;  // degenerate row: constraint parallel to others
-      double s = k[i];
-      for (const std::size_t j : support) {
-        if (j != i) s += row[j] * lambda[j];
+  ActiveSet active(p, q, n, result.active, factor_storage);
+  std::copy(k.begin(), k.end(), slack.begin());
+  std::size_t steps = 0;
+  const auto add_column = [&](std::size_t c, double weight) {
+    for (std::size_t i = 0; i < q; ++i) slack[i] += weight * p[i * q + c];
+  };
+
+  // Warm start: keep the hint when its multipliers are dual feasible; the
+  // loop below then ends at once if the point is also primal feasible.
+  if (!warm.empty()) {
+    ++steps;
+    if (active.assign(warm) && kkt_multipliers(active, k, lambda, l) >= -kDualTol) {
+      for (const std::size_t row : active.rows()) {
+        lambda[row] = std::max(lambda[row], 0.0);
+        add_column(row, lambda[row]);
       }
-      const double updated = std::max(0.0, -s / pii);
-      max_change = std::max(max_change, std::abs(updated - lambda[i]));
-      const bool was_active = lambda[i] > 0.0;
-      if ((updated > 0.0) != was_active) {
-        const auto at = std::lower_bound(support.begin(), support.end(), i);
-        if (was_active) {
-          support.erase(at);
-        } else {
-          support.insert(at, i);
-        }
-      }
-      lambda[i] = updated;
+    } else {
+      active.clear();
+      std::fill(lambda.begin(), lambda.end(), 0.0);
     }
-    if (max_change < tolerance) {
+  }
+
+  const std::size_t max_steps = kStepsPerRow * q;
+  bool converged = false;
+  bool stuck = false;
+  while (!stuck && steps < max_steps) {
+    // The most violated row outside A.
+    std::size_t add = q;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < q; ++i) {
+      if (slack[i] < worst && slack[i] < -kFeasibilityTol * std::max(1.0, std::abs(gamma[i])) &&
+          !active.contains(i)) {
+        worst = slack[i];
+        add = i;
+      }
+    }
+    if (add == q) {
       converged = true;
-      ++iter;
       break;
     }
+    // Raise lambda_add until row `add` is tight. Keeping the rows of A
+    // tight lowers lambda_A by t r per unit t, with r = P_AA^-1 P_{A,add};
+    // an active row whose multiplier would turn negative first is dropped.
+    for (bool added = false; !added;) {
+      if (steps == max_steps) {
+        stuck = true;
+        break;
+      }
+      ++steps;
+      const std::size_t na = active.size();
+      const std::vector<std::size_t>& rows = active.rows();
+      const double pivot = active.project(add, l);
+      std::copy_n(l.begin(), na, r.begin());
+      active.finish_solve(r.first(na));
+
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      double t_dual = kInf;
+      std::size_t drop = na;
+      for (std::size_t j = 0; j < na; ++j) {
+        if (r[j] > 0.0 && lambda[rows[j]] / r[j] < t_dual) {
+          t_dual = lambda[rows[j]] / r[j];
+          drop = j;
+        }
+      }
+      const bool dependent = na == n || !(pivot > kDependentPivot * p[add * q + add]);
+      const double t_primal = dependent ? kInf : -slack[add] / pivot;
+      if (t_dual == kInf && t_primal == kInf) {  // no point satisfies row `add` and A
+        stuck = true;
+        break;
+      }
+      const double t = std::min(t_dual, t_primal);
+      lambda[add] += t;
+      add_column(add, t);
+      for (std::size_t j = 0; j < na; ++j) {
+        lambda[rows[j]] -= t * r[j];
+        add_column(rows[j], -t * r[j]);
+      }
+      if (t_primal <= t_dual) {
+        active.append(add, l, pivot);
+        added = true;
+      } else {
+        lambda[rows[drop]] = 0.0;
+        active.erase(drop);
+      }
+    }
+  }
+
+  // At the optimum the multipliers come from one KKT solve on the final A,
+  // not from the accumulated steps, so a warm and a cold solve that end on
+  // the same A return the same point.
+  if (converged) {
+    kkt_multipliers(active, k, lambda, l);
+    for (const std::size_t row : active.rows()) lambda[row] = std::max(lambda[row], 0.0);
   }
 
   // Recover the primal point: x = x0 - H^-1 M^T lambda.
   const std::span<const double> hinv_mt = hinv_mt_.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::span<const double> row = hinv_mt.subspan(r * q, q);
+  for (std::size_t row = 0; row < n; ++row) {
+    const std::span<const double> h_row = hinv_mt.subspan(row * q, q);
     double s = 0.0;
-    for (const std::size_t c : support) s += row[c] * lambda[c];
-    result.x[r] -= s;
+    for (std::size_t c = 0; c < q; ++c) {
+      if (lambda[c] != 0.0) s += h_row[c] * lambda[c];
+    }
+    result.x[row] -= s;
   }
 
   result.converged = converged;
-  result.iterations = iter;
+  result.iterations = steps;
+  result.multipliers.resize(result.active.size());
+  for (std::size_t j = 0; j < result.active.size(); ++j) {
+    result.multipliers[j] = lambda[result.active[j]];
+  }
   result.objective = qp_objective(h_, g, result.x);
   return result;
 }
@@ -194,13 +451,14 @@ GeneralQp::GeneralQp(const Matrix& h, const Matrix& a, const Matrix& m)
       reduced_(qr_ ? zt_ * h_ * z_ : h_, qr_ && m_.rows() > 0 ? m_ * z_ : m_) {}
 
 QpResult GeneralQp::solve(std::span<const double> g, std::span<const double> b,
-                          std::span<const double> gamma, std::size_t max_iterations) const {
+                          std::span<const double> gamma,
+                          std::span<const std::size_t> warm) const {
   const std::size_t n = h_.rows();
   if (g.size() != n) throw std::invalid_argument("general_qp: bad dimensions");
   if (gamma.size() != m_.rows()) {
     throw std::invalid_argument("general_qp: gamma length mismatch");
   }
-  if (!qr_) return reduced_.solve(g, gamma, max_iterations);
+  if (!qr_) return reduced_.solve(g, gamma, warm);
   const std::size_t p = r_.rows();
   if (b.size() != p) throw std::invalid_argument("general_qp: A/b dimensions");
 
@@ -221,32 +479,15 @@ QpResult GeneralQp::solve(std::span<const double> g, std::span<const double> b,
     const Vector mxp = m_ * std::span<const double>(x_particular);
     gamma_z = sub(gamma, mxp);
   }
-  const QpResult reduced = reduced_.solve(gz, gamma_z, max_iterations);
-
-  QpResult result;
-  result.converged = reduced.converged;
-  result.iterations = reduced.iterations;
-  const Vector zx = z_ * std::span<const double>(reduced.x);
+  QpResult result = reduced_.solve(gz, gamma_z, warm);
+  const Vector zx = z_ * std::span<const double>(result.x);
   result.x = add(x_particular, zx);
   result.objective = qp_objective(h_, g, result.x);
   return result;
 }
 
-QpResult solve_inequality_qp(const Matrix& h, std::span<const double> g, const Matrix& m,
-                             std::span<const double> gamma, std::size_t max_iterations,
-                             double tolerance) {
-  return InequalityQp(h, m).solve(g, gamma, max_iterations, tolerance);
-}
-
-QpResult solve_general_qp(const Matrix& h, std::span<const double> g, const Matrix& a,
-                          std::span<const double> b, const Matrix& m,
-                          std::span<const double> gamma, std::size_t max_iterations) {
-  return GeneralQp(h, a, m).solve(g, b, gamma, max_iterations);
-}
-
 QpResult solve_box_qp(const Matrix& h, std::span<const double> g, std::span<const double> lo,
-                      std::span<const double> hi, const Matrix& a, std::span<const double> b,
-                      std::size_t max_iterations) {
+                      std::span<const double> hi, const Matrix& a, std::span<const double> b) {
   const std::size_t n = h.rows();
   if (lo.size() != n || hi.size() != n) throw std::invalid_argument("box_qp: bound sizes");
   for (std::size_t i = 0; i < n; ++i) {
@@ -268,10 +509,10 @@ QpResult solve_box_qp(const Matrix& h, std::span<const double> g, std::span<cons
     gamma[r] = sign > 0 ? hi[i] : -lo[i];
   }
 
-  QpResult result = solve_general_qp(h, g, a, b, m, gamma, max_iterations);
-  // Guard against small dual-iteration overshoot: project onto the box.
-  // (With equality constraints present this projection can perturb A x = b
-  // by at most the same overshoot; the MPC treats that as model error.)
+  QpResult result = GeneralQp(h, a, m).solve(g, b, gamma);
+  // Project onto the box to remove the rounding of the active rows and the
+  // 1e-9 feasibility tolerance. (With equality constraints present this can
+  // perturb A x = b by as much.)
   for (std::size_t i = 0; i < n; ++i) result.x[i] = std::clamp(result.x[i], lo[i], hi[i]);
   result.objective = qp_objective(h, g, result.x);
   return result;

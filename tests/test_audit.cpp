@@ -239,6 +239,58 @@ TEST(ControlAudit, RejectsSuboptimalQpSolution) {
   EXPECT_NO_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, true));
 }
 
+TEST(ControlAudit, RejectsPrimalResidualFarAboveRounding) {
+  // A 1e-6 violation is far above rounding: the audit judges the exact
+  // solver's results at 1e-8 relative to each row's scale.
+  const linalg::Matrix hessian = linalg::Matrix::identity(2);
+  const std::vector<double> gradient = {-1.0, -1.0};
+  const linalg::Matrix m_ineq = linalg::Matrix::identity(2);
+  const std::vector<double> gamma = {0.5, 0.5};
+  linalg::QpResult qp;
+  qp.converged = true;
+  qp.x = {0.5 + 1e-6, 0.5};
+  qp.active = {0, 1};
+  qp.multipliers = {0.5, 0.5};
+  EXPECT_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false),
+               CheckFailure);
+  qp.x = {0.5, 0.5};  // the optimum, both rows tight
+  EXPECT_NO_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false));
+}
+
+TEST(ControlAudit, RejectsNegativeMultiplier) {
+  const linalg::Matrix hessian = linalg::Matrix::identity(2);
+  const std::vector<double> gradient = {-1.0, -1.0};
+  const linalg::Matrix m_ineq = linalg::Matrix::identity(2);
+  const std::vector<double> gamma = {0.5, 0.5};
+  linalg::QpResult qp;
+  qp.converged = true;
+  qp.x = {0.5, 0.5};
+  qp.active = {0, 1};
+  qp.multipliers = {0.5, -0.5};
+  EXPECT_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false),
+               CheckFailure);
+  qp.multipliers = {0.5};  // one multiplier short of the active rows
+  EXPECT_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false),
+               CheckFailure);
+}
+
+TEST(ControlAudit, RejectsActiveRowThatIsNotTight) {
+  // Complementarity: a row with a positive multiplier must sit on its bound.
+  const linalg::Matrix hessian = linalg::Matrix::identity(2);
+  const std::vector<double> gradient = {-1.0, -1.0};
+  const linalg::Matrix m_ineq = linalg::Matrix::identity(2);
+  const std::vector<double> gamma = {0.5, 0.5};
+  linalg::QpResult qp;
+  qp.converged = true;
+  qp.x = {0.4, 0.5};
+  qp.active = {0, 1};
+  qp.multipliers = {0.6, 0.5};
+  EXPECT_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false),
+               CheckFailure);
+  qp.multipliers = {0.0, 0.5};  // a zero multiplier asks nothing of its row
+  EXPECT_NO_THROW(control::audit::qp_solution(hessian, gradient, m_ineq, gamma, qp, false));
+}
+
 TEST(ControlAudit, IgnoresUnconvergedQpSolution) {
   const linalg::Matrix hessian = linalg::Matrix::identity(1);
   const std::vector<double> gradient = {0.0};

@@ -333,9 +333,30 @@ TEST(Mpc, CopiesShareTheProblemAndKeepTheirOwnState) {
     const double t = 1.0 + 0.01 * k;
     EXPECT_EQ(original.step(t), independent.step(t));
     EXPECT_EQ(original.diagnostics().cost, independent.diagnostics().cost);
+    // The warm-start hint is per controller: the original's follows its own
+    // solves, not the copy's.
+    EXPECT_EQ(original.diagnostics().qp_active, independent.diagnostics().qp_active);
   }
   EXPECT_EQ(original.setpoint(), config.setpoint);
   EXPECT_NE(copy.current_allocations(), original.current_allocations());
+  EXPECT_NE(copy.diagnostics().qp_active, original.diagnostics().qp_active);
+}
+
+TEST(Mpc, SteadyStateStepEndsAfterOneWarmCheck) {
+  // Response time far below the setpoint: the controller releases capacity
+  // down to c_min and then solves the same QP every period, so the previous
+  // active set is offered, checked once and kept.
+  MpcController ctl(mimo_model(), base_config());
+  ctl.reset(0.3, std::vector<double>{0.5, 0.5});
+  for (int k = 0; k < 30; ++k) (void)ctl.step(0.3);
+  for (int k = 0; k < 5; ++k) {
+    const std::vector<double> c = ctl.step(0.3);
+    EXPECT_EQ(ctl.diagnostics().qp_iterations, 1u);
+    EXPECT_TRUE(ctl.diagnostics().qp_converged);
+    EXPECT_FALSE(ctl.diagnostics().qp_active.empty());
+    // The bound the QP holds active is applied exactly.
+    EXPECT_EQ(c, (std::vector<double>{0.1, 0.1}));
+  }
 }
 
 }  // namespace
