@@ -53,7 +53,8 @@ RunResult run_closed_loop(std::size_t n_jobs, std::uint64_t target_completions) 
   vdc::util::Rng rng(0xbadc0ffee0ddf00dull);
   std::uint64_t completions = 0;
 
-  auto demand = [&rng]() { return rng.bounded_pareto(1.5, 0.05, 5.0); };
+  const vdc::util::BoundedPareto demand_dist(1.5, 0.05, 5.0);
+  auto demand = [&rng, &demand_dist]() { return rng.bounded_pareto(demand_dist); };
 
   Queue* queue_ptr = nullptr;
   Queue queue(sim, 2.4, [&](std::uint64_t /*job*/) {

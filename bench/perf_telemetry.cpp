@@ -1,7 +1,7 @@
 // Streaming-telemetry performance harness.
 //
-// Measures the tiered tsdb store: Recorder append throughput against a
-// bare std::vector<double>::push_back loop, storage cost (bytes/sample from
+// Measures the tiered tsdb store: Recorder append throughput, by series
+// name and by SeriesId, against a bare std::vector<double>::push_back loop, storage cost (bytes/sample from
 // the engine's deterministic storage model) at 1-hour and 1-week horizons, a
 // week-long fleet-scale stream across many metrics with ops-style retention,
 // and range-query latency per tier. Results are written as machine-readable
@@ -40,12 +40,24 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return s > 0.0 ? s : 1e-9;  // clock granularity floor
 }
 
-/// Appends `n` samples into a Recorder and reports appends/sec.
+/// Appends `n` samples into a Recorder by series name and reports
+/// appends/sec.
 double recorder_append_rate(std::size_t n) {
   Recorder rec;
   vdc::util::Rng rng(1);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i) rec.append("m", rng.uniform(0.0, 2.0));
+  return static_cast<double>(n) / seconds_since(t0);
+}
+
+/// The same appends through the SeriesId the declaration returned — the
+/// path the simulator's control tick takes.
+double recorder_id_append_rate(std::size_t n) {
+  Recorder rec;
+  const Recorder::SeriesId id = rec.declare_scalar("m");
+  vdc::util::Rng rng(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < n; ++i) rec.append(id, rng.uniform(0.0, 2.0));
   return static_cast<double>(n) / seconds_since(t0);
 }
 
@@ -189,11 +201,14 @@ int main(int argc, char** argv) {
   // ---- append throughput through the Recorder front door -------------------
   const std::size_t n_appends = quick ? 200'000 : 2'000'000;
   const double recorder_rate = recorder_append_rate(n_appends);
+  const double recorder_id_rate = recorder_id_append_rate(n_appends);
   const double vector_rate = vector_push_back_rate(n_appends);
   std::printf("\n%-28s %16s\n", "store", "appends/sec");
-  std::printf("%-28s %16.0f\n", "recorder (tsdb)", recorder_rate);
+  std::printf("%-28s %16.0f\n", "recorder by name (tsdb)", recorder_rate);
+  std::printf("%-28s %16.0f\n", "recorder by id (tsdb)", recorder_id_rate);
   std::printf("%-28s %16.0f\n", "std::vector push_back", vector_rate);
-  std::printf("%-28s %15.2fx\n", "recorder/vector ratio", recorder_rate / vector_rate);
+  std::printf("%-28s %15.3fx\n", "by-name/vector ratio", recorder_rate / vector_rate);
+  std::printf("%-28s %15.3fx\n", "by-id/vector ratio", recorder_id_rate / vector_rate);
 
   // ---- storage at 1-hour and 1-week horizons (default config) --------------
   // One sample per 4 s control period, default retention: the week horizon
@@ -262,8 +277,11 @@ int main(int argc, char** argv) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"append\": {\"recorder_appends_per_sec\": %.0f, "
-                "\"vector_push_backs_per_sec\": %.0f, \"recorder_vs_vector\": %.3f},\n",
-                recorder_rate, vector_rate, recorder_rate / vector_rate);
+                "\"recorder_id_appends_per_sec\": %.0f, "
+                "\"vector_push_backs_per_sec\": %.0f, \"recorder_vs_vector\": %.3f, "
+                "\"recorder_id_vs_vector\": %.3f},\n",
+                recorder_rate, recorder_id_rate, vector_rate, recorder_rate / vector_rate,
+                recorder_id_rate / vector_rate);
   json += buf;
   json += "  \"horizons\": {\n";
   append_horizon_json(json, "1h", hour);

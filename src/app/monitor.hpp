@@ -79,9 +79,9 @@ class ResponseTimeMonitor {
  private:
   double q_;
   SlaMetric metric_;
-  // Per-period statistics are maintained incrementally by the shared
-  // util::WindowStats accumulator (Welford moments + an order-statistic
-  // index), so harvest() reads the period's quantile in O(log n) instead of
+  // Per-period statistics are maintained by the shared util::WindowStats
+  // accumulator (Welford moments plus the period's samples), so record() is
+  // O(1) and harvest() selects the period's quantile in O(n) instead of
   // copying and sorting every sample. The values are identical to the
   // historical copy+sort (same Welford add order, same type-7 interpolation
   // over the same order statistics) — and bit-identical to the telemetry

@@ -38,17 +38,6 @@ namespace {
 /// seed. Any fixed odd constant works; this is splitmix64's increment.
 constexpr std::uint64_t kDispatchStream = 0x9e3779b97f4a7c15ull;
 
-/// Mean of a bounded Pareto on [lo, hi] with shape alpha. Requires
-/// alpha > 1: at alpha == 1 the closed form divides by zero, and at or
-/// below 1 the finite-mean rescale in issue_request is meaningless — the
-/// constructor rejects such configs up front.
-double bounded_pareto_mean(double alpha, double lo, double hi) {
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return la / (1.0 - la / ha) * alpha / (alpha - 1.0) *
-         (1.0 / std::pow(lo, alpha - 1.0) - 1.0 / std::pow(hi, alpha - 1.0));
-}
-
 void validate_config(const AppConfig& config) {
   if (config.tiers.empty()) throw std::invalid_argument("MultiTierApp: no tiers configured");
   for (const TierConfig& tier : config.tiers) {
@@ -102,20 +91,32 @@ MultiTierApp::MultiTierApp(sim::Simulation& sim, AppConfig config)
   validate_config(config_);
   tiers_.resize(config_.tiers.size());
   tier_resident_.assign(config_.tiers.size(), 0);
+  demand_dists_.reserve(config_.tiers.size());
   for (std::size_t j = 0; j < config_.tiers.size(); ++j) {
     const TierConfig& tc = config_.tiers[j];
+    // Bounded Pareto spanning [mean/4, mean*12]: heavy-tailed but with
+    // finite variance; issue_request rescales so the realized mean matches
+    // the config.
+    demand_dists_.emplace_back(tc.pareto_alpha, tc.mean_demand_gcycles / 4.0,
+                               tc.mean_demand_gcycles * 12.0);
     tiers_[j].replicas.resize(tc.initial_replicas);
     for (std::size_t r = 0; r < tc.initial_replicas; ++r) {
       Replica& rep = tiers_[j].replicas[r];
-      rep.queue = std::make_unique<sim::PsQueue>(
-          sim_, tc.initial_allocation_ghz,
-          [this, j, r](sim::JobId job) { on_replica_complete(j, r, job); });
+      rep.queue = make_queue(j, r, tc.initial_allocation_ghz);
       rep.state = Replica::State::kServing;  // initial replicas skip boot
       rep.allocation_ghz = tc.initial_allocation_ghz;
     }
   }
   target_clients_ = config_.concurrency;
   open_mode_ = config_.open_arrival_rate_rps > 0.0;
+}
+
+std::unique_ptr<sim::PsQueue> MultiTierApp::make_queue(std::size_t tier, std::size_t slot,
+                                                       double capacity_ghz) {
+  return std::make_unique<sim::PsQueue>(
+      sim_, capacity_ghz, [this, tier, slot](sim::JobId, std::uint64_t request) {
+        on_replica_complete(tier, slot, request);
+      });
 }
 
 void MultiTierApp::start() {
@@ -269,7 +270,7 @@ double MultiTierApp::replica_work_done_gcycles(std::size_t tier, std::size_t slo
 }
 
 std::size_t MultiTierApp::replica_outstanding(std::size_t tier, std::size_t slot) const {
-  return replica_at(tier, slot).jobs.size();
+  return replica_at(tier, slot).resident;
 }
 
 std::size_t MultiTierApp::scale_out(std::size_t tier) {
@@ -291,10 +292,7 @@ std::size_t MultiTierApp::scale_out(std::size_t tier) {
   }
   if (slot == replicas.size()) replicas.emplace_back();
   Replica& rep = replicas[slot];
-  if (!rep.queue) {
-    rep.queue = std::make_unique<sim::PsQueue>(
-        sim_, 0.0, [this, tier, slot](sim::JobId job) { on_replica_complete(tier, slot, job); });
-  }
+  if (!rep.queue) rep.queue = make_queue(tier, slot, 0.0);
   // Inherit the tier's current per-replica allocation (what the inner MPC
   // decided for this tier); the queue stays at 0 capacity while booting.
   double alloc_ghz = config_.tiers[tier].initial_allocation_ghz;
@@ -346,8 +344,8 @@ std::size_t MultiTierApp::scale_in(std::size_t tier) {
   std::size_t fewest = std::numeric_limits<std::size_t>::max();
   for (std::size_t r = replicas.size(); r-- > 0;) {
     if (replicas[r].state != Replica::State::kServing) continue;
-    if (replicas[r].jobs.size() < fewest) {
-      fewest = replicas[r].jobs.size();
+    if (replicas[r].resident < fewest) {
+      fewest = replicas[r].resident;
       victim = r;
     }
   }
@@ -356,7 +354,7 @@ std::size_t MultiTierApp::scale_in(std::size_t tier) {
   }
   ++scale_ins_;
   Replica& rep = replicas[victim];
-  if (rep.jobs.empty()) {
+  if (rep.resident == 0) {
     retire_replica(tier, victim);
   } else {
     rep.state = Replica::State::kDraining;  // keeps capacity to finish residue
@@ -380,7 +378,7 @@ void MultiTierApp::finish_boot(std::size_t tier, std::size_t slot) {
 
 void MultiTierApp::retire_replica(std::size_t tier, std::size_t slot) {
   Replica& rep = tiers_[tier].replicas[slot];
-  audit::replica_retire_clean(rep.jobs.size(), tier, slot);
+  audit::replica_retire_clean(rep.resident, tier, slot);
   rep.state = Replica::State::kFree;
   rep.allocation_ghz = 0.0;
   rep.queue->set_capacity(0.0);
@@ -390,46 +388,53 @@ void MultiTierApp::retire_replica(std::size_t tier, std::size_t slot) {
 
 void MultiTierApp::audit_tier([[maybe_unused]] std::size_t tier) const {
 #if VDC_CHECKS_ENABLED
-  std::size_t mapped = 0;
-  for (const Replica& rep : tiers_[tier].replicas) mapped += rep.jobs.size();
-  audit::tier_job_conservation(mapped, tier_resident_[tier], tier);
+  std::size_t counted = 0;
+  for (const Replica& rep : tiers_[tier].replicas) counted += rep.resident;
+  audit::tier_job_conservation(counted, tier_resident_[tier], tier);
 #endif
 }
 
 std::size_t MultiTierApp::pick_replica(std::size_t tier) {
   // Least outstanding jobs over serving replicas; the seeded tie-break
-  // stream makes routing deterministic. With one serving replica the RNG is
-  // never consulted (single-replica bit-identity).
+  // stream picks the k-th tied replica in slot order, so routing is
+  // deterministic. With one serving replica the RNG is never consulted
+  // (single-replica bit-identity).
   const std::vector<Replica>& replicas = tiers_[tier].replicas;
   std::size_t fewest = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> tied;
+  std::size_t tied = 0;
+  std::size_t first = replicas.size();
   for (std::size_t r = 0; r < replicas.size(); ++r) {
     if (replicas[r].state != Replica::State::kServing) continue;
-    const std::size_t outstanding = replicas[r].jobs.size();
-    if (outstanding < fewest) {
-      fewest = outstanding;
-      tied.assign(1, r);
-    } else if (outstanding == fewest) {
-      tied.push_back(r);
+    if (replicas[r].resident < fewest) {
+      fewest = replicas[r].resident;
+      tied = 1;
+      first = r;
+    } else if (replicas[r].resident == fewest) {
+      ++tied;
     }
   }
-  if (tied.empty()) {
+  if (tied == 0) {
     // Unreachable by construction: scale_in never removes the last
     // committed replica and draining keeps residue flowing.
     throw std::logic_error("MultiTierApp: no serving replica in tier");
   }
-  if (tied.size() == 1) return tied.front();
-  return tied[dispatch_rng_.index(tied.size())];
+  if (tied == 1) return first;
+  std::size_t k = dispatch_rng_.index(tied);
+  for (std::size_t r = first;; ++r) {
+    if (replicas[r].state == Replica::State::kServing && replicas[r].resident == fewest &&
+        k-- == 0) {
+      return r;
+    }
+  }
 }
 
-void MultiTierApp::route_to_tier(Request& req, std::size_t tier) {
+void MultiTierApp::route_to_tier(std::size_t request, std::size_t tier) {
   const std::size_t slot = pick_replica(tier);
   Replica& rep = tiers_[tier].replicas[slot];
   audit::dispatch_target_serving(rep.state == Replica::State::kServing, tier, slot);
-  req.current_tier = tier;
-  req.current_replica = slot;
-  const sim::JobId job = rep.queue->add_job(req.demands[tier]);
-  rep.jobs.emplace(job, req.id);
+  requests_[request].current_tier = tier;
+  rep.queue->add_job(demands_[request * tiers_.size() + tier], request);
+  ++rep.resident;
   ++tier_resident_[tier];
 }
 
@@ -452,57 +457,50 @@ void MultiTierApp::issue_request() {
     --active_clients_;  // retire instead of issuing
     return;
   }
-  Request req;
-  req.id = next_request_id_++;
-  req.start_time_s = sim_.now();
-  req.current_tier = 0;
-  req.current_replica = 0;
-  req.demands.reserve(config_.tiers.size());
-  for (const TierConfig& tier : config_.tiers) {
-    // Bounded Pareto spanning [mean/4, mean*12]: heavy-tailed but with
-    // finite variance; rescale so the realized mean matches the config.
-    const double lo = tier.mean_demand_gcycles / 4.0;
-    const double hi = tier.mean_demand_gcycles * 12.0;
-    const double raw = rng_.bounded_pareto(tier.pareto_alpha, lo, hi);
-    const double mean = bounded_pareto_mean(tier.pareto_alpha, lo, hi);
-    req.demands.push_back(raw * tier.mean_demand_gcycles / mean);
+  std::size_t request = requests_.size();
+  if (free_requests_.empty()) {
+    requests_.emplace_back();
+    demands_.resize(demands_.size() + tiers_.size());
+  } else {
+    request = free_requests_.back();
+    free_requests_.pop_back();
   }
-  const std::uint64_t req_id = req.id;
+  requests_[request] = Request{.start_time_s = sim_.now(), .current_tier = 0};
+  double* demands = &demands_[request * tiers_.size()];
+  for (std::size_t j = 0; j < tiers_.size(); ++j) {
+    const double raw = rng_.bounded_pareto(demand_dists_[j]);
+    demands[j] = raw * config_.tiers[j].mean_demand_gcycles / demand_dists_[j].mean();
+  }
   ++issued_;
-  auto [it, inserted] = requests_.emplace(req_id, std::move(req));
-  static_cast<void>(inserted);
-  route_to_tier(it->second, 0);
+  ++in_flight_;
+  route_to_tier(request, 0);
 }
 
-void MultiTierApp::on_replica_complete(std::size_t tier, std::size_t slot, sim::JobId job) {
+void MultiTierApp::on_replica_complete(std::size_t tier, std::size_t slot,
+                                       std::uint64_t request) {
   Replica& rep = tiers_[tier].replicas[slot];
-  const auto it = rep.jobs.find(job);
-  if (it == rep.jobs.end()) return;  // job was abandoned
-  const std::uint64_t req_id = it->second;
-  rep.jobs.erase(it);
+  --rep.resident;
   --tier_resident_[tier];
-  if (rep.state == Replica::State::kDraining && rep.jobs.empty()) {
+  if (rep.state == Replica::State::kDraining && rep.resident == 0) {
     retire_replica(tier, slot);
   }
 
-  auto req_it = requests_.find(req_id);
-  if (req_it == requests_.end()) return;
-  Request& req = req_it->second;
-  const std::size_t next_tier = req.current_tier + 1;
+  const std::size_t next_tier = requests_[request].current_tier + 1;
   if (next_tier < tiers_.size()) {
-    route_to_tier(req, next_tier);
+    route_to_tier(request, next_tier);
     return;
   }
-  Request done = std::move(req);
-  requests_.erase(req_it);
-  finish_request(std::move(done));
+  finish_request(request);
 }
 
-void MultiTierApp::finish_request(Request req) {
+void MultiTierApp::finish_request(std::size_t request) {
+  const double start_time_s = requests_[request].start_time_s;
+  free_requests_.push_back(request);
+  --in_flight_;
   ++completed_;
-  audit::request_conservation(issued_, completed_, requests_.size());
+  audit::request_conservation(issued_, completed_, in_flight_);
   const double now = sim_.now();
-  if (on_response_) on_response_(now, now - req.start_time_s);
+  if (on_response_) on_response_(now, now - start_time_s);
   if (!open_workload()) client_think();
 }
 

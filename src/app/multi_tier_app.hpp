@@ -30,7 +30,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/ps_queue.hpp"
@@ -167,17 +166,18 @@ class MultiTierApp {
   /// Requests issued since construction (= completed + in flight).
   [[nodiscard]] std::uint64_t issued_requests() const noexcept { return issued_; }
   /// Requests currently inside some tier (not thinking).
-  [[nodiscard]] std::size_t requests_in_flight() const noexcept { return requests_.size(); }
+  [[nodiscard]] std::size_t requests_in_flight() const noexcept { return in_flight_; }
   /// Work completed by tier `j` so far (Gcycles, summed over replicas).
   [[nodiscard]] double tier_work_done_gcycles(std::size_t tier) const;
 
  private:
+  /// A request in flight. Requests live in a slab (`requests_`) whose slots
+  /// are recycled through a free list, so a steady-state request allocates
+  /// nothing here; the slot index travels with each tier job as the PS
+  /// queue's caller tag.
   struct Request {
-    std::uint64_t id;
-    double start_time_s;
-    std::size_t current_tier;
-    std::size_t current_replica;  // slot within current_tier
-    std::vector<double> demands;  // per-tier Gcycles, drawn at issue time
+    double start_time_s = 0.0;
+    std::size_t current_tier = 0;
   };
 
   /// One replica slot. Slots are never destroyed once created: a retired
@@ -188,7 +188,7 @@ class MultiTierApp {
     std::unique_ptr<sim::PsQueue> queue;
     State state = State::kFree;
     double allocation_ghz = 0.0;
-    std::unordered_map<sim::JobId, std::uint64_t> jobs;  // job id -> request id
+    std::size_t resident = 0;  // requests currently in this replica's queue
     sim::EventId boot_event = sim::kNoEvent;
   };
 
@@ -200,10 +200,13 @@ class MultiTierApp {
   void client_think();
   void issue_request();
   void schedule_next_arrival();
-  void route_to_tier(Request& req, std::size_t tier);
+  /// Sends the request in slab slot `request` to tier `tier`.
+  void route_to_tier(std::size_t request, std::size_t tier);
   [[nodiscard]] std::size_t pick_replica(std::size_t tier);
-  void on_replica_complete(std::size_t tier, std::size_t slot, sim::JobId job);
-  void finish_request(Request req);
+  void on_replica_complete(std::size_t tier, std::size_t slot, std::uint64_t request);
+  void finish_request(std::size_t request);
+  [[nodiscard]] std::unique_ptr<sim::PsQueue> make_queue(std::size_t tier, std::size_t slot,
+                                                         double capacity_ghz);
   void finish_boot(std::size_t tier, std::size_t slot);
   void retire_replica(std::size_t tier, std::size_t slot);
   void audit_tier(std::size_t tier) const;
@@ -218,11 +221,18 @@ class MultiTierApp {
   /// the pre-replication build (the dispatcher stream is untouched then).
   util::Rng dispatch_rng_;
   std::vector<Tier> tiers_;
+  /// Per-tier service-demand distributions, with their constants computed
+  /// once at construction.
+  std::vector<util::BoundedPareto> demand_dists_;
   /// Requests resident per tier, maintained by route/complete; audited
-  /// against the per-replica job maps at every scaling event.
+  /// against the per-replica resident counts at every scaling event.
   std::vector<std::size_t> tier_resident_;
-  std::unordered_map<std::uint64_t, Request> requests_;
-  std::uint64_t next_request_id_ = 1;
+  /// Request slab, its free slots, and the per-tier demands of slot s at
+  /// [s * tier_count(), (s + 1) * tier_count()).
+  std::vector<Request> requests_;
+  std::vector<std::size_t> free_requests_;
+  std::vector<double> demands_;
+  std::size_t in_flight_ = 0;
   std::size_t active_clients_ = 0;
   std::size_t target_clients_ = 0;
   std::uint64_t issued_ = 0;

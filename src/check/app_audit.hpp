@@ -23,26 +23,28 @@ inline void request_conservation(std::uint64_t issued, std::uint64_t completed,
 
 /// Dispatcher invariant: requests are only routed to serving replicas —
 /// never to a booting, draining, or free slot.
-inline void dispatch_target_serving(bool serving, std::size_t tier, std::size_t slot) {
+inline void dispatch_target_serving(bool serving, [[maybe_unused]] std::size_t tier,
+                                    [[maybe_unused]] std::size_t slot) {
   VDC_INVARIANT(serving, "dispatch to non-serving replica: tier " << tier << " slot " << slot);
 }
 
 /// Drain invariant: a replica may only retire once every resident job has
 /// completed (drain-then-retire, never drop work).
-inline void replica_retire_clean(std::size_t resident_jobs, std::size_t tier, std::size_t slot) {
+inline void replica_retire_clean(std::size_t resident_jobs, [[maybe_unused]] std::size_t tier,
+                                 [[maybe_unused]] std::size_t slot) {
   VDC_INVARIANT(resident_jobs == 0, "replica retired with " << resident_jobs
                                                             << " resident jobs: tier " << tier
                                                             << " slot " << slot);
 }
 
 /// Tier-level conservation across dispatch/drain: the requests resident in a
-/// tier equal the jobs mapped across all of its replica slots — scaling must
+/// tier equal the jobs counted across all of its replica slots — scaling must
 /// not lose or duplicate routed work.
-inline void tier_job_conservation(std::size_t mapped_jobs, std::size_t resident_requests,
-                                  std::size_t tier) {
-  VDC_INVARIANT(mapped_jobs == resident_requests,
-                "tier " << tier << " job conservation violated: " << mapped_jobs
-                        << " mapped jobs != " << resident_requests << " resident requests");
+inline void tier_job_conservation(std::size_t counted_jobs, std::size_t resident_requests,
+                                  [[maybe_unused]] std::size_t tier) {
+  VDC_INVARIANT(counted_jobs == resident_requests,
+                "tier " << tier << " job conservation violated: " << counted_jobs
+                        << " counted jobs != " << resident_requests << " resident requests");
 }
 
 /// MVA outputs are physical: see file comment.

@@ -92,8 +92,8 @@ inline void server_power(const Server& server, double power_w) {
 /// member servers' draws, plus the shared-infrastructure draw if and only
 /// if at least one member is awake (a fully sleeping rack switches its
 /// PDU/cooling/ToR draw off).
-inline void rack_power(RackId rack, bool awake, double shared_power_w, double member_power_w,
-                       double rack_total_w) {
+inline void rack_power([[maybe_unused]] RackId rack, bool awake, double shared_power_w,
+                       double member_power_w, double rack_total_w) {
   VDC_INVARIANT(std::isfinite(shared_power_w) && shared_power_w >= 0.0,
                 "rack " << rack << " shared power " << shared_power_w << " W invalid");
   VDC_INVARIANT(std::isfinite(member_power_w) && member_power_w >= 0.0,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "check/control_audit.hpp"
 #include "linalg/qp.hpp"
@@ -302,14 +303,18 @@ std::vector<double> MpcController::step(double measured_output) {
     }
   }
 
-  linalg::QpResult qp;
+  linalg::QpResult& qp = qp_;
   if (problem.qp) {
-    qp = problem.qp->solve(gradient_,
+    // The solver's scratch is per thread, not per controller: a fleet holds
+    // one controller per app, and controllers may step concurrently.
+    thread_local linalg::Vector qp_work;
+    problem.qp->solve_into(gradient_,
                            std::span<const double>(&b_eq, problem.terminal_equality ? 1 : 0),
-                           gamma_, diagnostics_.qp_active);
+                           gamma_, diagnostics_.qp_active, qp, qp_work);
     audit::qp_solution(problem.hessian, gradient_, problem.inequalities, gamma_, qp,
                        problem.terminal_equality);
   } else {
+    qp = linalg::QpResult{};
     qp.x.assign(nx, 0.0);
     qp.converged = false;
   }
@@ -329,7 +334,9 @@ std::vector<double> MpcController::step(double measured_output) {
 
   diagnostics_.qp_converged = qp.converged;
   diagnostics_.qp_iterations = qp.iterations;
-  diagnostics_.qp_active = std::move(qp.active);
+  // The solution's active set becomes the next warm start; the old warm
+  // start's buffer goes back to the solver for reuse.
+  std::swap(diagnostics_.qp_active, qp.active);
   diagnostics_.cost = qp.objective;
   {
     double terminal_s = f[m_horizon - 1];

@@ -164,6 +164,7 @@ class MpcController {
   std::vector<double> err_;       // f - ref
   std::vector<double> gradient_;  // QP gradient, M*nu entries
   std::vector<double> gamma_;     // inequality bounds, one per row
+  linalg::QpResult qp_;           // the QP's solution
 };
 
 }  // namespace vdc::control

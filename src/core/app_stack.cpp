@@ -80,17 +80,14 @@ AppStack::AppStack(sim::Simulation& sim, AppStackConfig config, Policy policy)
 void AppStack::bind_recorder(telemetry::Recorder* recorder, std::string response_series,
                              std::string allocation_series) {
   recorder_ = recorder;
-  response_series_ = std::move(response_series);
-  allocation_series_ = std::move(allocation_series);
+  replica_series_.reset();
   if (recorder_ != nullptr) {
-    recorder_->declare_scalar(response_series_);
-    recorder_->declare_vector(allocation_series_);
+    response_series_ = recorder_->declare_scalar(response_series);
+    allocation_series_ = recorder_->declare_vector(allocation_series);
     if (replication_active_) {
       // Gated so healthy single-replica telemetry stays byte-identical.
-      replica_series_ = response_series_;
-      const std::size_t slash = replica_series_.rfind('/');
-      replica_series_ = replica_series_.substr(0, slash) + "/replicas";
-      recorder_->declare_vector(replica_series_);
+      const std::size_t slash = response_series.rfind('/');
+      replica_series_ = recorder_->declare_vector(response_series.substr(0, slash) + "/replicas");
     }
   }
 }
@@ -151,28 +148,26 @@ std::vector<double> AppStack::decide_tick(const std::optional<app::PeriodStats>&
     // Outer discrete decision: replica counts, from this stack's state only
     // (parallel-safe). Applied later in the serial phase — apply_scaling()
     // standalone, or the owner via take_scale_decisions().
-    std::vector<app::ReplicaSetStatus> status;
-    status.reserve(app_->tier_count());
+    replica_status_.clear();
     for (std::size_t j = 0; j < app_->tier_count(); ++j) {
-      status.push_back(app_->replica_status(j));
+      replica_status_.push_back(app_->replica_status(j));
     }
-    pending_scale_ = supervisor_->decide(controller_->last_measurement(), sla_setpoint_,
-                                         demands, controller_->mpc().config().c_max, status);
+    pending_scale_ =
+        supervisor_->decide(controller_->last_measurement(), sla_setpoint_, demands,
+                            controller_->mpc().config().c_max, replica_status_);
   }
   return demands;
 }
 
 void AppStack::record_decision(std::span<const double> demands) {
-  if (recorder_ != nullptr) {
-    recorder_->append(allocation_series_, std::vector<double>(demands.begin(), demands.end()));
-    if (replication_active_ && !replica_series_.empty()) {
-      std::vector<double> replicas;
-      replicas.reserve(app_->tier_count());
-      for (std::size_t j = 0; j < app_->tier_count(); ++j) {
-        replicas.push_back(static_cast<double>(app_->replica_status(j).target));
-      }
-      recorder_->append(replica_series_, std::move(replicas));
+  if (recorder_ == nullptr) return;
+  recorder_->append(allocation_series_, demands);
+  if (replica_series_) {
+    replica_row_.clear();
+    for (std::size_t j = 0; j < app_->tier_count(); ++j) {
+      replica_row_.push_back(static_cast<double>(app_->replica_status(j).target));
     }
+    recorder_->append(*replica_series_, replica_row_);
   }
 }
 

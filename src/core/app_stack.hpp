@@ -186,9 +186,14 @@ class AppStack {
   std::optional<ScalingSupervisor> supervisor_;
   std::vector<ScaleDecision> pending_scale_;
   telemetry::Recorder* recorder_ = nullptr;
-  std::string response_series_;
-  std::string allocation_series_;
-  std::string replica_series_;
+  telemetry::Recorder::SeriesId response_series_{};
+  telemetry::Recorder::SeriesId allocation_series_{};
+  /// Set only when replication is active (see replica_series_name).
+  std::optional<telemetry::Recorder::SeriesId> replica_series_;
+  /// Reused per-tick buffers: the supervisor's replica-set view and the
+  /// replica telemetry row.
+  std::vector<app::ReplicaSetStatus> replica_status_;
+  std::vector<double> replica_row_;
   fault::FaultInjector* fault_ = nullptr;
   std::uint32_t fault_index_ = 0;
   double held_measurement_;  // policy mode's substitute for the controller's

@@ -133,7 +133,7 @@ Testbed::Testbed(TestbedConfig config)
         [this, i](std::size_t tier, std::size_t slot) { on_replica_retired(i, tier, slot); });
   }
   last_work_done_.assign(cluster_.vm_count(), 0.0);
-  recorder_.declare_scalar(kPowerSeries);
+  power_series_ = recorder_.declare_scalar(kPowerSeries);
 
   // Cluster-level gauges sampled at the end of every control tick.
   probes_.add(kFrequencySeries, [this] {
@@ -266,25 +266,6 @@ std::uint64_t Testbed::scale_in_count() const noexcept {
   std::uint64_t total = 0;
   for (const auto& stack : stacks_) total += stack->app().scale_in_count();
   return total;
-}
-
-void Testbed::for_each_shard_apps(const std::function<void(std::size_t)>& body) {
-  const std::size_t apps = stacks_.size();
-  const std::size_t shards = engine_.shard_count();
-  if (shards == 0) {
-    for (std::size_t i = 0; i < apps; ++i) body(i);
-    return;
-  }
-  util::parallel_for(
-      shards,
-      [&](std::size_t s) {
-        // Inverse of the block partition shard_of_app(i) = i*shards/apps:
-        // shard s owns apps [ceil(s*apps/shards), ceil((s+1)*apps/shards)).
-        const std::size_t lo = (s * apps + shards - 1) / shards;
-        const std::size_t hi = ((s + 1) * apps + shards - 1) / shards;
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      },
-      config_.shard_threads);
 }
 
 telemetry::Recorder Testbed::take_recorder() {
@@ -517,7 +498,7 @@ void Testbed::record_power(double now) {
   // Power over the elapsed interval: actual work done / capacity.
   const double interval = now - last_power_time_s_;
   double total_power = 0.0;
-  std::vector<double> server_work(cluster_.server_count(), 0.0);
+  server_work_.assign(cluster_.server_count(), 0.0);
   for (std::size_t i = 0; i < stacks_.size(); ++i) {
     for (std::size_t j = 0; j < stacks_[i]->tier_count(); ++j) {
       const std::vector<datacenter::VmId>& slots = vm_ids_[i][j];
@@ -531,7 +512,7 @@ void Testbed::record_power(double now) {
         // no work, and whatever it finished before the crash burned on no
         // server.
         const datacenter::ServerId host = cluster_.host_of(vm);
-        if (host != datacenter::kNoServer) server_work[host] += delta;
+        if (host != datacenter::kNoServer) server_work_[host] += delta;
       }
     }
   }
@@ -539,7 +520,7 @@ void Testbed::record_power(double now) {
     const datacenter::Server& server = cluster_.server(s);
     const double capacity = server.capacity_ghz();
     const double utilization =
-        (capacity > 0.0 && interval > 0.0) ? server_work[s] / (capacity * interval) : 0.0;
+        (capacity > 0.0 && interval > 0.0) ? server_work_[s] / (capacity * interval) : 0.0;
     total_power += server.power_w(utilization);
   }
   // Shared infrastructure draw: a rack's switch/fans burn while any member
@@ -569,7 +550,7 @@ void Testbed::record_power(double now) {
       if (lit) total_power += topo.pod_shared_power_w(p);
     }
   }
-  if (interval > 0.0) recorder_.append_at(kPowerSeries, now, total_power);
+  if (interval > 0.0) recorder_.append_at(power_series_, now, total_power);
   last_power_time_s_ = now;
 }
 
@@ -586,26 +567,26 @@ void Testbed::control_tick() {
   // writes only its own apps' VM demands, and the per-recorder append order
   // (app index within the shard) matches the serial order, so results are
   // bit-identical either way.
-  std::vector<std::optional<app::PeriodStats>> harvested(stacks_.size());
-  for_each_shard_apps([&](std::size_t i) { harvested[i] = stacks_[i]->harvest_tick(); });
-  std::vector<std::vector<double>> decided(stacks_.size());
+  harvested_.resize(stacks_.size());
+  decided_.resize(stacks_.size());
+  for_each_shard_apps([&](std::size_t i) { harvested_[i] = stacks_[i]->harvest_tick(); });
   if (stacks_.size() >= config_.parallel_control_min_apps) {
     util::parallel_for(stacks_.size(), [&](std::size_t i) {
-      decided[i] = stacks_[i]->decide_tick(harvested[i]);
+      decided_[i] = stacks_[i]->decide_tick(harvested_[i]);
     });
   } else {
     for (std::size_t i = 0; i < stacks_.size(); ++i) {
-      decided[i] = stacks_[i]->decide_tick(harvested[i]);
+      decided_[i] = stacks_[i]->decide_tick(harvested_[i]);
     }
   }
   for_each_shard_apps([&](std::size_t i) {
-    stacks_[i]->record_decision(decided[i]);
+    stacks_[i]->record_decision(decided_[i]);
     // Per-replica decision: the MPC allocates per replica, so every live VM
-    // backing tier j demands the same decided[i][j]. Writes from different
+    // backing tier j demands the same decided_[i][j]. Writes from different
     // shards land on disjoint VM records.
-    for (std::size_t j = 0; j < decided[i].size(); ++j) {
+    for (std::size_t j = 0; j < decided_[i].size(); ++j) {
       for (const datacenter::VmId vm : vm_ids_[i][j]) {
-        if (vm != datacenter::kNoVm) cluster_.vm(vm).cpu_demand_ghz = decided[i][j];
+        if (vm != datacenter::kNoVm) cluster_.vm(vm).cpu_demand_ghz = decided_[i][j];
       }
     }
   });
@@ -616,15 +597,15 @@ void Testbed::control_tick() {
   apply_scale_decisions();
 
   // ---- server-level arbitration: DVFS + grants -----------------------------
-  std::vector<double> demands;
   for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
     const auto hosted = cluster_.vms_on(s);
-    demands.clear();
+    server_demands_.clear();
     for (const datacenter::VmId vm : hosted) {
-      demands.push_back(cluster_.vm(vm).cpu_demand_ghz);
+      server_demands_.push_back(cluster_.vm(vm).cpu_demand_ghz);
     }
-    datacenter::CpuResourceArbitrator arbitrator(1.1);
-    datacenter::ArbitrationResult arb = arbitrator.arbitrate(cluster_.server(s).cpu(), demands);
+    datacenter::ArbitrationResult& arb = arbitration_;
+    datacenter::CpuResourceArbitrator(1.1).arbitrate_into(cluster_.server(s).cpu(),
+                                                          server_demands_, arb);
     if (!config_.dvfs) {
       arb.frequency_ghz = cluster_.server(s).cpu().max_freq_ghz;
     }

@@ -18,6 +18,7 @@
 #include "core/app_stack.hpp"
 #include "core/power_optimizer.hpp"
 #include "core/sysid_experiment.hpp"
+#include "datacenter/arbitrator.hpp"
 #include "datacenter/cluster.hpp"
 #include "fault/injector.hpp"
 #include "sim/sharded_engine.hpp"
@@ -25,6 +26,7 @@
 #include "telemetry/probe.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/statistics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace vdc::core {
 
@@ -254,7 +256,25 @@ class Testbed {
   /// Runs `body(i)` for every application — serially in legacy mode, one
   /// parallel task per shard (apps in index order within each shard) in
   /// sharded mode. The body must only touch app-local / shard-local state.
-  void for_each_shard_apps(const std::function<void(std::size_t)>& body);
+  template <typename Body>
+  void for_each_shard_apps(const Body& body) {
+    const std::size_t apps = stacks_.size();
+    const std::size_t shards = engine_.shard_count();
+    if (shards == 0) {
+      for (std::size_t i = 0; i < apps; ++i) body(i);
+      return;
+    }
+    util::parallel_for(
+        shards,
+        [&](std::size_t s) {
+          // Inverse of the block partition shard_of_app(i) = i*shards/apps:
+          // shard s owns apps [ceil(s*apps/shards), ceil((s+1)*apps/shards)).
+          const std::size_t lo = (s * apps + shards - 1) / shards;
+          const std::size_t hi = ((s + 1) * apps + shards - 1) / shards;
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        },
+        config_.shard_threads);
+  }
   /// Block partition: the shard owning app `i` (0 when unsharded).
   [[nodiscard]] std::size_t shard_of_app(std::size_t i) const noexcept {
     return engine_.shard_count() == 0 ? 0 : i * engine_.shard_count() / config_.num_apps;
@@ -287,6 +307,15 @@ class Testbed {
   control::ArxModel model_;
   double model_r2_ = 0.0;
   telemetry::Recorder recorder_;
+  telemetry::Recorder::SeriesId power_series_{};
+  /// Control-tick buffers, reused across ticks: the per-app harvest and
+  /// decision, the per-server work of record_power, and one server's VM
+  /// demands and grants for arbitration.
+  std::vector<std::optional<app::PeriodStats>> harvested_;
+  std::vector<std::vector<double>> decided_;
+  std::vector<double> server_work_;
+  std::vector<double> server_demands_;
+  datacenter::ArbitrationResult arbitration_;
   /// Sharded mode: one recorder per shard for the per-app series, appended
   /// from that shard's harvest/record phase without any cross-shard
   /// synchronization; merged into canonical order by take_recorder().

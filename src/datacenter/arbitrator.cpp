@@ -13,6 +13,14 @@ CpuResourceArbitrator::CpuResourceArbitrator(double headroom) : headroom_(headro
 ArbitrationResult CpuResourceArbitrator::arbitrate(const CpuSpec& cpu,
                                                    std::span<const double> demands_ghz) const {
   ArbitrationResult result;
+  arbitrate_into(cpu, demands_ghz, result);
+  return result;
+}
+
+void CpuResourceArbitrator::arbitrate_into(const CpuSpec& cpu, std::span<const double> demands_ghz,
+                                           ArbitrationResult& result) const {
+  result.saturated = false;
+  result.total_demand_ghz = 0.0;
   for (const double d : demands_ghz) {
     if (d < 0.0) throw std::invalid_argument("Arbitrator: negative demand");
     result.total_demand_ghz += d;
@@ -28,7 +36,6 @@ ArbitrationResult CpuResourceArbitrator::arbitrate(const CpuSpec& cpu,
     const double scale = result.capacity_ghz / result.total_demand_ghz;
     for (double& a : result.allocations_ghz) a *= scale;
   }
-  return result;
 }
 
 }  // namespace vdc::datacenter

@@ -34,6 +34,10 @@ class CpuResourceArbitrator {
 
   [[nodiscard]] ArbitrationResult arbitrate(const CpuSpec& cpu,
                                             std::span<const double> demands_ghz) const;
+  /// arbitrate() into a caller-kept result, so a loop over servers reuses
+  /// one grant buffer. Every field of `result` is overwritten.
+  void arbitrate_into(const CpuSpec& cpu, std::span<const double> demands_ghz,
+                      ArbitrationResult& result) const;
 
   [[nodiscard]] double headroom() const noexcept { return headroom_; }
 

@@ -277,24 +277,35 @@ double kkt_multipliers(const ActiveSet& active, std::span<const double> k,
 
 QpResult InequalityQp::solve(std::span<const double> g, std::span<const double> gamma,
                              std::span<const std::size_t> warm) const {
+  QpResult result;
+  Vector work;
+  solve_into(g, gamma, warm, result, work);
+  return result;
+}
+
+void InequalityQp::solve_into(std::span<const double> g, std::span<const double> gamma,
+                              std::span<const std::size_t> warm, QpResult& result,
+                              Vector& work) const {
   const std::size_t n = h_.rows();
   const std::size_t q = m_.rows();
   if (g.size() != n) throw std::invalid_argument("inequality_qp: bad dims");
   if (gamma.size() != q) throw std::invalid_argument("inequality_qp: gamma length mismatch");
 
-  QpResult result;
   result.x.resize(n);  // the unconstrained minimizer x0 = -H^-1 g
   for (std::size_t i = 0; i < n; ++i) result.x[i] = -g[i];
   chol_.solve_in_place(result.x);
   result.converged = true;
+  result.iterations = 0;
+  result.active.clear();
+  result.multipliers.clear();
   if (q == 0) {
     result.objective = qp_objective(h_, g, result.x);
-    return result;
+    return;
   }
 
   // One buffer for every per-solve vector: k, lambda, slack, l and r, and
   // the active-set factor.
-  Vector work(3 * q + 2 * n + n * n + 2 * n);
+  work.assign(3 * q + 2 * n + n * n + 2 * n, 0.0);
   const std::span<double> k(work.data(), q);
   const std::span<double> lambda(work.data() + q, q);
   const std::span<double> slack(work.data() + 2 * q, q);  // gamma - M x = k + P lambda
@@ -318,7 +329,7 @@ QpResult InequalityQp::solve(std::span<const double> g, std::span<const double> 
   }
   if (feasible) {
     result.objective = qp_objective(h_, g, result.x);
-    return result;
+    return;
   }
   for (std::size_t i = 0; i < q; ++i) k[i] = gamma[i] - k[i];
 
@@ -436,7 +447,6 @@ QpResult InequalityQp::solve(std::span<const double> g, std::span<const double> 
     result.multipliers[j] = lambda[result.active[j]];
   }
   result.objective = qp_objective(h_, g, result.x);
-  return result;
 }
 
 GeneralQp::GeneralQp(const Matrix& h, const Matrix& a, const Matrix& m)
@@ -453,12 +463,24 @@ GeneralQp::GeneralQp(const Matrix& h, const Matrix& a, const Matrix& m)
 QpResult GeneralQp::solve(std::span<const double> g, std::span<const double> b,
                           std::span<const double> gamma,
                           std::span<const std::size_t> warm) const {
+  QpResult result;
+  Vector work;
+  solve_into(g, b, gamma, warm, result, work);
+  return result;
+}
+
+void GeneralQp::solve_into(std::span<const double> g, std::span<const double> b,
+                           std::span<const double> gamma, std::span<const std::size_t> warm,
+                           QpResult& result, Vector& work) const {
   const std::size_t n = h_.rows();
   if (g.size() != n) throw std::invalid_argument("general_qp: bad dimensions");
   if (gamma.size() != m_.rows()) {
     throw std::invalid_argument("general_qp: gamma length mismatch");
   }
-  if (!qr_) return reduced_.solve(g, gamma, warm);
+  if (!qr_) {
+    reduced_.solve_into(g, gamma, warm, result, work);
+    return;
+  }
   const std::size_t p = r_.rows();
   if (b.size() != p) throw std::invalid_argument("general_qp: A/b dimensions");
 
@@ -479,11 +501,10 @@ QpResult GeneralQp::solve(std::span<const double> g, std::span<const double> b,
     const Vector mxp = m_ * std::span<const double>(x_particular);
     gamma_z = sub(gamma, mxp);
   }
-  QpResult result = reduced_.solve(gz, gamma_z, warm);
+  reduced_.solve_into(gz, gamma_z, warm, result, work);
   const Vector zx = z_ * std::span<const double>(result.x);
   result.x = add(x_particular, zx);
   result.objective = qp_objective(h_, g, result.x);
-  return result;
 }
 
 QpResult solve_box_qp(const Matrix& h, std::span<const double> g, std::span<const double> lo,

@@ -69,6 +69,12 @@ class InequalityQp {
 
   [[nodiscard]] QpResult solve(std::span<const double> g, std::span<const double> gamma,
                                std::span<const std::size_t> warm = {}) const;
+  /// solve() into a caller-kept `result`, with the per-solve scratch in
+  /// `work`: once both have grown to the problem's size, a solve allocates
+  /// nothing. Every field of `result` is overwritten, bit for bit as
+  /// solve() would set it. `warm` must not alias `result.active`.
+  void solve_into(std::span<const double> g, std::span<const double> gamma,
+                  std::span<const std::size_t> warm, QpResult& result, Vector& work) const;
 
  private:
   Matrix h_;
@@ -94,6 +100,11 @@ class GeneralQp {
   [[nodiscard]] QpResult solve(std::span<const double> g, std::span<const double> b,
                                std::span<const double> gamma,
                                std::span<const std::size_t> warm = {}) const;
+  /// solve() into caller-kept buffers; see InequalityQp::solve_into. Without
+  /// equality rows it allocates nothing once the buffers have grown.
+  void solve_into(std::span<const double> g, std::span<const double> b,
+                  std::span<const double> gamma, std::span<const std::size_t> warm,
+                  QpResult& result, Vector& work) const;
 
  private:
   Matrix h_;

@@ -19,7 +19,7 @@ PsQueue::PsQueue(Simulation& sim, double capacity_ghz, CompletionHandler on_comp
   last_sync_ = sim_.now();
 }
 
-JobId PsQueue::add_job(double demand_gcycles) {
+JobId PsQueue::add_job(double demand_gcycles, std::uint64_t tag) {
   if (!(demand_gcycles > 0.0)) throw std::invalid_argument("PsQueue: demand must be positive");
   sync();
   if (!fast_ && residuals_.size() + 1 >= kFastUpThreshold) convert_to_fast();
@@ -27,9 +27,9 @@ JobId PsQueue::add_job(double demand_gcycles) {
   if (fast_) {
     const double mark = vtime_ + demand_gcycles;
     audit::ps_finish_mark(vtime_, mark);
-    marks_.emplace(id, by_mark_.emplace(mark, id));
+    marks_.emplace(id, by_mark_.emplace(mark, Marked{id, tag}));
   } else {
-    residuals_.emplace(id, demand_gcycles);
+    residuals_.emplace(id, Residual{demand_gcycles, tag});
   }
   schedule_next_completion();
   return id;
@@ -53,7 +53,7 @@ double PsQueue::remove_job(JobId id) {
   } else {
     const auto it = residuals_.find(id);
     if (it == residuals_.end()) return -1.0;
-    remaining = it->second;
+    remaining = it->second.remaining;
     residuals_.erase(it);
   }
   schedule_next_completion();
@@ -107,20 +107,21 @@ void PsQueue::naive_sync(double elapsed_s) {
   const double per_job = elapsed_s * capacity_ghz_ / static_cast<double>(residuals_.size());
   // Jobs whose residual hits zero here complete "now"; deliver them in id
   // order for determinism.
-  std::vector<JobId> finished;
+  std::vector<Finished> finished = take_finished_buffer();
   // vdc-lint: unordered-iter-ok every job gets the same per_job decrement and completions are sorted by id before delivery; only the work_done accumulation order varies, which the accounting audit bounds with a tolerance
-  for (auto& [id, remaining] : residuals_) {
-    remaining -= per_job;
+  for (auto& [id, job] : residuals_) {
+    job.remaining -= per_job;
     work_done_gcycles_ += per_job;
-    if (remaining <= kEps) {
-      audit::ps_residual(remaining);
-      work_done_gcycles_ += remaining;  // don't over-count the overshoot
-      finished.push_back(id);
+    if (job.remaining <= kEps) {
+      audit::ps_residual(job.remaining);
+      work_done_gcycles_ += job.remaining;  // don't over-count the overshoot
+      finished.push_back(Finished{id, job.tag});
     }
   }
   audit::ps_accounting(work_done_gcycles_, busy_time_s_);
-  std::sort(finished.begin(), finished.end());
-  for (const JobId id : finished) residuals_.erase(id);
+  std::sort(finished.begin(), finished.end(),
+            [](const Finished& a, const Finished& b) { return a.id < b.id; });
+  for (const Finished& done : finished) residuals_.erase(done.id);
   deliver(finished);
 }
 
@@ -131,15 +132,15 @@ void PsQueue::fast_sync(double elapsed_s) {
 
   // Jobs whose finish mark is reached complete "now"; deliver them in id
   // order for determinism.
-  std::vector<JobId> finished;
+  std::vector<Finished> finished = take_finished_buffer();
   while (!by_mark_.empty()) {
     const auto first = by_mark_.begin();
     const double remaining = first->first - vtime_;
     if (remaining > kEps) break;
     audit::ps_residual(remaining);
     work_done_gcycles_ += remaining;  // don't over-count the overshoot
-    finished.push_back(first->second);
-    marks_.erase(first->second);
+    finished.push_back(Finished{first->second.id, first->second.tag});
+    marks_.erase(first->second.id);
     by_mark_.erase(first);
   }
   audit::ps_accounting(work_done_gcycles_, busy_time_s_);
@@ -149,14 +150,17 @@ void PsQueue::fast_sync(double elapsed_s) {
   } else if (marks_.size() <= kFastDownThreshold) {
     convert_to_naive();
   }
-  std::sort(finished.begin(), finished.end());
+  std::sort(finished.begin(), finished.end(),
+            [](const Finished& a, const Finished& b) { return a.id < b.id; });
   deliver(finished);
 }
 
-void PsQueue::deliver(std::vector<JobId>& finished) {
-  for (const JobId id : finished) {
-    if (on_complete_) on_complete_(id);
+void PsQueue::deliver(std::vector<Finished>& finished) {
+  for (const Finished& done : finished) {
+    if (on_complete_) on_complete_(done.id, done.tag);
   }
+  finished.clear();
+  finished_ = std::move(finished);
 }
 
 /// Exact: rebasing vtime_ to 0 makes each finish mark equal the residual
@@ -164,8 +168,8 @@ void PsQueue::deliver(std::vector<JobId>& finished) {
 void PsQueue::convert_to_fast() {
   vtime_ = 0.0;
   // vdc-lint: unordered-iter-ok destination containers are keyed (by_mark_ orders by mark value, marks_ by id); the rebuilt state is identical for any visit order, and equal-mark completions are re-sorted by id on delivery
-  for (const auto& [id, remaining] : residuals_) {
-    marks_.emplace(id, by_mark_.emplace(remaining, id));
+  for (const auto& [id, job] : residuals_) {
+    marks_.emplace(id, by_mark_.emplace(job.remaining, Marked{id, job.tag}));
   }
   residuals_.clear();
   fast_ = true;
@@ -173,8 +177,8 @@ void PsQueue::convert_to_fast() {
 
 /// Rounds once per job: remaining = mark - vtime_ (<= 1 ulp of vtime_).
 void PsQueue::convert_to_naive() {
-  for (const auto& [mark, id] : by_mark_) {
-    residuals_.emplace(id, mark - vtime_);
+  for (const auto& [mark, job] : by_mark_) {
+    residuals_.emplace(job.id, Residual{mark - vtime_, job.tag});
   }
   by_mark_.clear();
   marks_.clear();
@@ -195,8 +199,8 @@ void PsQueue::schedule_next_completion() {
   } else {
     min_remaining = std::numeric_limits<double>::infinity();
     // vdc-lint: unordered-iter-ok min over all values is commutative; order cannot change the result
-    for (const auto& [id, remaining] : residuals_) {
-      min_remaining = std::min(min_remaining, remaining);
+    for (const auto& [id, job] : residuals_) {
+      min_remaining = std::min(min_remaining, job.remaining);
     }
   }
   const double dt =

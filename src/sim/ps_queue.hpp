@@ -25,6 +25,11 @@
 //   exact (vtime_ rebases to 0, marks == residuals); the down-conversion at
 //   kFastDownThreshold rounds once per job (<= 1 ulp of vtime_).
 //
+// Each job carries a caller tag, handed back to the completion handler with
+// its id, so an owner that tracks its own record per job (MultiTierApp's
+// request slots) needs no job-id map. Completions of one sync are collected
+// in a buffer reused across syncs.
+//
 // The pre-optimization queue (per-job residuals at every size) lives in
 // the test-only oracle target, tests/oracle/sim/naive.hpp, as the reference
 // for differential replay tests and the perf-bench baseline.
@@ -33,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -44,8 +50,9 @@ using JobId = std::uint64_t;
 
 class PsQueue {
  public:
-  /// Called when a job finishes; runs inside the simulation event.
-  using CompletionHandler = std::function<void(JobId)>;
+  /// Called when a job finishes, with the job's id and the caller tag it was
+  /// admitted with; runs inside the simulation event.
+  using CompletionHandler = std::function<void(JobId, std::uint64_t tag)>;
 
   /// Resident-job count at which the queue switches to the O(log n)
   /// virtual-time index (and back, with hysteresis to prevent thrashing).
@@ -54,13 +61,25 @@ class PsQueue {
 
   /// `capacity_ghz` is the initial processing rate in 1e9 cycles/second.
   PsQueue(Simulation& sim, double capacity_ghz, CompletionHandler on_complete);
+  /// For callers that do not tag their jobs: the handler sees the id only.
+  template <typename F>
+    requires(std::is_invocable_v<F&, JobId> &&
+             !std::is_invocable_v<F&, JobId, std::uint64_t>)
+  PsQueue(Simulation& sim, double capacity_ghz, F on_complete)
+      : PsQueue(sim, capacity_ghz,
+                CompletionHandler([f = std::move(on_complete)](JobId id, std::uint64_t) mutable {
+                  f(id);
+                })) {}
 
   PsQueue(const PsQueue&) = delete;
   PsQueue& operator=(const PsQueue&) = delete;
 
   /// Admits a job with the given service demand (unit: Gcycles, i.e. the
   /// job takes demand/capacity seconds when running alone). Returns its id.
-  JobId add_job(double demand_gcycles);
+  /// `tag` is stored beside the job and handed back to the completion
+  /// handler, so a caller can find its own record for the job (e.g. a
+  /// request slot) without a map of its own.
+  JobId add_job(double demand_gcycles, std::uint64_t tag = 0);
 
   /// Removes a job before completion (e.g. client abandoned). Returns the
   /// remaining demand, or a negative value if the job is unknown.
@@ -100,23 +119,51 @@ class PsQueue {
   void schedule_next_completion();
   void convert_to_fast();
   void convert_to_naive();
-  void deliver(std::vector<JobId>& finished);
+  /// A finished job and its caller tag.
+  struct Finished {
+    JobId id;
+    std::uint64_t tag;
+  };
+  /// Sorts `finished` by id, hands each to the completion handler, and
+  /// returns the buffer (cleared) for the next sync.
+  void deliver(std::vector<Finished>& finished);
+  /// Borrows the reusable completion buffer. A handler that re-enters this
+  /// queue mid-delivery finds the member empty and works on a fresh buffer;
+  /// whichever comes back last is kept.
+  [[nodiscard]] std::vector<Finished> take_finished_buffer() {
+    std::vector<Finished> buffer = std::move(finished_);
+    buffer.clear();
+    return buffer;
+  }
 
   Simulation& sim_;
   double capacity_ghz_;
   CompletionHandler on_complete_;
 
   bool fast_ = false;
+  /// A naive-mode resident job: remaining Gcycles and the caller tag.
+  struct Residual {
+    double remaining;
+    std::uint64_t tag;
+  };
+  /// A fast-mode resident job: id and the caller tag.
+  struct Marked {
+    JobId id;
+    std::uint64_t tag;
+  };
+
   /// Naive mode: job id -> remaining Gcycles (historical summation order).
-  std::unordered_map<JobId, double> residuals_;
+  std::unordered_map<JobId, Residual> residuals_;
   /// Fast mode: cumulative per-job attained service (Gcycles), rebased to 0
   /// whenever the queue empties to bound floating-point drift.
   double vtime_ = 0.0;
-  /// Fast mode: finish marks in virtual time -> job id; the next completion
+  /// Fast mode: finish marks in virtual time -> job; the next completion
   /// is the first element. Ties (equal marks) are delivered in id order.
-  std::multimap<double, JobId> by_mark_;
+  std::multimap<double, Marked> by_mark_;
   /// Fast mode: job id -> its node in by_mark_, for O(log n) removal.
-  std::unordered_map<JobId, std::multimap<double, JobId>::iterator> marks_;
+  std::unordered_map<JobId, std::multimap<double, Marked>::iterator> marks_;
+  /// Completion buffer reused across syncs (see take_finished_buffer).
+  std::vector<Finished> finished_;
 
   JobId next_job_id_ = 1;
   double last_sync_ = 0.0;

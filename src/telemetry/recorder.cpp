@@ -13,46 +13,77 @@ Recorder::Recorder(RecorderConfig config) : config_(config), tsdb_(config.tsdb) 
   }
 }
 
-Recorder::Series& Recorder::open(const std::string& series, bool vector) {
-  auto it = series_.find(series);
-  if (it == series_.end()) {
-    Series s;
+Recorder::SeriesId Recorder::open(const std::string& series, bool vector) {
+  const auto it = ids_.find(series);
+  if (it == ids_.end()) {
+    const auto id = static_cast<SeriesId>(series_.size());
+    Series& s = series_.emplace_back();
     s.vector = vector;
     if (!vector) s.metric = tsdb_.declare(series);
-    it = series_.emplace(series, std::move(s)).first;
+    ids_.emplace(series, id);
     names_.push_back(series);
-  } else if (it->second.vector != vector) {
+    return id;
+  }
+  if (series_[static_cast<std::size_t>(it->second)].vector != vector) {
     throw std::invalid_argument("Recorder: series '" + series +
                                 "' already exists with the other sample kind");
   }
   return it->second;
 }
 
-const Recorder::Series* Recorder::find(std::string_view series) const noexcept {
-  const auto it = series_.find(series);
-  return it == series_.end() ? nullptr : &it->second;
+Recorder::Series& Recorder::at(SeriesId id, bool vector) {
+  const auto index = static_cast<std::size_t>(id);
+  if (index >= series_.size()) throw std::out_of_range("Recorder: unknown series id");
+  Series& s = series_[index];
+  if (s.vector != vector) {
+    throw std::invalid_argument("Recorder: series '" + names_[index] +
+                                "' holds the other sample kind");
+  }
+  return s;
 }
 
-void Recorder::declare_scalar(const std::string& series) { open(series, /*vector=*/false); }
+const Recorder::Series* Recorder::find(std::string_view series) const noexcept {
+  const auto it = ids_.find(series);
+  return it == ids_.end() ? nullptr : &series_[static_cast<std::size_t>(it->second)];
+}
 
-void Recorder::declare_vector(const std::string& series) { open(series, /*vector=*/true); }
+Recorder::SeriesId Recorder::declare_scalar(const std::string& series) {
+  return open(series, /*vector=*/false);
+}
 
-void Recorder::append(const std::string& series, double value) {
-  Series& s = open(series, /*vector=*/false);
+Recorder::SeriesId Recorder::declare_vector(const std::string& series) {
+  return open(series, /*vector=*/true);
+}
+
+void Recorder::append(SeriesId series, double value) {
+  Series& s = at(series, /*vector=*/false);
   const double time_s =
       static_cast<double>(tsdb_.samples_appended(s.metric)) * config_.sample_period_s;
   tsdb_.append(s.metric, time_s, value);
   s.cache_dirty = true;
 }
 
-void Recorder::append_at(const std::string& series, double time_s, double value) {
-  Series& s = open(series, /*vector=*/false);
+void Recorder::append_at(SeriesId series, double time_s, double value) {
+  Series& s = at(series, /*vector=*/false);
   tsdb_.append(s.metric, time_s, value);
   s.cache_dirty = true;
 }
 
+void Recorder::append(SeriesId series, std::span<const double> row) {
+  at(series, /*vector=*/true).rows.emplace_back(row.begin(), row.end());
+}
+
+void Recorder::append(const std::string& series, double value) {
+  append(open(series, /*vector=*/false), value);
+}
+
+void Recorder::append_at(const std::string& series, double time_s, double value) {
+  append_at(open(series, /*vector=*/false), time_s, value);
+}
+
 void Recorder::append(const std::string& series, std::vector<double> row) {
-  open(series, /*vector=*/true).rows.push_back(std::move(row));
+  // The row is moved in rather than copied through the span overload.
+  at(open(series, /*vector=*/true), /*vector=*/true).rows.push_back(std::move(row));
 }
 
 bool Recorder::has(std::string_view series) const noexcept { return find(series) != nullptr; }
@@ -103,16 +134,18 @@ void Recorder::absorb(Recorder&& other) {
     throw std::invalid_argument("Recorder::absorb: config mismatch");
   }
   for (const std::string& name : other.names_) {
-    if (series_.find(name) != series_.end()) {
+    if (ids_.find(name) != ids_.end()) {
       throw std::invalid_argument("Recorder::absorb: series '" + name + "' exists here too");
     }
-    auto node = other.series_.extract(name);
-    if (!node.mapped().vector) {
-      node.mapped().metric = tsdb_.adopt(other.tsdb_, node.mapped().metric);
-    }
-    series_.insert(std::move(node));
-    names_.push_back(name);
   }
+  for (std::size_t k = 0; k < other.series_.size(); ++k) {
+    Series& s = series_.emplace_back(std::move(other.series_[k]));
+    if (!s.vector) s.metric = tsdb_.adopt(other.tsdb_, s.metric);
+    ids_.emplace(other.names_[k], static_cast<SeriesId>(series_.size() - 1));
+    names_.push_back(std::move(other.names_[k]));
+  }
+  other.series_.clear();
+  other.ids_.clear();
   other.names_.clear();
   annotations_.insert(annotations_.end(),
                       std::make_move_iterator(other.annotations_.begin()),
@@ -126,6 +159,7 @@ void Recorder::annotate(double time_s, std::string label) {
 
 void Recorder::clear() {
   series_.clear();
+  ids_.clear();
   names_.clear();
   annotations_.clear();
   tsdb_ = tsdb::Tsdb(config_.tsdb);

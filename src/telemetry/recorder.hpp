@@ -18,11 +18,20 @@
 // structural, not streaming metrics.
 //
 // References returned by the accessors stay valid as more series are
-// created (series storage is node-based).
+// created (series storage is a deque indexed by id).
+//
+// Hot paths append by id: declare_scalar/declare_vector return a SeriesId
+// (the series' index in creation order), and the id overloads of append,
+// append_at and the row append skip the name lookup. The name overloads
+// are thin wrappers that resolve (or create) the series and take the id
+// path.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,23 +61,37 @@ struct RecorderConfig {
 
 class Recorder {
  public:
+  /// A series handle: its index in creation order (series_names()[id]).
+  /// Ids stay valid as more series are created; absorb() renumbers the
+  /// absorbed series (see there), and clear() invalidates every id.
+  enum class SeriesId : std::uint32_t {};
+
   /// The tsdb store with the default TsdbConfig and a 1 s sample period.
   Recorder() = default;
   /// Throws std::invalid_argument on a bad sample_period_s or tsdb config.
   explicit Recorder(RecorderConfig config);
 
   /// Creates an empty series up front so accessors are valid before the
-  /// first sample arrives. No-op when it already exists with this kind.
-  void declare_scalar(const std::string& series);
-  void declare_vector(const std::string& series);
+  /// first sample arrives, and returns its id. When it already exists with
+  /// this kind, returns the existing id; with the other kind, throws
+  /// std::invalid_argument.
+  SeriesId declare_scalar(const std::string& series);
+  SeriesId declare_vector(const std::string& series);
 
-  /// Appends one sample to a scalar series, creating it on first use, at
-  /// the synthesized timestamp index * sample_period_s.
-  void append(const std::string& series, double value);
+  /// Appends one sample to a scalar series at the synthesized timestamp
+  /// index * sample_period_s.
+  void append(SeriesId series, double value);
   /// Appends one sample with an explicit timestamp (simulation time). A
   /// timestamp before the series' last accepted one is rejected.
+  void append_at(SeriesId series, double time_s, double value);
+  /// Appends one row (copied) to a vector series.
+  void append(SeriesId series, std::span<const double> row);
+  // The id overloads throw std::out_of_range for an id this recorder never
+  // issued and std::invalid_argument for an id of the other kind.
+
+  /// By-name forms: create the series on first use, then append as above.
+  void append(const std::string& series, double value);
   void append_at(const std::string& series, double time_s, double value);
-  /// Appends one row to a vector series, creating it on first use.
   void append(const std::string& series, std::vector<double> row);
 
   [[nodiscard]] bool has(std::string_view series) const noexcept;
@@ -90,9 +113,14 @@ class Recorder {
   /// Moves every series of `other` into this recorder, preserving `other`'s
   /// creation order after this recorder's existing series, and appends its
   /// annotations. The sharded engine merges its per-shard recorders through
-  /// this: series nodes and tsdb pages move, samples are never copied.
+  /// this: series and tsdb pages move, samples are never copied.
   /// Requires the same tsdb config and disjoint series names (throws
   /// std::invalid_argument otherwise). `other` is left empty.
+  ///
+  /// Ids: the series `other` knew as id k is id series_count() + k here
+  /// (series_count() taken before the call); ids this recorder issued are
+  /// unchanged. Every id `other` issued is dead afterwards — `other` holds
+  /// no series, so its id overloads throw until it declares new ones.
   void absorb(Recorder&& other);
 
   /// Appends a timestamped text marker (kept in insertion order, which for
@@ -132,16 +160,19 @@ class Recorder {
     mutable bool cache_dirty = false;
   };
 
-  Series& open(const std::string& series, bool vector);
+  SeriesId open(const std::string& series, bool vector);
+  [[nodiscard]] Series& at(SeriesId id, bool vector);
   [[nodiscard]] const Series* find(std::string_view series) const noexcept;
   [[nodiscard]] const std::vector<double>& scalar_samples(const Series& s) const;
 
   RecorderConfig config_;
   tsdb::Tsdb tsdb_{};
-  // std::map with transparent comparison: node-based (stable references)
-  // and lookups work from string_view without allocating.
-  std::map<std::string, Series, std::less<>> series_;
-  std::vector<std::string> names_;
+  // Series by id. A deque keeps references stable as series are added.
+  std::deque<Series> series_;
+  // Name -> id; transparent comparison, so lookups work from string_view
+  // without allocating.
+  std::map<std::string, SeriesId, std::less<>> ids_;
+  std::vector<std::string> names_;  // by id
   std::vector<Annotation> annotations_;
 };
 

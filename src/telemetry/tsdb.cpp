@@ -123,7 +123,7 @@ void Tsdb::rollup_append(TierState& tier, double period_s, std::size_t retention
   if (tier.acc.empty()) {
     tier.open_window = w;
   } else if (w != tier.open_window) {
-    tier.points.push_back(make_point(tier, period_s));
+    tier.points.push_back(make_point(tier, period_s, tier.acc.quantile(config_.quantile)));
     if (retention > 0 && tier.points.size() > retention) {
       tier.points.pop_front();
       ++tier.evicted_points;
@@ -134,14 +134,14 @@ void Tsdb::rollup_append(TierState& tier, double period_s, std::size_t retention
   tier.acc.add(value);
 }
 
-RollupPoint Tsdb::make_point(const TierState& tier, double period_s) const {
+RollupPoint Tsdb::make_point(const TierState& tier, double period_s, double p90) const {
   RollupPoint p;
   p.start_s = window_start_s(tier.open_window, period_s);
   p.count = tier.acc.count();
   p.min = tier.acc.min();
   p.max = tier.acc.max();
   p.mean = tier.acc.mean();
-  p.p90 = tier.acc.quantile(config_.quantile);
+  p.p90 = p90;
   return p;
 }
 
@@ -196,7 +196,7 @@ std::vector<RollupPoint> Tsdb::rollups(MetricId id, Tier tier, double t0_s, doub
   if (!state.acc.empty()) {
     const double open_start_s = window_start_s(state.open_window, period_s);
     if (open_start_s < t1_s && open_start_s + period_s > t0_s) {
-      out.push_back(make_point(state, period_s));
+      out.push_back(make_point(state, period_s, state.acc.quantile(config_.quantile)));
     }
   }
   return out;

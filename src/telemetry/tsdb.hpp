@@ -11,13 +11,13 @@
 //   tier 1  per-period rollups (default: the 4 s control period)
 //   tier 2  hourly rollups
 //
-// Rollups are maintained incrementally by util::WindowStats (Welford
-// moments + a util::OrderStatisticTree), so every finalized or still-open
-// window's count/min/avg/max/p90 is bit-identical to a brute-force
-// recompute over the raw samples of that window — the property the
-// differential tests in tests/test_tsdb.cpp pin down. Eviction never goes
-// backwards in fidelity: a raw page may be dropped, but the windows it
-// contributed to live on in tiers 1 and 2.
+// Rollups are maintained by util::WindowStats (Welford moments plus the
+// open window's samples, whose quantile is selected when the window
+// closes), so every finalized or still-open window's count/min/avg/max/p90
+// is bit-identical to a brute-force recompute over the raw samples of that
+// window — the property the differential tests in tests/test_tsdb.cpp pin
+// down. Eviction never goes backwards in fidelity: a raw page may be
+// dropped, but the windows it contributed to live on in tiers 1 and 2.
 //
 // Appends must be non-decreasing in time per metric; out-of-order samples
 // and NaN samples/timestamps are rejected and counted, never stored.
@@ -159,7 +159,10 @@ class Tsdb {
   [[nodiscard]] const TierState& tier_state(const Metric& m, Tier tier) const;
   void rollup_append(TierState& tier, double period_s, std::size_t retention, double time_s,
                      double value);
-  [[nodiscard]] RollupPoint make_point(const TierState& tier, double period_s) const;
+  /// The open window's rollup point, with its quantile already computed
+  /// (in place when finalizing, on a copy when a const query reads it).
+  [[nodiscard]] RollupPoint make_point(const TierState& tier, double period_s,
+                                       double p90) const;
   /// True when the tier's retained data still reaches back to t0.
   [[nodiscard]] bool covers(const Metric& m, Tier tier, double t0_s) const;
 

@@ -29,6 +29,42 @@ namespace vdc::util {
 /// the k-th stream seed as splitmix64(base + k * kSplitMix64Gamma).
 inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
 
+/// Bounded Pareto on [lo, hi] with shape alpha — the classic heavy-tailed
+/// service-demand distribution for web requests. The constants of the
+/// inverse CDF (lo^alpha, hi^alpha, -1/alpha) and the mean are computed once
+/// here, so a per-tier sampler draws with one `pow` instead of three.
+class BoundedPareto {
+ public:
+  /// alpha must be positive and finite (alpha <= 0 inverts the CDF's tail
+  /// and would produce samples outside [lo, hi]); 0 < lo < hi.
+  BoundedPareto(double alpha, double lo, double hi) {
+    if (!(alpha > 0.0) || !std::isfinite(alpha)) {
+      throw std::invalid_argument("bounded_pareto: alpha must be positive and finite");
+    }
+    if (!(lo > 0.0) || !(hi > lo)) throw std::invalid_argument("bounded_pareto: bad bounds");
+    la_ = std::pow(lo, alpha);
+    ha_ = std::pow(hi, alpha);
+    neg_inv_alpha_ = -1.0 / alpha;
+    mean_ = la_ / (1.0 - la_ / ha_) * alpha / (alpha - 1.0) *
+            (1.0 / std::pow(lo, alpha - 1.0) - 1.0 / std::pow(hi, alpha - 1.0));
+  }
+
+  /// The inverse CDF at u in [0, 1).
+  [[nodiscard]] double quantile(double u) const {
+    return std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), neg_inv_alpha_);
+  }
+
+  /// The closed-form mean. Defined for alpha != 1; at alpha == 1 the
+  /// closed form divides by zero and this is NaN.
+  [[nodiscard]] double mean() const noexcept { return mean_; }
+
+ private:
+  double la_ = 0.0;
+  double ha_ = 0.0;
+  double neg_inv_alpha_ = 0.0;
+  double mean_ = 0.0;
+};
+
 /// Thin wrapper around std::mt19937_64 with the distributions the simulator
 /// needs. Copyable; copies evolve independently.
 class Rng {
@@ -69,20 +105,13 @@ class Rng {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);
   }
 
-  /// Bounded Pareto on [lo, hi] with shape alpha — the classic heavy-tailed
-  /// service-demand distribution for web requests. alpha must be positive
-  /// and finite; alpha <= 0 inverts the CDF's tail and used to be accepted
-  /// silently, producing samples outside [lo, hi].
+  /// One bounded-Pareto draw (see BoundedPareto; it validates the shape and
+  /// bounds). Samplers that draw repeatedly with the same parameters keep a
+  /// BoundedPareto and use the overload below.
   double bounded_pareto(double alpha, double lo, double hi) {
-    if (!(alpha > 0.0) || !std::isfinite(alpha)) {
-      throw std::invalid_argument("bounded_pareto: alpha must be positive and finite");
-    }
-    if (!(lo > 0.0) || !(hi > lo)) throw std::invalid_argument("bounded_pareto: bad bounds");
-    const double u = uniform(0.0, 1.0);
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+    return bounded_pareto(BoundedPareto(alpha, lo, hi));
   }
+  double bounded_pareto(const BoundedPareto& dist) { return dist.quantile(uniform(0.0, 1.0)); }
 
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
 

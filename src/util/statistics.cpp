@@ -138,7 +138,30 @@ double P2Quantile::value() const noexcept {
 void WindowStats::add(double x) {
   if (std::isnan(x)) throw std::invalid_argument("WindowStats: NaN sample");
   moments_.add(x);
-  order_.insert(x);
+  samples_.push_back(x);
+}
+
+double WindowStats::quantile(double q) {
+  if (samples_.empty()) throw std::invalid_argument("WindowStats::quantile: empty");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("WindowStats::quantile: q outside [0,1]");
+  // exact_quantile's interpolation, with the two order statistics it reads
+  // found by selection instead of a full sort.
+  const double pos = q * static_cast<double>(samples_.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double at_lo = *nth;
+  // The upper order statistic is min(lo + 1, n - 1): the smallest sample
+  // after the lo-th, or the lo-th itself when it is the last.
+  const double at_hi =
+      nth + 1 == samples_.end() ? at_lo : *std::min_element(nth + 1, samples_.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+double WindowStats::quantile(double q) const {
+  WindowStats copy = *this;
+  return copy.quantile(q);
 }
 
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {

@@ -67,25 +67,27 @@ class P2Quantile {
   std::array<double, 5> increments_{};
 };
 
-/// Streaming accumulator for one bounded window of samples: Welford moments
-/// plus an incremental order-statistic index, so count/min/mean/max and any
-/// exact type-7 quantile are available at every point of the stream without
-/// a copy+sort. This is the hoisted "order-statistic glue" shared by the
-/// response-time monitor's per-control-period statistics and the telemetry
-/// tsdb's tier rollup accumulators — both must produce bit-identical values
-/// for the same sample order, which sharing one implementation guarantees.
+/// Accumulator for one bounded window of samples: Welford moments plus the
+/// window's samples, so count/min/mean/max are available at every point of
+/// the stream and any exact type-7 quantile by selection (nth_element) when
+/// asked for. This is the hoisted glue shared by the response-time
+/// monitor's per-control-period statistics and the telemetry tsdb's tier
+/// rollup accumulators — both must produce bit-identical values for the
+/// same sample order, which sharing one implementation guarantees. A sample
+/// costs one Welford update and one push_back; the selection runs once per
+/// window, when it closes.
 ///
-/// NaN samples are rejected with an exception (they would silently corrupt
-/// the ordered index); ±infinity is accepted. `reset()` recycles the
-/// accumulator for the next window without releasing the tree's node pool.
+/// NaN samples are rejected with an exception (they would corrupt the
+/// selection); ±infinity is accepted. `reset()` recycles the accumulator
+/// for the next window without releasing the sample buffer.
 class WindowStats {
  public:
   /// Appends one sample; throws std::invalid_argument on NaN.
   void add(double x);
-  /// Clears for the next window (the order index keeps its node pool).
+  /// Clears for the next window (the sample buffer keeps its capacity).
   void reset() noexcept {
     moments_.reset();
-    order_.clear();
+    samples_.clear();
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return moments_.count(); }
@@ -94,13 +96,17 @@ class WindowStats {
   [[nodiscard]] double min() const noexcept { return moments_.min(); }
   [[nodiscard]] double max() const noexcept { return moments_.max(); }
   [[nodiscard]] const RunningStats& moments() const noexcept { return moments_; }
-  /// Exact quantile (type-7 interpolation, identical to util::quantile on
-  /// the same samples), O(log n). Throws on empty or q outside [0,1].
-  [[nodiscard]] double quantile(double q) const { return order_.quantile(q); }
+  /// Exact quantile (type-7 interpolation over the same order statistics
+  /// as util::quantile, so bit-identical to it), O(n) by selection. Reorders
+  /// the held samples in place; the multiset, and so every statistic, is
+  /// unchanged. Throws on empty or q outside [0,1].
+  [[nodiscard]] double quantile(double q);
+  /// The same on a copy of the samples, for const readers.
+  [[nodiscard]] double quantile(double q) const;
 
  private:
   RunningStats moments_;
-  OrderStatisticTree order_;
+  std::vector<double> samples_;
 };
 
 /// Keeps the most recent `capacity` samples; answers mean and quantiles over

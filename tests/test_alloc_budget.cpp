@@ -1,0 +1,177 @@
+// Allocation budgets of the steady-state simulated period. This binary
+// replaces the global operator new with a counting one, then checks that a
+// request through the multi-tier app allocates at most one heap block per
+// tier hop (the PS queue's residual node) and that a control period of a
+// sharded Testbed stays within a fixed per-app budget, requests included.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "app/multi_tier_app.hpp"
+#include "core/sysid_experiment.hpp"
+#include "core/testbed.hpp"
+#include "sim/simulation.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) size = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else {
+    p = std::aligned_alloc(align, (size + align - 1) / align * align);
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, alignof(std::max_align_t)); }
+void* operator new[](std::size_t size) { return counted_alloc(size, alignof(std::max_align_t)); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace vdc {
+namespace {
+
+TEST(AllocBudget, CounterSeesHeapAllocations) {
+  const std::size_t before = allocations();
+  auto* p = new int(7);
+  const std::size_t after = allocations();
+  delete p;
+  EXPECT_EQ(after - before, 1u);
+}
+
+TEST(AllocBudget, RequestPathAllocatesAtMostOneBlockPerTierHop) {
+  // The paper's two-tier app with two replicas per tier, so the dispatcher
+  // and its tie-break run on every hop.
+  sim::Simulation sim;
+  constexpr std::size_t kClients = 40;
+  app::AppConfig config = app::default_two_tier_app("app", 11, kClients);
+  for (app::TierConfig& tier : config.tiers) tier.initial_replicas = 2;
+  app::MultiTierApp app(sim, config);
+  double response_sum_s = 0.0;
+  app.set_response_callback([&](double, double rt) { response_sum_s += rt; });
+  app.start();
+
+  // Runs until no request is in flight, so the measured window holds whole
+  // requests only: every request it issues also completes inside it.
+  double until_s = 0.0;
+  const auto drain = [&] {
+    app.set_concurrency(0);
+    while (app.requests_in_flight() > 0) {
+      until_s += 10.0;
+      sim.run_until(until_s);
+    }
+  };
+  // Warm-up: the event slab, request slab, completion buffers and the
+  // queues' hash tables reach their high-water marks.
+  until_s = 300.0;
+  sim.run_until(until_s);
+  drain();
+
+  const std::uint64_t completed0 = app.completed_requests();
+  const std::size_t allocs0 = allocations();
+  app.set_concurrency(kClients);
+  while (app.completed_requests() - completed0 < 10'000) {
+    until_s += 10.0;
+    sim.run_until(until_s);
+  }
+  drain();
+  const std::size_t allocs = allocations() - allocs0;
+  const std::uint64_t completed = app.completed_requests() - completed0;
+
+  EXPECT_EQ(app.issued_requests(), app.completed_requests());
+  EXPECT_GT(response_sum_s, 0.0);
+  const double per_request = static_cast<double>(allocs) / static_cast<double>(completed);
+  std::printf("[ alloc ] %zu allocations over %llu requests: %.2f per request\n", allocs,
+              static_cast<unsigned long long>(completed), per_request);
+  EXPECT_LE(per_request, static_cast<double>(app.tier_count()));
+}
+
+std::uint64_t completed_requests(core::Testbed& testbed) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < testbed.app_count(); ++i) {
+    total += testbed.application(i).completed_requests();
+  }
+  return total;
+}
+
+TEST(AllocBudget, ShardedTestbedControlPeriodStaysWithinPerAppBudget) {
+  // A fleet-shaped Testbed: lightly loaded two-tier apps, two replicas per
+  // tier, four shards, one server per app. The model is identified once up
+  // front so the constructor skips the experiment.
+  core::TestbedConfig config;
+  config.num_apps = 64;
+  config.num_servers = 64;
+  config.concurrency = 2;
+  config.seed = 3;
+  config.initial_replicas = 2;
+  config.shards = 4;
+  config.shard_threads = 1;
+  config.parallel_control_min_apps = static_cast<std::size_t>(-1);
+  config.enable_optimizer = false;
+  const app::AppConfig staging = app::default_two_tier_app("staging", 1001, config.concurrency);
+  config.model = core::identify_app_model(staging, config.sysid).model;
+  core::Testbed testbed(config);
+
+  constexpr std::size_t kWarmupPeriods = 30;
+  constexpr std::size_t kPeriods = 20;
+  testbed.run_until(static_cast<double>(kWarmupPeriods) * config.control_period_s);
+  const std::uint64_t requests0 = completed_requests(testbed);
+  const std::size_t allocs0 = allocations();
+  testbed.run_until(static_cast<double>(kWarmupPeriods + kPeriods) * config.control_period_s);
+  const std::size_t allocs = allocations() - allocs0;
+  const std::uint64_t requests = completed_requests(testbed) - requests0;
+  // The budget counts requests too; a run with almost none would pass it
+  // trivially.
+  EXPECT_GT(requests, config.num_apps * kPeriods * 4);
+
+  const double per_app_period =
+      static_cast<double>(allocs) / static_cast<double>(config.num_apps * kPeriods);
+  std::printf("[ alloc ] %zu allocations over %zu app-periods (%llu requests): %.2f per app "
+              "per period\n",
+              allocs, config.num_apps * kPeriods, static_cast<unsigned long long>(requests),
+              per_app_period);
+  EXPECT_LE(per_app_period, 20.0);
+}
+
+}  // namespace
+}  // namespace vdc

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace vdc::sim {
@@ -154,6 +157,52 @@ TEST(PsQueue, BusyTimeTracksOccupancy) {
   sim.schedule(5.0, [&] { q.add_job(2.0); });  // busy [5, 7]
   sim.run();
   EXPECT_NEAR(q.busy_time_s(), 3.0, 1e-9);
+}
+
+TEST(PsQueue, CallerTagsTravelWithTheirJobsInBothModes) {
+  // Enough jobs to cross into the virtual-time index and back, with
+  // distinct demands, so tags must survive both conversions.
+  Simulation sim;
+  std::vector<std::pair<JobId, std::uint64_t>> done;
+  PsQueue q(sim, 50.0, [&](JobId id, std::uint64_t tag) { done.emplace_back(id, tag); });
+  std::vector<std::pair<JobId, std::uint64_t>> admitted;
+  const std::size_t jobs = PsQueue::kFastUpThreshold + 100;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    const std::uint64_t tag = 7000 + 3 * i;
+    admitted.emplace_back(q.add_job(0.01 * static_cast<double>(1 + i % 37), tag), tag);
+  }
+  EXPECT_TRUE(q.fast_mode());
+  sim.run();
+  EXPECT_FALSE(q.fast_mode());
+  ASSERT_EQ(done.size(), jobs);
+  std::sort(done.begin(), done.end());
+  EXPECT_EQ(done, admitted);  // ids ascend with admission, so both are sorted
+}
+
+TEST(PsQueue, HandlerMayReenterTheQueueMidDelivery) {
+  // Three equal jobs finish in one sync. Each completion re-enters the
+  // queue: it admits a tagged replacement, and the first also removes a
+  // long job and changes the capacity.
+  Simulation sim;
+  std::vector<std::uint64_t> tags;
+  PsQueue* queue = nullptr;
+  JobId long_job = 0;
+  PsQueue q(sim, 1.0, [&](JobId, std::uint64_t tag) {
+    tags.push_back(tag);
+    if (tag < 10) queue->add_job(0.5, tag + 10);
+    if (tag == 1) {
+      EXPECT_GT(queue->remove_job(long_job), 0.0);
+      queue->set_capacity(2.0);
+    }
+  });
+  queue = &q;
+  q.add_job(1.0, 1);
+  q.add_job(1.0, 2);
+  q.add_job(1.0, 3);
+  long_job = q.add_job(100.0, 99);
+  sim.run();
+  EXPECT_EQ(tags, (std::vector<std::uint64_t>{1, 2, 3, 11, 12, 13}));
+  EXPECT_EQ(q.jobs_in_service(), 0u);
 }
 
 TEST(PsQueue, RejectsInvalidArguments) {

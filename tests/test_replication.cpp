@@ -4,6 +4,7 @@
 // second serving replica).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "app/multi_tier_app.hpp"
@@ -196,7 +197,7 @@ TEST(Replication, RequestConservationAcrossChurn) {
   sim::Simulation sim;
   MultiTierApp app(sim, replicated_app(13, 80, 2));
   app.start();
-  // Alternate scale-out and scale-in under load; the per-replica job maps,
+  // Alternate scale-out and scale-in under load; the per-replica job counts,
   // tier resident counters, and request table must stay consistent (the
   // VDC_CHECKS audits fire on every scaling event in checked builds).
   for (int round = 1; round <= 6; ++round) {
@@ -247,6 +248,108 @@ TEST(Replication, ScalingMachineryDoesNotPerturbSingleServingReplica) {
     return completions;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// Requests in flight, summed over every replica slot of every tier: each
+// in-flight request is resident in exactly one replica queue.
+std::size_t resident_everywhere(const MultiTierApp& app) {
+  std::size_t total = 0;
+  for (std::size_t j = 0; j < app.tier_count(); ++j) {
+    for (std::size_t r = 0; r < app.replica_slots(j); ++r) total += app.replica_outstanding(j, r);
+  }
+  return total;
+}
+
+TEST(Replication, RequestSlabConservesAcrossScaleOutDrainScaleInAndSlotReuse) {
+  sim::Simulation sim;
+  MultiTierApp app(sim, replicated_app(17, 60, 2));
+  app.start();
+  const auto check = [&](const char* when) {
+    EXPECT_EQ(app.issued_requests(), app.completed_requests() + app.requests_in_flight())
+        << when;
+    EXPECT_EQ(resident_everywhere(app), app.requests_in_flight()) << when;
+  };
+  sim.run_until(20.0);
+  check("warm");
+  // Scale out to three replicas per tier.
+  app.scale_out(0);
+  app.scale_out(1);
+  sim.run_until(40.0);
+  check("scaled out");
+  // Drain one replica per tier; check while the drain is in progress.
+  const std::size_t victim0 = app.scale_in(0);
+  const std::size_t victim1 = app.scale_in(1);
+  sim.run_until(40.05);
+  check("draining");
+  sim.run_until(80.0);
+  check("drained");
+  EXPECT_EQ(app.replica_status(0).target, 2u);
+  EXPECT_FALSE(app.replica_active(0, victim0));
+  EXPECT_FALSE(app.replica_active(1, victim1));
+  EXPECT_EQ(app.replica_outstanding(0, victim0), 0u);
+  // Shrink the population (request slots go back to the free list), then
+  // grow it past the old size (reused slots plus fresh ones), scaling out
+  // into the retired replica slots meanwhile.
+  app.set_concurrency(10);
+  sim.run_until(120.0);
+  check("shrunk");
+  EXPECT_LE(app.requests_in_flight(), 10u);
+  EXPECT_EQ(app.scale_out(0), victim0);
+  EXPECT_EQ(app.scale_out(1), victim1);
+  app.set_concurrency(90);
+  sim.run_until(160.0);
+  check("regrown");
+  EXPECT_GT(app.replica_work_done_gcycles(0, victim0), 0.0);
+  // Quiesce: every slot drains and the tables empty out.
+  app.set_concurrency(0);
+  sim.drain_until(3000.0);
+  check("quiesced");
+  EXPECT_EQ(app.requests_in_flight(), 0u);
+  EXPECT_EQ(resident_everywhere(app), 0u);
+  EXPECT_GT(app.completed_requests(), 1000u);
+}
+
+TEST(Replication, ThreeWayTiedDispatchSequenceIsPinned) {
+  // Three serving replicas per tier with little work each, so most
+  // dispatches break a 3-way tie through the seeded tie-break stream. The
+  // resident counts at fixed times and each replica's exact work total pin
+  // the whole dispatch sequence; the expected values were recorded with the
+  // dispatcher that collected tied slots into a vector and indexed it with
+  // the same draw.
+  sim::Simulation sim;
+  AppConfig config = replicated_app(21, 30, 3);
+  for (TierConfig& tier : config.tiers) tier.initial_allocation_ghz = 0.25;
+  MultiTierApp app(sim, config);
+  app.start();
+  std::string trace;
+  for (int k = 1; k <= 32; ++k) {
+    sim.run_until(0.5 * k);
+    for (std::size_t j = 0; j < 2; ++j) {
+      for (std::size_t r = 0; r < 3; ++r) {
+        trace += std::to_string(app.replica_outstanding(j, r));
+        trace += r == 2 ? (j == 0 ? "/" : "") : ",";
+      }
+    }
+    trace += k % 8 == 0 ? "\n" : " ";
+  }
+  EXPECT_EQ(trace,
+            "0,0,0/1,1,1 0,0,1/1,1,1 0,1,0/1,1,1 1,0,0/0,0,0 0,0,0/1,0,0 0,0,0/1,1,1 "
+            "0,0,0/1,0,0 2,0,0/1,0,1\n"
+            "1,0,0/1,0,0 0,1,0/0,0,0 1,0,0/0,0,0 0,0,0/1,0,1 0,0,0/0,1,0 1,0,0/1,0,0 "
+            "1,0,0/1,1,1 0,1,0/0,1,0\n"
+            "0,0,0/1,1,0 0,1,0/1,0,0 2,0,1/0,1,0 1,0,0/0,1,1 0,1,1/0,1,0 0,0,0/1,1,0 "
+            "1,0,0/2,1,0 0,0,0/0,0,0\n"
+            "0,0,0/0,1,1 0,0,1/2,0,2 0,0,1/0,0,0 0,0,0/0,0,0 1,1,0/0,0,0 1,1,1/0,0,1 "
+            "0,1,1/1,2,2 1,0,1/0,0,0\n");
+  sim.run_until(200.0);
+  EXPECT_EQ(app.completed_requests(), 5451u);
+  const double work[2][3] = {{0x1.db62e3ac6b7c4p+3, 0x1.d170970b99d3cp+3, 0x1.cfb6bc83ad5a7p+3},
+                             {0x1.56f3eb311778p+4, 0x1.5c71810be6024p+4, 0x1.6007cc9c13b4ap+4}};
+  for (std::size_t j = 0; j < 2; ++j) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(app.replica_work_done_gcycles(j, r), work[j][r]) << "tier " << j << " slot " << r;
+    }
+  }
 }
 
 }  // namespace

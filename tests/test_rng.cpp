@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/statistics.hpp"
@@ -112,6 +114,67 @@ TEST(Rng, BoundedParetoRejectsNonPositiveAlpha) {
   EXPECT_THROW(rng.bounded_pareto(-1.5, 1.0, 10.0), std::invalid_argument);
   EXPECT_THROW(rng.bounded_pareto(std::numeric_limits<double>::quiet_NaN(), 1.0, 10.0),
                std::invalid_argument);
+}
+
+// The draw the simulator used before BoundedPareto cached its constants,
+// written out inline: every cached sample must equal it bit for bit.
+double inline_bounded_pareto(Rng& rng, double alpha, double lo, double hi) {
+  const double u = rng.uniform(0.0, 1.0);
+  const double la = std::pow(lo, alpha);
+  const double ha = std::pow(hi, alpha);
+  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+}
+
+TEST(BoundedPareto, SamplesMatchTheInlineFormulaBitForBit) {
+  struct Shape {
+    double alpha, lo, hi;
+  };
+  // The testbed tiers (alpha 2.2 on [mean/4, 12 mean]) and wider shapes.
+  const Shape shapes[] = {{2.2, 0.002, 0.096}, {2.2, 0.003, 0.144}, {1.1, 0.01, 1e6},
+                          {1.5, 0.05, 5.0},    {0.7, 1.0, 10.0},    {3.0, 1e-3, 2e-3}};
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 0xdeadbeefull}) {
+    for (const Shape& shape : shapes) {
+      const BoundedPareto dist(shape.alpha, shape.lo, shape.hi);
+      Rng cached(seed);
+      Rng delegated(seed);
+      Rng inline_rng(seed);
+      for (int i = 0; i < 2000; ++i) {
+        const double expected = inline_bounded_pareto(inline_rng, shape.alpha, shape.lo, shape.hi);
+        EXPECT_EQ(cached.bounded_pareto(dist), expected);
+        EXPECT_EQ(delegated.bounded_pareto(shape.alpha, shape.lo, shape.hi), expected);
+      }
+    }
+  }
+}
+
+TEST(BoundedPareto, MeanMatchesTheClosedForm) {
+  for (const double alpha : {1.1, 1.5, 2.0, 2.2, 3.0, 0.5}) {
+    const double lo = 0.25;
+    const double hi = 12.0;
+    const double la = std::pow(lo, alpha);
+    const double ha = std::pow(hi, alpha);
+    const double expected = la / (1.0 - la / ha) * alpha / (alpha - 1.0) *
+                            (1.0 / std::pow(lo, alpha - 1.0) - 1.0 / std::pow(hi, alpha - 1.0));
+    const BoundedPareto dist(alpha, lo, hi);
+    EXPECT_EQ(dist.mean(), expected) << "alpha " << alpha;
+    EXPECT_GT(dist.mean(), lo);
+    EXPECT_LT(dist.mean(), hi);
+  }
+  // The closed form agrees with a sample mean.
+  const BoundedPareto dist(2.0, 1.0, 10.0);
+  Rng rng(13);
+  RunningStats s;
+  for (int i = 0; i < 100000; ++i) s.add(rng.bounded_pareto(dist));
+  EXPECT_NEAR(s.mean(), dist.mean(), 0.03 * dist.mean());
+}
+
+TEST(BoundedPareto, ConstructorRejectsWhatTheDrawRejects) {
+  EXPECT_THROW(BoundedPareto(0.0, 1.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(std::numeric_limits<double>::infinity(), 1.0, 10.0),
+               std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(2.0, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(2.0, 2.0, 1.0), std::invalid_argument);
+  EXPECT_TRUE(std::isnan(BoundedPareto(1.0, 1.0, 10.0).mean()));
 }
 
 TEST(Rng, NormalMoments) {

@@ -124,6 +124,113 @@ TEST(Recorder, RejectsZeroSamplePeriod) {
 
 // ---- tsdb store -------------------------------------------------------------
 
+TEST(RecorderSeriesId, IdsAreCreationIndicesAndStayStable) {
+  Recorder rec;
+  const Recorder::SeriesId a = rec.declare_scalar("a");
+  const Recorder::SeriesId rows = rec.declare_vector("rows");
+  rec.append("b", 1.0);  // created by name, third in creation order
+  for (int i = 0; i < 100; ++i) rec.declare_scalar("s" + std::to_string(i));
+  EXPECT_EQ(static_cast<std::size_t>(a), 0u);
+  EXPECT_EQ(static_cast<std::size_t>(rows), 1u);
+  // Re-declaring returns the existing id, however many series came since.
+  EXPECT_EQ(rec.declare_scalar("a"), a);
+  EXPECT_EQ(rec.declare_vector("rows"), rows);
+  EXPECT_EQ(static_cast<std::size_t>(rec.declare_scalar("b")), 2u);
+  EXPECT_EQ(rec.series_names()[static_cast<std::size_t>(a)], "a");
+  rec.append(a, 4.0);
+  EXPECT_EQ(rec.values("a"), (std::vector<double>{4.0}));
+}
+
+TEST(RecorderSeriesId, NameAndIdAppendsLandInOneSeries) {
+  Recorder rec;
+  const Recorder::SeriesId p90 = rec.declare_scalar("app0/p90");
+  rec.append(p90, 1.0);
+  rec.append("app0/p90", 2.0);
+  rec.append(p90, 3.0);
+  EXPECT_EQ(rec.values("app0/p90"), (std::vector<double>{1.0, 2.0, 3.0}));
+  // Synthesized timestamps count every sample, whichever path appended it.
+  const auto metric = rec.tsdb().find("app0/p90");
+  ASSERT_TRUE(metric.has_value());
+  EXPECT_EQ(rec.tsdb().last_time_s(*metric).value_or(-1.0), 2.0);
+
+  const Recorder::SeriesId at = rec.declare_scalar("at");
+  rec.append_at(at, 4.0, 10.0);
+  rec.append_at("at", 8.0, 20.0);
+  EXPECT_EQ(rec.values("at"), (std::vector<double>{10.0, 20.0}));
+
+  const Recorder::SeriesId alloc = rec.declare_vector("app0/alloc");
+  const std::vector<double> row{0.5, 0.75};
+  rec.append(alloc, row);
+  rec.append("app0/alloc", std::vector<double>{0.25, 1.0});
+  ASSERT_EQ(rec.rows("app0/alloc").size(), 2u);
+  EXPECT_EQ(rec.rows("app0/alloc")[0], row);
+  EXPECT_EQ(rec.rows("app0/alloc")[1], (std::vector<double>{0.25, 1.0}));
+
+  // The id path and the name path build equal recorders.
+  Recorder by_name;
+  by_name.declare_scalar("app0/p90");
+  for (const double v : {1.0, 2.0, 3.0}) by_name.append("app0/p90", v);
+  by_name.append_at("at", 4.0, 10.0);
+  by_name.append_at("at", 8.0, 20.0);
+  by_name.append("app0/alloc", row);
+  by_name.append("app0/alloc", std::vector<double>{0.25, 1.0});
+  EXPECT_EQ(rec, by_name);
+}
+
+TEST(RecorderSeriesId, WrongKindOrUnknownIdThrows) {
+  Recorder rec;
+  const Recorder::SeriesId scalar = rec.declare_scalar("s");
+  const Recorder::SeriesId vector = rec.declare_vector("v");
+  const std::vector<double> row{1.0};
+  EXPECT_THROW(rec.append(scalar, row), std::invalid_argument);
+  EXPECT_THROW(rec.append(vector, 1.0), std::invalid_argument);
+  EXPECT_THROW(rec.append_at(vector, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(rec.append(static_cast<Recorder::SeriesId>(2), 1.0), std::out_of_range);
+  EXPECT_THROW(rec.declare_vector("s"), std::invalid_argument);
+  EXPECT_EQ(rec.size("s"), 0u);
+  EXPECT_EQ(rec.size("v"), 0u);
+}
+
+TEST(RecorderSeriesId, AbsorbRenumbersTheSourceAfterTheDestination) {
+  Recorder dst;
+  const Recorder::SeriesId power = dst.declare_scalar("cluster/power");
+  dst.append(power, 100.0);
+  Recorder src;
+  const Recorder::SeriesId p90 = src.declare_scalar("app0/p90");
+  const Recorder::SeriesId alloc = src.declare_vector("app0/alloc");
+  src.append(p90, 0.9);
+  src.append(alloc, std::vector<double>{0.5});
+
+  const std::size_t before = dst.series_count();
+  dst.absorb(std::move(src));
+  // Source id k is destination id before + k; the destination's own ids
+  // are untouched.
+  const auto moved = [&](Recorder::SeriesId id) {
+    return static_cast<Recorder::SeriesId>(before + static_cast<std::size_t>(id));
+  };
+  EXPECT_EQ(dst.declare_scalar("app0/p90"), moved(p90));
+  EXPECT_EQ(dst.declare_vector("app0/alloc"), moved(alloc));
+  EXPECT_EQ(dst.declare_scalar("cluster/power"), power);
+  dst.append(moved(p90), 0.8);
+  dst.append(power, 110.0);
+  EXPECT_EQ(dst.values("app0/p90"), (std::vector<double>{0.9, 0.8}));
+  EXPECT_EQ(dst.values("cluster/power"), (std::vector<double>{100.0, 110.0}));
+  EXPECT_EQ(dst.rows("app0/alloc").size(), 1u);
+
+  // The source is empty: its old ids are dead, and new series start at 0.
+  EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move): absorb leaves it valid
+  EXPECT_THROW(src.append(p90, 1.0), std::out_of_range);
+  EXPECT_EQ(static_cast<std::size_t>(src.declare_scalar("fresh")), 0u);
+}
+
+TEST(RecorderSeriesId, ClearInvalidatesIds) {
+  Recorder rec;
+  const Recorder::SeriesId id = rec.declare_scalar("x");
+  rec.clear();
+  EXPECT_THROW(rec.append(id, 1.0), std::out_of_range);
+  EXPECT_EQ(rec.declare_scalar("y"), id);  // ids restart from 0
+}
+
 TEST(RecorderTsdb, ValuesIdenticalToAppendedVector) {
   std::vector<double> appended;
   Recorder tiered;
