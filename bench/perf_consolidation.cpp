@@ -5,20 +5,25 @@
 // (incremental WorkingPlacement aggregates, SlackIndex target selection,
 // branch-and-bound Minimum Slack) and the retained naive reference
 // (consolidate::naive), and reports plans/sec and ns per DFS step at
-// 1k servers / 5k VMs and 10k servers / 50k VMs. Results are written as
-// machine-readable JSON (BENCH_consolidation.json) so CI can gate on
-// regressions, mirroring bench/perf_eventloop.
+// 1k servers / 5k VMs and 10k servers / 50k VMs. Each size runs at two CPU
+// utilisation targets: 1.0 (raw capacity) and the paper's 0.8, where
+// Minimum Slack meets candidates that fit the server but not the target.
+// Results are written as machine-readable JSON (BENCH_consolidation.json)
+// so CI can gate on regressions, mirroring bench/perf_eventloop.
 //
 // The acceptance context: a 10k-server / 50k-VM pass must complete well
 // inside one consolidation period (the optimizer's default 300 s) — the
 // JSON records the measured wall time per plan against that budget.
 //
 // Flags:
-//   --quick            1k-server size only, fewer repetitions (CI smoke)
+//   --quick            1k-server size only (both targets), fewer repetitions
+//                      (CI smoke)
 //   --full-naive       also run the naive engine at 10k servers (slow)
 //   --out PATH         where to write the JSON (default BENCH_consolidation.json)
 //   --min-speedup X    exit non-zero if fast/naive plans-per-second at 1k
-//                      servers falls below X (CI gate; 0 disables)
+//                      servers and target 1.0 falls below X (CI gate; 0
+//                      disables)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -150,10 +155,16 @@ int main(int argc, char** argv) {
   std::vector<Size> sizes = {{1000, 5000}, {10000, 50000}};
   if (quick) sizes.pop_back();
 
-  const ConstraintSet constraints = ConstraintSet::standard(1.0);
+  // Utilisation targets, each with its fast/naive speedup at 1k servers. The
+  // CI speedup gate stays on the 1.0 rows; the 0.8 rows report beside them.
+  struct Target {
+    double utilization;
+    double speedup_at_1k;
+  };
+  Target targets[] = {{1.0, 0.0}, {0.8, 0.0}};
 
   std::printf("# perf_consolidation: fast IPAC engine vs retained naive reference\n");
-  std::printf("%-14s %-8s %14s %16s %14s %10s\n", "fleet", "engine", "plans/sec",
+  std::printf("%-20s %-8s %14s %16s %14s %10s\n", "fleet", "engine", "plans/sec",
               "wall_s/plan", "ns/DFS-step", "moves");
 
   std::string json = "{\n  \"bench\": \"perf_consolidation\",\n";
@@ -163,71 +174,78 @@ int main(int argc, char** argv) {
   json += line;
   json += "  \"sizes\": [\n";
 
-  double speedup_at_1k = 0.0;
   double wall_at_largest = 0.0;
   bool first = true;
   for (const Size size : sizes) {
     const DataCenterSnapshot snap = random_fleet(size.servers, size.vms, /*seed=*/42);
-    char label[32];
-    std::snprintf(label, sizeof(label), "%zus/%zuv", size.servers, size.vms);
+    wall_at_largest = 0.0;  // the budget gate covers every target at the largest size
+    for (Target& target : targets) {
+      const ConstraintSet constraints = ConstraintSet::standard(target.utilization);
+      char label[48];
+      std::snprintf(label, sizeof(label), "%zus/%zuv@%.1f", size.servers, size.vms,
+                    target.utilization);
 
-    // Repetitions: enough to smooth timer noise on the fast engine; the
-    // naive engine is run fewer times (it is the thing being amortized).
-    const std::size_t fast_reps = quick ? 3 : (size.servers <= 1000 ? 10 : 3);
-    const RunResult fast = run_engine(
-        snap, constraints,
-        [](const DataCenterSnapshot& s, const ConstraintSet& c) {
-          return consolidate::ipac(s, c);
-        },
-        fast_reps);
-    std::printf("%-14s %-8s %14.3f %16.6f %14.1f %10zu\n", label, "fast",
-                fast.plans_per_sec(), fast.wall_s_per_plan(), fast.ns_per_step(), fast.moves);
-    wall_at_largest = fast.wall_s_per_plan();
-
-    // The naive engine at 10k servers rescans the fleet per round and walks
-    // every server per Minimum Slack call; that run is minutes and opt-in.
-    const bool run_naive = size.servers <= 1000 || full_naive;
-    RunResult naive;
-    if (run_naive) {
-      naive = run_engine(
+      // Repetitions: enough to smooth timer noise on the fast engine; the
+      // naive engine is run fewer times (it is the thing being amortized).
+      const std::size_t fast_reps = quick ? 3 : (size.servers <= 1000 ? 10 : 3);
+      const RunResult fast = run_engine(
           snap, constraints,
           [](const DataCenterSnapshot& s, const ConstraintSet& c) {
-            return consolidate::naive::ipac(s, c);
+            return consolidate::ipac(s, c);
           },
-          quick ? 1 : 2);
-      std::printf("%-14s %-8s %14.3f %16.6f %14.1f %10zu\n", label, "naive",
-                  naive.plans_per_sec(), naive.wall_s_per_plan(), naive.ns_per_step(),
-                  naive.moves);
-    }
+          fast_reps);
+      std::printf("%-20s %-8s %14.3f %16.6f %14.1f %10zu\n", label, "fast",
+                  fast.plans_per_sec(), fast.wall_s_per_plan(), fast.ns_per_step(), fast.moves);
+      wall_at_largest = std::max(wall_at_largest, fast.wall_s_per_plan());
 
-    const double speedup = run_naive ? fast.plans_per_sec() / naive.plans_per_sec() : 0.0;
-    if (run_naive) std::printf("%-14s %-8s %13.2fx\n", label, "speedup", speedup);
-    if (size.servers == 1000) speedup_at_1k = speedup;
+      // The naive engine at 10k servers rescans the fleet per round and walks
+      // every server per Minimum Slack call; that run is minutes and opt-in.
+      const bool run_naive = size.servers <= 1000 || full_naive;
+      RunResult naive;
+      if (run_naive) {
+        naive = run_engine(
+            snap, constraints,
+            [](const DataCenterSnapshot& s, const ConstraintSet& c) {
+              return consolidate::naive::ipac(s, c);
+            },
+            quick ? 1 : 2);
+        std::printf("%-20s %-8s %14.3f %16.6f %14.1f %10zu\n", label, "naive",
+                    naive.plans_per_sec(), naive.wall_s_per_plan(), naive.ns_per_step(),
+                    naive.moves);
+      }
 
-    if (!first) json += ",\n";
-    first = false;
-    char head[96];
-    std::snprintf(head, sizeof(head), "    {\"servers\": %zu, \"vms\": %zu,\n", size.servers,
-                  size.vms);
-    json += head;
-    append_run_json(json, "fast", fast);
-    json += ",\n";
-    if (run_naive) {
-      append_run_json(json, "naive", naive);
-      char tail[64];
-      std::snprintf(tail, sizeof(tail), ",\n      \"speedup\": %.2f}", speedup);
-      json += tail;
-    } else {
-      json += "      \"naive\": null}";
+      const double speedup = run_naive ? fast.plans_per_sec() / naive.plans_per_sec() : 0.0;
+      if (run_naive) std::printf("%-20s %-8s %13.2fx\n", label, "speedup", speedup);
+      if (size.servers == 1000) target.speedup_at_1k = speedup;
+
+      if (!first) json += ",\n";
+      first = false;
+      char head[112];
+      std::snprintf(head, sizeof(head),
+                    "    {\"servers\": %zu, \"vms\": %zu, \"target\": %.1f,\n", size.servers,
+                    size.vms, target.utilization);
+      json += head;
+      append_run_json(json, "fast", fast);
+      json += ",\n";
+      if (run_naive) {
+        append_run_json(json, "naive", naive);
+        char tail[64];
+        std::snprintf(tail, sizeof(tail), ",\n      \"speedup\": %.2f}", speedup);
+        json += tail;
+      } else {
+        json += "      \"naive\": null}";
+      }
     }
   }
   json += "\n  ],\n";
+  const double speedup_at_1k = targets[0].speedup_at_1k;
   const bool within_budget = wall_at_largest <= kBudgetS;
-  char tail[160];
+  char tail[224];
   std::snprintf(tail, sizeof(tail),
-                "  \"speedup_at_1k\": %.2f,\n  \"wall_s_per_plan_at_largest\": %.6f,\n"
-                "  \"within_budget\": %s\n}\n",
-                speedup_at_1k, wall_at_largest, within_budget ? "true" : "false");
+                "  \"speedup_at_1k\": %.2f,\n  \"speedup_at_1k_target_0.8\": %.2f,\n"
+                "  \"wall_s_per_plan_at_largest\": %.6f,\n  \"within_budget\": %s\n}\n",
+                speedup_at_1k, targets[1].speedup_at_1k, wall_at_largest,
+                within_budget ? "true" : "false");
   json += tail;
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

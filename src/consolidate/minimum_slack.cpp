@@ -10,7 +10,7 @@ namespace vdc::consolidate {
 
 namespace {
 
-// The fast engine for Algorithm 1. Five changes against the test-only
+// The fast engine for Algorithm 1. Seven changes against the test-only
 // reference (naive::minimum_slack), all of them *plan-exact*: the engine
 // returns the same selection as the reference for every input, including
 // when the step budget binds and epsilon escalates mid-search.
@@ -41,6 +41,24 @@ namespace {
 //    and adds the skipped count in bulk, landing exactly on any budget
 //    threshold in between so escalation fires at the same logical step.
 //
+//  * Target-band jump: below a utilisation target (0.8 in the paper's
+//    simulation) the candidates that fit the raw slack but push the server
+//    past its CPU limit form a second contiguous run, because the limit
+//    test (base + selected) + d is monotone in d. Each is again one counted
+//    step with no other effect — a symmetry skip inside the run costs the
+//    same one step, and tail collapse cannot fire on it since suffix[i] >=
+//    d — so the engine jumps it the same way. With branch-and-bound armed
+//    the run is walked candidate by candidate instead, so the bound's exits
+//    inside it (and with them the reported step count) stay where they were.
+//
+//  * Dead-level shortcut: after a selection, when the smallest remaining
+//    candidate already fails the raw slack or the CPU limit (or the smallest
+//    remaining memory fails the memory limit), the level below rejects every
+//    candidate, one counted step each. The engine consumes those steps in
+//    bulk and moves to the next sibling without descending: most selections
+//    near the target are leaves of this kind, and each used to cost three
+//    loop iterations (descend, reject run, pop).
+//
 //  * All-fits tail collapse: once every remaining candidate fits together
 //    (CPU, memory and raw slack all hold for the full tail, with a safety
 //    margin), the reference engine's behaviour in that subtree is closed
@@ -60,7 +78,10 @@ namespace {
 //    selection stack live in thread-local buffers whose capacity persists
 //    across calls — PAC calls Minimum Slack once per server visit, and the
 //    allocation churn of fresh vectors per call used to rival the search
-//    itself.
+//    itself. The sorted ordering is reused across calls too: PAC drops the
+//    selected VMs from its list order-preservingly, so the next call's
+//    candidates are a subsequence of the previous call's and their sorted
+//    order is the cached one with the dropped entries filtered out.
 struct Scratch {
   std::vector<VmId> order;        // candidates, largest demand first
   std::vector<double> demand_of;  // demand_of[i] = demand of order[i]
@@ -74,11 +95,84 @@ struct Scratch {
   std::vector<VmId> selected;               // generic path: current selection
   const DataCenterSnapshot* cached_snapshot = nullptr;  // sorted-order cache key
   std::vector<VmId> cached;                             // candidate span it was built from
+  std::vector<VmId> dropped;                            // cached entries absent from a call
 };
 
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
+}
+
+/// Recomputes the suffix sums, suffix minimum and duplicate flags from the
+/// demand/memory mirrors, back to front — the one summation order every
+/// path uses, so a filtered cache and a fresh sort agree to the bit.
+void rebuild_suffixes(Scratch& s) {
+  const std::size_t count = s.order.size();
+  s.suffix.resize(count + 1);
+  s.msuffix.resize(count + 1);
+  s.msuffix_min.resize(count + 1);
+  s.dupfree.resize(count + 1);
+  s.suffix[count] = 0.0;
+  s.msuffix[count] = 0.0;
+  s.msuffix_min[count] = std::numeric_limits<double>::infinity();
+  s.dupfree[count] = 1;
+  for (std::size_t i = count; i-- > 0;) {
+    s.suffix[i] = s.suffix[i + 1] + s.demand_of[i];
+    s.msuffix[i] = s.msuffix[i + 1] + s.memory_of[i];
+    s.msuffix_min[i] = std::min(s.msuffix_min[i + 1], s.memory_of[i]);
+    s.dupfree[i] = s.dupfree[i + 1] &&
+                   // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
+                   (i + 1 >= count || s.demand_of[i] != s.demand_of[i + 1] ||
+                    // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
+                    s.memory_of[i] != s.memory_of[i + 1]);
+  }
+}
+
+/// Loads the sorted ordering of `candidates` from the previous call's cache
+/// when that is exact, and reports whether it could. When the candidates
+/// are a subsequence of the cached span, their sorted order is the cached
+/// order without the dropped entries: the sort key (demand descending, then
+/// id) is a total order. The filter drops by id, so it must keep exactly
+/// one entry per candidate — it keeps fewer only when a dropped id also
+/// remains a candidate (a duplicated id), and then the caller sorts afresh.
+/// Every kept entry's mirrored demand and memory is checked against the
+/// snapshot — a different snapshot at a recycled address, or mutated
+/// demands, fail the check and force a full sort — at a fraction of the
+/// sort's cost.
+bool reuse_cached_order(Scratch& s, const DataCenterSnapshot& snapshot,
+                        std::span<const VmId> candidates) {
+  if (s.cached_snapshot != &snapshot || candidates.size() > s.cached.size()) return false;
+  s.dropped.clear();
+  std::size_t matched = 0;
+  for (const VmId vm : s.cached) {
+    if (matched < candidates.size() && vm == candidates[matched]) {
+      ++matched;
+    } else {
+      s.dropped.push_back(vm);
+    }
+  }
+  if (matched != candidates.size()) return false;  // not a subsequence
+  std::sort(s.dropped.begin(), s.dropped.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    if (std::binary_search(s.dropped.begin(), s.dropped.end(), s.order[i])) continue;
+    const VmSnapshot& info = snapshot.vm(s.order[i]);
+    // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
+    if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) return false;
+    s.order[kept] = s.order[i];
+    s.demand_of[kept] = s.demand_of[i];
+    s.memory_of[kept] = s.memory_of[i];
+    ++kept;
+  }
+  if (kept != candidates.size()) return false;
+  if (!s.dropped.empty()) {
+    s.order.resize(kept);
+    s.demand_of.resize(kept);
+    s.memory_of.resize(kept);
+    rebuild_suffixes(s);
+    s.cached.assign(candidates.begin(), candidates.end());
+  }
+  return true;
 }
 
 /// Builtin-only search: explicit-stack DFS over the scratch mirrors.
@@ -199,6 +293,30 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
       i = next;
       continue;
     }
+    // Target-band jump: candidate i fits the raw slack but not the CPU
+    // limit, and so does every later candidate up to the first whose demand
+    // brings (base + selected) + demand back under the limit — the sum is
+    // monotone in demand, so the binary search uses the per-candidate test
+    // verbatim. Each band candidate is one counted step with no other
+    // effect (tail collapse cannot fire on it: suffix[i] >= demand), so the
+    // run is consumed in bulk exactly like the unfittable prefix. Checking
+    // the limit ahead of the tail collapse is therefore equivalent to
+    // checking it after.
+    if (check_cpu && base_demand_ghz + sel_demand + demand > cpu_limit + 1e-9) {
+      if (bnb) {  // armed B&B prunes inside the band at the loop top
+        ++i;
+        continue;
+      }
+      const std::size_t next = static_cast<std::size_t>(
+          std::partition_point(demand_of + i + 1, demand_of + n,
+                               [&](double d) {
+                                 return base_demand_ghz + sel_demand + d > cpu_limit + 1e-9;
+                               }) -
+          demand_of);
+      if (consume(next - i - 1)) break;  // candidate i was already counted
+      i = next;
+      continue;
+    }
     // All-fits tail collapse: the whole remaining tail packs together, so
     // the reference engine's exploration from here — at this level and
     // below — is its first descent (select the entire tail, improving at
@@ -251,10 +369,6 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
       i = n;  // level exhausted: the pop branch returns to the parent
       continue;
     }
-    if (check_cpu && base_demand_ghz + sel_demand + demand > cpu_limit + 1e-9) {
-      ++i;
-      continue;
-    }
     if (check_memory && base_memory_mb + sel_memory + memory > memory_limit_mb + 1e-9) {
       // Memory-reject run: successive candidates that fit the CPU slack but
       // not the server's memory are each one counted step with no other
@@ -295,6 +409,26 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
       for (std::size_t k = 0; k < depth; ++k) best.selected[k] = order[stk[k]];
     }
     if (best_slack < epsilon) break;  // lines 4-5: good-enough fit
+    // Dead-level shortcut: when even the smallest remaining candidate fails
+    // the raw slack or the CPU limit, or the smallest remaining memory
+    // fails the memory limit, every candidate of the level below is
+    // rejected by those same tests (all monotone; tail collapse cannot fire
+    // on a rejected candidate). Descending would pay one counted step per
+    // candidate and then pop back here, so consume the steps in bulk and
+    // move on to candidate i + 1 directly. Armed branch-and-bound could exit
+    // the level below early, so it keeps the explicit descent.
+    if (!bnb && (i + 1 >= n || demand_of[n - 1] > cap_minus_base - sel_demand + 1e-9 ||
+                 (check_cpu && base_demand_ghz + sel_demand + demand_of[n - 1] >
+                                   cpu_limit + 1e-9) ||
+                 (check_memory &&
+                  base_memory_mb + sel_memory + msuffix_min[i + 1] > memory_limit_mb + 1e-9))) {
+      if (consume(n - i - 1)) break;
+      --depth;  // line 9 of Algorithm 1: remove VM from S
+      sel_demand -= demand;
+      sel_memory -= memory;
+      ++i;
+      continue;
+    }
     start = i + 1;  // line 7: recurse on the remaining VMs
     i = start;
   }
@@ -527,26 +661,12 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
     }
   }
   // Sorted-order cache: PAC probes many servers against the *same*
-  // candidate list (it only changes after a selection), and relief probes
-  // hundreds of receivers with one list — re-sorting per call used to
-  // dominate the entry cost. The cached ordering is reused when the
-  // candidate span matches the previous call's; the O(n) mirror
-  // verification below makes the reuse safe unconditionally (a different
-  // snapshot at a recycled address, or mutated demands, fail it and force
-  // a rebuild), at a fraction of the sort's cost.
-  bool reuse = s.cached_snapshot == &snapshot && s.cached.size() == candidates.size() &&
-               std::equal(candidates.begin(), candidates.end(), s.cached.begin());
-  if (reuse) {
-    for (std::size_t i = 0; i < s.order.size(); ++i) {
-      const VmSnapshot& info = snapshot.vm(s.order[i]);
-      // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
-      if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) {
-        reuse = false;
-        break;
-      }
-    }
-  }
-  if (!reuse) {
+  // candidate list, and relief probes hundreds of receivers with one list —
+  // re-sorting per call used to dominate the entry cost. After a selection
+  // PAC's next list is the previous one minus the selected VMs, which
+  // filtering the cached order serves too.
+  if (!reuse_cached_order(s, snapshot, candidates)) {
+    s.cached_snapshot = nullptr;  // the scratch is inconsistent until rebuilt
     s.order.assign(candidates.begin(), candidates.end());
     std::sort(s.order.begin(), s.order.end(), [&](VmId a, VmId b) {
       const double da = snapshot.vm(a).cpu_demand_ghz;
@@ -558,27 +678,12 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
     const std::size_t count = s.order.size();
     s.demand_of.resize(count);
     s.memory_of.resize(count);
-    s.suffix.resize(count + 1);
-    s.msuffix.resize(count + 1);
-    s.msuffix_min.resize(count + 1);
-    s.dupfree.resize(count + 1);
-    s.suffix[count] = 0.0;
-    s.msuffix[count] = 0.0;
-    s.msuffix_min[count] = std::numeric_limits<double>::infinity();
-    s.dupfree[count] = 1;
-    for (std::size_t i = count; i-- > 0;) {
+    for (std::size_t i = 0; i < count; ++i) {
       const VmSnapshot& info = snapshot.vm(s.order[i]);
       s.demand_of[i] = info.cpu_demand_ghz;
       s.memory_of[i] = info.memory_mb;
-      s.suffix[i] = s.suffix[i + 1] + info.cpu_demand_ghz;
-      s.msuffix[i] = s.msuffix[i + 1] + info.memory_mb;
-      s.msuffix_min[i] = std::min(s.msuffix_min[i + 1], info.memory_mb);
-      s.dupfree[i] = s.dupfree[i + 1] &&
-                     // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                     (i + 1 >= count || s.demand_of[i] != s.demand_of[i + 1] ||
-                      // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                      s.memory_of[i] != s.memory_of[i + 1]);
     }
+    rebuild_suffixes(s);
     s.cached_snapshot = &snapshot;
     s.cached.assign(candidates.begin(), candidates.end());
   }

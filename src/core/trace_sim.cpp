@@ -1,6 +1,7 @@
 #include "core/trace_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,28 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
   }
   if (!(config.consolidation_period_s > 0.0)) {
     throw std::invalid_argument("TraceDrivenSimulator: consolidation period");
+  }
+  if (!(config.utilization_target > 0.0) || config.utilization_target > 1.0) {
+    throw std::invalid_argument("TraceDrivenSimulator: utilization_target must be in (0, 1]");
+  }
+  if (!(config.quad_3ghz_fraction >= 0.0) || !(config.dual_2ghz_fraction >= 0.0) ||
+      config.quad_3ghz_fraction + config.dual_2ghz_fraction > 1.0) {
+    throw std::invalid_argument(
+        "TraceDrivenSimulator: server-class fractions must be non-negative and sum to at most 1");
+  }
+  if (!(config.vm_peak_lo_ghz > 0.0) || !(config.vm_peak_lo_ghz <= config.vm_peak_hi_ghz) ||
+      !std::isfinite(config.vm_peak_hi_ghz)) {
+    throw std::invalid_argument(
+        "TraceDrivenSimulator: VM peak range must satisfy 0 < lo <= hi < inf");
+  }
+  if (config.vm_memory_choices_mb.empty()) {
+    throw std::invalid_argument("TraceDrivenSimulator: no VM memory choices");
+  }
+  if (!(config.server_wake_energy_wh >= 0.0)) {
+    throw std::invalid_argument("TraceDrivenSimulator: server_wake_energy_wh must be >= 0");
+  }
+  if (!(config.forecast_safety > 0.0)) {
+    throw std::invalid_argument("TraceDrivenSimulator: forecast_safety must be > 0");
   }
   util::Rng rng(config.seed);
 

@@ -223,6 +223,50 @@ TEST(MinimumSlack, MaxEscalationsExhaustionMatchesNaive) {
   EXPECT_LE(fast.steps, (options.max_escalations + 1) * options.step_budget);
 }
 
+TEST(MinimumSlack, SortedOrderReuseMatchesNaiveAcrossCallSequences) {
+  // The engine reuses the previous call's sorted order when the new
+  // candidates are a subsequence of the old ones (PAC drops its selections
+  // in place), and must re-sort when they are not, or when the snapshot's
+  // demands changed underneath the cache. Every call of this sequence must
+  // match the reference exactly, at the paper's 0.8 target under a binding
+  // budget, where steps and escalations are compared too.
+  util::Rng rng(17);
+  std::vector<double> demands;
+  for (int i = 0; i < 30; ++i) demands.push_back(rng.uniform(0.2, 1.4));
+  DataCenterSnapshot snap = make_instance(8.0, demands);
+  const ConstraintSet constraints = ConstraintSet::standard(0.8);
+  MinSlackOptions options;
+  options.epsilon_ghz = 1e-6;
+  options.step_budget = 60;
+  options.max_escalations = 3;
+  const auto expect_matches_naive = [&](const std::vector<VmId>& candidates, const char* what) {
+    const WorkingPlacement wp(snap);
+    const MinSlackResult fast = minimum_slack(wp, 0, candidates, constraints, options);
+    const MinSlackResult ref = naive::minimum_slack(wp, 0, candidates, constraints, options);
+    EXPECT_EQ(fast.selected, ref.selected) << what;
+    EXPECT_EQ(fast.steps, ref.steps) << what;
+    EXPECT_EQ(fast.escalations, ref.escalations) << what;
+    EXPECT_DOUBLE_EQ(fast.slack_ghz, ref.slack_ghz) << what;
+  };
+  std::vector<VmId> list = all_ids(snap);
+  std::swap(list[3], list[17]);  // a list order that is not the sorted order
+  expect_matches_naive(list, "full list");
+  expect_matches_naive(list, "same list again");
+  list.erase(list.begin() + 20);
+  list.erase(list.begin());
+  list.pop_back();
+  expect_matches_naive(list, "subsequence");
+  std::swap(list[0], list[1]);
+  expect_matches_naive(list, "reordered, not a subsequence");
+  list.push_back(29);
+  expect_matches_naive(list, "grown list");
+  snap.vms[list[5]].cpu_demand_ghz += 0.5;  // same snapshot object, new demand
+  expect_matches_naive(list, "mutated demand");
+  snap.vms[list[6]].memory_mb += 1.0;
+  list.erase(list.begin() + 2);
+  expect_matches_naive(list, "mutated memory, subsequence");
+}
+
 class MinSlackOptimalitySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MinSlackOptimalitySweep, MatchesBruteForceOnSmallInstances) {

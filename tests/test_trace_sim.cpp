@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "trace/synthetic.hpp"
 
 namespace vdc::core {
@@ -36,6 +40,76 @@ TEST(TraceSim, ValidatesConfig) {
   config = small_config(ConsolidationAlgorithm::kIpac);
   config.consolidation_period_s = 0.0;
   EXPECT_THROW((void)sim.run(config), std::invalid_argument);
+}
+
+// One rejection test per validated field: each config is the valid small
+// IPAC config with exactly that field broken. The message must come from
+// the simulator's entry check, not from a component that trips over the
+// value later (the CPU constraint, the RNG).
+template <typename Mutate>
+void expect_rejected(Mutate mutate) {
+  const trace::UtilizationTrace t = small_trace();
+  const TraceDrivenSimulator sim(t);
+  TraceSimConfig config = small_config(ConsolidationAlgorithm::kIpac);
+  mutate(config);
+  try {
+    (void)sim.run(config);
+    ADD_FAILURE() << "config accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("TraceDrivenSimulator:", 0), 0u) << e.what();
+  }
+}
+
+TEST(TraceSim, RejectsUtilizationTargetOutsideUnitInterval) {
+  expect_rejected([](TraceSimConfig& c) { c.utilization_target = 0.0; });
+  expect_rejected([](TraceSimConfig& c) { c.utilization_target = -0.5; });
+  expect_rejected([](TraceSimConfig& c) { c.utilization_target = 1.01; });
+  expect_rejected([](TraceSimConfig& c) { c.utilization_target = std::nan(""); });
+}
+
+TEST(TraceSim, RejectsBadServerClassFractions) {
+  expect_rejected([](TraceSimConfig& c) { c.quad_3ghz_fraction = -0.05; });
+  expect_rejected([](TraceSimConfig& c) { c.dual_2ghz_fraction = -0.1; });
+  expect_rejected([](TraceSimConfig& c) {
+    c.quad_3ghz_fraction = 0.6;
+    c.dual_2ghz_fraction = 0.5;  // sums to 1.1
+  });
+}
+
+TEST(TraceSim, RejectsBadVmPeakRange) {
+  expect_rejected([](TraceSimConfig& c) { c.vm_peak_lo_ghz = 0.0; });
+  expect_rejected([](TraceSimConfig& c) { c.vm_peak_lo_ghz = -1.0; });
+  expect_rejected([](TraceSimConfig& c) {
+    c.vm_peak_lo_ghz = 3.0;
+    c.vm_peak_hi_ghz = 2.0;
+  });
+}
+
+TEST(TraceSim, RejectsEmptyVmMemoryChoices) {
+  expect_rejected([](TraceSimConfig& c) { c.vm_memory_choices_mb.clear(); });
+}
+
+TEST(TraceSim, RejectsNegativeServerWakeEnergy) {
+  expect_rejected([](TraceSimConfig& c) { c.server_wake_energy_wh = -1.0; });
+}
+
+TEST(TraceSim, RejectsNonPositiveForecastSafety) {
+  expect_rejected([](TraceSimConfig& c) { c.forecast_safety = 0.0; });
+  expect_rejected([](TraceSimConfig& c) { c.forecast_safety = -1.05; });
+}
+
+TEST(TraceSim, AcceptsBoundaryConfigs) {
+  // The edges of each validated range stay legal.
+  const trace::UtilizationTrace t = small_trace();
+  const TraceDrivenSimulator sim(t);
+  TraceSimConfig config = small_config(ConsolidationAlgorithm::kIpac);
+  config.utilization_target = 1.0;
+  config.quad_3ghz_fraction = 0.5;
+  config.dual_2ghz_fraction = 0.5;
+  config.vm_peak_lo_ghz = 2.0;
+  config.vm_peak_hi_ghz = 2.0;
+  config.server_wake_energy_wh = 0.0;
+  EXPECT_NO_THROW((void)sim.run(config));
 }
 
 TEST(TraceSim, ProducesSaneMetrics) {
