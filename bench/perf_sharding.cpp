@@ -3,16 +3,17 @@
 // Three presets, mirroring bench/perf_consolidation's JSON contract
 // (BENCH_sharding.json, machine-readable for CI gates):
 //
-//   identity   small two-level testbed run at shard counts {0,1,2,8}: every
-//              sharded telemetry export must be byte-identical to the
-//              unsharded oracle. This is the hard gate — a perf bench that
-//              drifts from the oracle measures a different program.
+//   identity   small two-level testbed run at shard counts {2,4,8}: every
+//              telemetry export must be byte-identical to the oracle, the
+//              same testbed on one shard and one thread. This is the hard
+//              gate — a perf bench that drifts from the oracle measures a
+//              different program.
 //   speedup    a wider testbed (64 apps) at a fixed shard count, advanced
 //              with 1 worker thread vs more: SELF-speedup of the identical
 //              workload, so the ratio isolates the parallel shard advance
-//              (results are verified equal to the oracle first). The JSON
-//              records hardware_concurrency — on a single-core runner the
-//              honest answer is ~1x and the number documents exactly that.
+//              (every leg is also byte-compared against the one-shard,
+//              one-thread oracle). The JSON records hardware_concurrency —
+//              read the ratio against it.
 //   fleet      bounded-memory completion at fleet scale (default 100k
 //              servers hosting 500k VMs = 50k two-tier apps x 5 replicas,
 //              low per-app concurrency, a few control periods): the gate is
@@ -141,8 +142,8 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("# perf_sharding: parallel shard advance vs the single-loop oracle "
-              "(hardware_concurrency=%u)\n", hw);
+  std::printf("# perf_sharding: parallel shard advance vs the one-shard, one-thread "
+              "oracle (hardware_concurrency=%u)\n", hw);
 
   std::string json = "{\n  \"bench\": \"perf_sharding\",\n";
   json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
 
   // ---- identity preset ------------------------------------------------------
   {
-    core::TestbedConfig oracle_config = base_config(8, 4, 0, 0);
+    core::TestbedConfig oracle_config = base_config(8, 4, 1, 1);
     oracle_config.enable_optimizer = true;
     oracle_config.optimizer_period_s = 120.0;
     const double duration_s = 400.0;
@@ -162,10 +163,10 @@ int main(int argc, char** argv) {
     std::printf("%-10s %-12s %10.3fs %12llu events %8zu migrations\n", "identity",
                 "oracle", oracle.run_s, static_cast<unsigned long long>(oracle.events),
                 oracle.migrations);
-    json += "  \"identity\": {\"duration_s\": 400.0, \"shard_counts\": [1, 2, 8], "
+    json += "  \"identity\": {\"duration_s\": 400.0, \"shard_counts\": [2, 4, 8], "
             "\"matches\": [";
     bool first = true;
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       core::TestbedConfig config = oracle_config;
       config.shards = shards;
       config.shard_threads = std::min<std::size_t>(hw, shards);
@@ -191,8 +192,8 @@ int main(int argc, char** argv) {
     const double duration_s = 120.0;
 
     core::TestbedConfig oracle_config = spec;
-    oracle_config.shards = 0;
-    oracle_config.shard_threads = 0;
+    oracle_config.shards = 1;
+    oracle_config.shard_threads = 1;
     const RunOutcome oracle = run_testbed(oracle_config, duration_s);
 
     std::vector<std::size_t> thread_counts = {1, 2, hw};
@@ -275,8 +276,8 @@ int main(int argc, char** argv) {
   }
 
   if (!identity_ok) {
-    std::fprintf(stderr, "REGRESSION: sharded telemetry diverged from the unsharded "
-                 "oracle\n");
+    std::fprintf(stderr, "REGRESSION: sharded telemetry diverged from the one-shard, "
+                 "one-thread oracle\n");
     return 1;
   }
   if (!fleet_ok) {

@@ -1,6 +1,7 @@
 #include "core/testbed.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -12,7 +13,7 @@ namespace vdc::core {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)),
-      engine_(config_.shards, config_.shard_threads),
+      engine_(std::max<std::size_t>(config_.shards, 1), config_.shard_threads),
       sim_(engine_.spine()),
       injector_(config_.faults),
       optimizer_(OptimizerConfig{
@@ -25,16 +26,23 @@ Testbed::Testbed(TestbedConfig config)
   if (config_.num_apps == 0 || config_.num_servers == 0) {
     throw std::invalid_argument("Testbed: need at least one app and one server");
   }
+  if (!(std::isfinite(config_.setpoint_s) && config_.setpoint_s > 0.0)) {
+    throw std::invalid_argument("Testbed: setpoint_s must be finite and > 0");
+  }
+  if (config_.enable_optimizer &&
+      !(std::isfinite(config_.optimizer_period_s) && config_.optimizer_period_s > 0.0)) {
+    throw std::invalid_argument(
+        "Testbed: optimizer_period_s must be finite and > 0 when the optimizer is enabled");
+  }
 
-  // Telemetry sink: every series below lands in this recorder. The sample
-  // period follows the control period (every series here records once per
-  // control tick).
+  // Telemetry sinks. The sample period follows the control period (every
+  // series here records once per control tick). The per-app series stream
+  // into per-shard recorders so a shard's harvest/record phase never
+  // synchronizes with another's; the cluster-level series and annotations
+  // stay on the control-plane recorder. take_recorder() reassembles the
+  // canonical layout.
   config_.telemetry.sample_period_s = config_.control_period_s;
   recorder_ = telemetry::Recorder(config_.telemetry);
-  // Sharded mode: the per-app series stream into per-shard recorders so a
-  // shard's harvest/record phase never synchronizes with another's; the
-  // cluster-level series and annotations stay on the control-plane
-  // recorder. take_recorder() reassembles the canonical layout.
   shard_recorders_.reserve(engine_.shard_count());
   for (std::size_t s = 0; s < engine_.shard_count(); ++s) {
     shard_recorders_.push_back(std::make_unique<telemetry::Recorder>(config_.telemetry));
@@ -269,11 +277,9 @@ std::uint64_t Testbed::scale_in_count() const noexcept {
 }
 
 telemetry::Recorder Testbed::take_recorder() {
-  if (shard_recorders_.empty()) return std::move(recorder_);
   // Canonical merge order: shard recorders by shard index (their apps are a
   // contiguous ascending range each), then the control-plane recorder —
-  // reproducing exactly the series creation order of a legacy-mode run
-  // (app0/p90, app0/alloc, ..., cluster/*, fault/*).
+  // app0/p90, app0/alloc, ..., cluster/*, fault/* at any shard count.
   telemetry::Recorder merged(recorder_.config());
   for (std::unique_ptr<telemetry::Recorder>& rec : shard_recorders_) {
     merged.absorb(std::move(*rec));
@@ -561,12 +567,11 @@ void Testbed::control_tick() {
   // ---- feedback control: demands per application --------------------------
   // Phases (see AppStack::harvest_tick): harvest (monitor + per-app fault
   // stream + the app's recorder), parallel MPC decide (each solve touches
-  // only its own controller), then record/push-down. In legacy mode harvest
-  // and record are serial (one shared recorder); in sharded mode both run
+  // only its own controller), then record/push-down. Harvest and record run
   // per shard in parallel — each shard appends only to its own recorder and
   // writes only its own apps' VM demands, and the per-recorder append order
-  // (app index within the shard) matches the serial order, so results are
-  // bit-identical either way.
+  // (app index within the shard) is the serial order, so results are
+  // bit-identical at any shard and thread count.
   harvested_.resize(stacks_.size());
   decided_.resize(stacks_.size());
   for_each_shard_apps([&](std::size_t i) { harvested_[i] = stacks_[i]->harvest_tick(); });

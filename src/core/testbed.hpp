@@ -3,10 +3,11 @@
 // each under its own MPC response-time controller, with per-server CPU
 // arbitration and DVFS. This is the engine behind Figures 2-5.
 //
-// Structurally the Testbed is now a thin composition: a `Cluster`, one
-// `AppStack` per application (plant + monitor + controller), a telemetry
-// `Recorder` holding every recorded series, and the optimizer tick for the
-// two-level mode. The legacy series accessors delegate into the recorder.
+// Structurally the Testbed is a thin composition: a `Cluster`, one
+// `AppStack` per application (plant + monitor + controller) on its shard's
+// event loop, a control-plane `Recorder` plus one recorder per shard for
+// the per-app series, and the optimizer tick for the two-level mode. The
+// series accessors read from whichever recorder holds the series.
 #pragma once
 
 #include <functional>
@@ -114,13 +115,12 @@ struct TestbedConfig {
   // ---- sharded engine (parallel workload advance) -------------------------
   /// Number of workload shards the applications are partitioned into (block
   /// partition: app i lands on shard i*shards/num_apps, so each shard owns
-  /// a contiguous app range). 0 (the default) is the single-event-loop
-  /// legacy engine — the differential oracle every sharded run is tested
-  /// against. >= 1 gives each shard its own event loop, fault streams, and
-  /// telemetry recorder, advanced concurrently between control-period
-  /// barriers; telemetry, plans, and counters are bit-identical to the
-  /// legacy engine at any shard count (see DESIGN.md "Sharded engine").
-  std::size_t shards = 0;
+  /// a contiguous app range). Each shard has its own event loop, fault
+  /// streams, and telemetry recorder, advanced concurrently between
+  /// control-period barriers; telemetry, plans, and counters are
+  /// bit-identical at any shard count (see DESIGN.md "Sharded engine").
+  /// 0 is read as 1.
+  std::size_t shards = 1;
   /// Worker cap for the parallel shard advance and the sharded
   /// harvest/record phases (0 = hardware concurrency).
   std::size_t shard_threads = 0;
@@ -181,17 +181,16 @@ class Testbed {
 
   // ---- recorded series (one sample per control period) -------------------
   /// The control-plane recorder: cluster-level series (power, frequency,
-  /// probes) and annotations. In legacy mode (shards == 0) it holds every
-  /// series; in sharded mode the per-app series live in per-shard recorders
-  /// — use the series accessors below or `take_recorder()` for the merged
-  /// view.
+  /// probes) and annotations. The per-app series live in per-shard
+  /// recorders — use the series accessors below or `take_recorder()` for
+  /// the merged view.
   [[nodiscard]] telemetry::Recorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const telemetry::Recorder& recorder() const noexcept { return recorder_; }
   /// Moves every recorded series out into one recorder, with the per-shard
   /// recorders merged ahead of the control-plane one in canonical (app,
-  /// then cluster) order — byte-identical series layout to a legacy-mode
-  /// run. The testbed's own series accessors are dead afterwards; call once
-  /// when the run is over.
+  /// then cluster) order — the same series layout at any shard count. The
+  /// testbed's own series accessors are dead afterwards; call once when the
+  /// run is over.
   [[nodiscard]] telemetry::Recorder take_recorder();
   [[nodiscard]] const std::vector<double>& response_series(std::size_t app) const;
   [[nodiscard]] const std::vector<double>& power_series() const;
@@ -253,17 +252,13 @@ class Testbed {
   /// Applies the supervisors' pending replica decisions (serial phase).
   void apply_scale_decisions();
   [[nodiscard]] datacenter::ServerId pick_replica_host();
-  /// Runs `body(i)` for every application — serially in legacy mode, one
-  /// parallel task per shard (apps in index order within each shard) in
-  /// sharded mode. The body must only touch app-local / shard-local state.
+  /// Runs `body(i)` for every application, one parallel task per shard
+  /// (apps in index order within each shard). The body must only touch
+  /// app-local / shard-local state.
   template <typename Body>
   void for_each_shard_apps(const Body& body) {
     const std::size_t apps = stacks_.size();
     const std::size_t shards = engine_.shard_count();
-    if (shards == 0) {
-      for (std::size_t i = 0; i < apps; ++i) body(i);
-      return;
-    }
     util::parallel_for(
         shards,
         [&](std::size_t s) {
@@ -275,17 +270,16 @@ class Testbed {
         },
         config_.shard_threads);
   }
-  /// Block partition: the shard owning app `i` (0 when unsharded).
+  /// Block partition: the shard owning app `i`.
   [[nodiscard]] std::size_t shard_of_app(std::size_t i) const noexcept {
-    return engine_.shard_count() == 0 ? 0 : i * engine_.shard_count() / config_.num_apps;
+    return i * engine_.shard_count() / config_.num_apps;
   }
-  /// The recorder app `i`'s series stream into (its shard's recorder, or
-  /// the control-plane recorder in legacy mode).
+  /// The recorder app `i`'s series stream into: its shard's recorder.
   [[nodiscard]] telemetry::Recorder& recorder_for_app(std::size_t i) noexcept {
-    return shard_recorders_.empty() ? recorder_ : *shard_recorders_[shard_of_app(i)];
+    return *shard_recorders_[shard_of_app(i)];
   }
   [[nodiscard]] const telemetry::Recorder& recorder_for_app(std::size_t i) const noexcept {
-    return shard_recorders_.empty() ? recorder_ : *shard_recorders_[shard_of_app(i)];
+    return *shard_recorders_[shard_of_app(i)];
   }
 
   TestbedConfig config_;
@@ -316,10 +310,10 @@ class Testbed {
   std::vector<double> server_work_;
   std::vector<double> server_demands_;
   datacenter::ArbitrationResult arbitration_;
-  /// Sharded mode: one recorder per shard for the per-app series, appended
-  /// from that shard's harvest/record phase without any cross-shard
-  /// synchronization; merged into canonical order by take_recorder().
-  /// unique_ptr for stable addresses across construction.
+  /// One recorder per shard for the per-app series, appended from that
+  /// shard's harvest/record phase without any cross-shard synchronization;
+  /// merged into canonical order by take_recorder(). unique_ptr for stable
+  /// addresses across construction.
   std::vector<std::unique_ptr<telemetry::Recorder>> shard_recorders_;
   /// Serializes replica retirement (cluster tombstone + slot bookkeeping):
   /// drained replicas retire from inside their shard's advance, possibly

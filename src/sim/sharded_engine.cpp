@@ -1,10 +1,16 @@
 #include "sim/sharded_engine.hpp"
 
 #include <optional>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
 namespace vdc::sim {
+
+ShardedEngine::ShardedEngine(std::size_t shard_count, std::size_t threads)
+    : threads_(threads), shards_(shard_count) {
+  if (shard_count == 0) throw std::invalid_argument("ShardedEngine: need at least one shard");
+}
 
 void ShardedEngine::advance_shards(double t) {
   // Shard loops share no state below a barrier, so the advance is a plain
@@ -18,10 +24,6 @@ void ShardedEngine::advance_shards(double t) {
 }
 
 void ShardedEngine::run_until(double t) {
-  if (shards_.empty()) {  // single-loop mode: the spine is the whole engine
-    spine_.run_until(t);
-    return;
-  }
   for (;;) {
     const std::optional<double> next = spine_.next_event_time();
     if (!next || *next > t) break;

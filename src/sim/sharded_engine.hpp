@@ -23,14 +23,9 @@
 // Determinism: shard loops never interact below a barrier, so their
 // interleaving is irrelevant; the serial spine phase sees identical state
 // regardless of thread count or shard count. Results are bit-identical
-// across shard counts and thread counts (test-enforced against the
-// single-loop engine). Tie-break policy at a barrier: shard events
-// timestamped exactly t* run BEFORE spine events at t*. The single-loop
-// engine orders equal timestamps by global scheduling sequence instead;
-// the two orders can differ only when a continuous-time workload event
-// lands exactly on the periodic tick grid, which the double-precision
-// event times make a measure-zero coincidence (see DESIGN.md "Sharded
-// engine").
+// across shard counts and thread counts (test-enforced against one shard on
+// one thread). Tie-break policy at a barrier: shard events timestamped
+// exactly t* run BEFORE spine events at t* (see DESIGN.md "Sharded engine").
 #pragma once
 
 #include <cstddef>
@@ -43,25 +38,20 @@ namespace vdc::sim {
 
 class ShardedEngine {
  public:
-  /// `shard_count` == 0 is the single-loop legacy mode: no shard loops
-  /// exist and `shard(i)` aliases the spine, so every event shares one
-  /// `Simulation` exactly as before sharding. `threads` caps the workers
-  /// used for the parallel shard advance (0 = hardware concurrency).
-  explicit ShardedEngine(std::size_t shard_count = 0, std::size_t threads = 0)
-      : threads_(threads), shards_(shard_count) {}
+  /// At least one shard loop is required (std::invalid_argument on 0).
+  /// `threads` caps the workers used for the parallel shard advance
+  /// (0 = hardware concurrency).
+  ShardedEngine(std::size_t shard_count, std::size_t threads);
 
   /// The control-plane loop. External schedule events (setpoint changes,
   /// load steps) must be scheduled here so they execute in the serial phase.
   [[nodiscard]] Simulation& spine() noexcept { return spine_; }
   [[nodiscard]] const Simulation& spine() const noexcept { return spine_; }
 
-  /// The loop owning shard `i`'s workload events. In single-loop mode this
-  /// is the spine for every `i`.
-  [[nodiscard]] Simulation& shard(std::size_t i) noexcept {
-    return shards_.empty() ? spine_ : shards_[i];
-  }
+  /// The loop owning shard `i`'s workload events.
+  [[nodiscard]] Simulation& shard(std::size_t i) noexcept { return shards_[i]; }
 
-  /// Number of shard loops (0 in single-loop mode).
+  /// Number of shard loops (at least 1).
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Current time. Clocks are in lockstep at every barrier; between

@@ -164,32 +164,6 @@ double WindowStats::quantile(double q) const {
   return copy.quantile(q);
 }
 
-SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("SlidingWindow: capacity must be positive");
-}
-
-void SlidingWindow::add(double x) {
-  if (std::isnan(x)) throw std::invalid_argument("SlidingWindow: NaN sample");
-  samples_.push_back(x);
-  order_.insert(x);
-  if (samples_.size() > capacity_) {
-    order_.erase_one(samples_.front());
-    samples_.pop_front();
-  }
-}
-
-double SlidingWindow::mean() const noexcept {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SlidingWindow::quantile(double q) const {
-  if (samples_.empty()) return 0.0;  // consistent with mean(): empty window reads as 0
-  return order_.quantile(q);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
   if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
   if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");

@@ -1,16 +1,13 @@
 // Statistics primitives used throughout the simulator and benchmarks:
 // running moments (Welford), exact and streaming (P^2) percentile
-// estimation, fixed-bin histograms and sliding-window samplers.
+// estimation, per-window accumulators and fixed-bin histograms.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "util/order_stats.hpp"
 
 namespace vdc::util {
 
@@ -107,35 +104,6 @@ class WindowStats {
  private:
   RunningStats moments_;
   std::vector<double> samples_;
-};
-
-/// Keeps the most recent `capacity` samples; answers mean and quantiles over
-/// the window. Used by the response-time monitor.
-///
-/// Samples are mirrored into an incremental order-statistic index, so
-/// `quantile` is O(log n) instead of the historical copy+sort (O(n log n))
-/// per query. NaN samples are rejected (they would corrupt the ordered
-/// index); ±infinity is accepted.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity);
-
-  void add(double x);
-  void clear() noexcept {
-    samples_.clear();
-    order_.clear();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  [[nodiscard]] double mean() const noexcept;
-  /// Exact windowed quantile (type-7 interpolation), O(log n).
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> samples_;      // insertion order, for eviction
-  OrderStatisticTree order_;        // value order, for quantiles
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range samples (including

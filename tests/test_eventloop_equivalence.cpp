@@ -18,7 +18,6 @@
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "util/rng.hpp"
-#include "util/statistics.hpp"
 
 namespace vdc {
 namespace {
@@ -134,35 +133,6 @@ TEST(EventLoopEquivalence, DualModeCrossoverPreservesJobs) {
   }
   EXPECT_EQ(q.jobs_in_service(), 0u);
   EXPECT_EQ(completed, 0u);
-}
-
-TEST(EventLoopEquivalence, SlidingWindowQuantileMatchesCopyAndSort) {
-  // Property test: after every insertion/eviction the incremental
-  // order-statistic index must agree bitwise with the historical
-  // copy-everything-and-sort evaluation.
-  util::SlidingWindow window(64);
-  std::vector<double> shadow;  // insertion order, capacity 64
-  util::Rng rng(123);
-  const double qs[] = {0.0, 0.25, 0.5, 0.9, 0.95, 1.0};
-
-  for (int i = 0; i < 2000; ++i) {
-    double x = 0.0;
-    switch (i % 4) {
-      case 0: x = rng.uniform(-100.0, 100.0); break;
-      case 1: x = rng.bounded_pareto(1.1, 0.01, 1e6); break;
-      case 2: x = rng.normal(0.0, 1e-6); break;
-      case 3: x = static_cast<double>(i % 7); break;  // heavy duplicates
-    }
-    window.add(x);
-    shadow.push_back(x);
-    if (shadow.size() > 64) shadow.erase(shadow.begin());
-
-    ASSERT_EQ(window.size(), shadow.size());
-    for (const double q : qs) {
-      ASSERT_EQ(window.quantile(q), util::quantile(shadow, q))
-          << "diverged at step " << i << " q=" << q;
-    }
-  }
 }
 
 TEST(EventLoopEquivalence, TelemetryCsvIsByteDeterministic) {

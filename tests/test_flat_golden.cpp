@@ -232,8 +232,8 @@ TEST(FlatGolden, TestbedSeriesAreByteIdentical) {
 }
 
 TEST(FlatGolden, ShardedTestbedMatchesTheSameGolden) {
-  // The sharded engine against the SAME committed golden as the legacy
-  // engine above: partitioning the apps over 4 parallel shards must not
+  // Four shards against the SAME committed golden as the default one-shard
+  // Testbed above: partitioning the apps over 4 parallel shards must not
   // move a single byte. (The full shard x thread matrix lives in
   // test_sharding.cpp; this pins the sharded path to the committed file so
   // a regen of the golden cannot silently paper over a divergence.)

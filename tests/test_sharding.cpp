@@ -5,8 +5,10 @@
 // its own event loop, telemetry recorder, and sensor-fault stream, advanced
 // concurrently between control-period barriers. The contract is strict
 // determinism: a run at ANY shard count and ANY thread count must be
-// bit-identical to the single-event-loop legacy engine (shards == 0) —
-// same telemetry bytes, same consolidation decisions, same fault counters.
+// bit-identical to one shard advanced on one thread (shards = 1,
+// threads = 1) — same telemetry bytes, same consolidation decisions, same
+// fault counters. The committed tests/golden/testbed.csv pins that
+// reference itself (test_flat_golden).
 // These tests enforce that contract over the healthy optimizer path, a
 // chaos plan touching every shard-relevant fault family, and horizontal
 // replication (whose retire callbacks cross the shard boundary).
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,18 +33,8 @@ namespace {
 
 // ---- ShardedEngine unit behavior --------------------------------------------
 
-TEST(ShardedEngine, LegacyModeAliasesSpine) {
-  sim::ShardedEngine engine(0);
-  EXPECT_EQ(engine.shard_count(), 0u);
-  EXPECT_EQ(&engine.shard(0), &engine.spine());
-  EXPECT_EQ(&engine.shard(5), &engine.spine());
-
-  int fired = 0;
-  engine.spine().schedule(1.0, [&] { ++fired; });
-  engine.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.barriers(), 0u);  // legacy mode: plain run_until, no barriers
-  EXPECT_EQ(engine.now(), 2.0);
+TEST(ShardedEngine, RejectsZeroShards) {
+  EXPECT_THROW(sim::ShardedEngine(0, 1), std::invalid_argument);
 }
 
 TEST(ShardedEngine, ShardsAreDistinctLoops) {
@@ -112,7 +105,8 @@ TEST(ShardedEngine, NextEventTimeSkipsCancelledEntries) {
   EXPECT_FALSE(sim.next_event_time().has_value());
 }
 
-// ---- Testbed equivalence: sharded == legacy, bit for bit --------------------
+// ---- Testbed equivalence: any layout == one shard on one thread ------------
+// ("Legacy" in the test names below is that one-shard, one-thread reference.)
 
 /// One identification run shared by every scenario below (the controllers
 /// are instances of the same benchmark app, as on the paper's testbed).
@@ -179,7 +173,7 @@ void expect_equivalent(const RunDigest& oracle, const RunDigest& sharded,
 }
 
 TEST(ShardingEquivalence, OptimizerRunMatchesLegacyAtEveryShardAndThreadCount) {
-  const RunDigest oracle = run_with(base_spec(), 0, 0);
+  const RunDigest oracle = run_with(base_spec(), 1, 1);
   ASSERT_FALSE(oracle.csv.empty());
   EXPECT_GT(oracle.optimizer_invocations, 0u);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
@@ -198,7 +192,7 @@ TEST(ShardingEquivalence, ChaosRunMatchesLegacyAcrossShardCounts) {
   // (drop/spike/stale draw from splitmix64-derived per-app RNGs, so the
   // sequences cannot depend on the shard layout), plus spine-serial dc
   // faults (crash, DVFS pin, migration aborts) that must interleave with
-  // the shard barriers exactly as in the legacy engine.
+  // the shard barriers exactly as with one shard.
   core::ScenarioSpec spec = base_spec();
   spec.name = "shard-chaos";
   spec.faults.seed = 99;
@@ -209,7 +203,7 @@ TEST(ShardingEquivalence, ChaosRunMatchesLegacyAcrossShardCounts) {
   spec.faults.dvfs_pin(0, 1.2, 60.0, 300.0);
   spec.faults.migration_aborts(0.0, 400.0, 0.5);
 
-  const RunDigest oracle = run_with(spec, 0, 0);
+  const RunDigest oracle = run_with(spec, 1, 1);
   EXPECT_GT(oracle.fault_total, 0u);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const RunDigest sharded = run_with(spec, shards, 4);
@@ -231,7 +225,7 @@ TEST(ShardingEquivalence, ReplicatedRunMatchesLegacy) {
   spec.testbed.initial_replicas = 2;
   spec.testbed.supervisor.enabled = true;
 
-  const RunDigest oracle = run_with(spec, 0, 0);
+  const RunDigest oracle = run_with(spec, 1, 1);
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     const RunDigest sharded = run_with(spec, shards, 4);
     expect_equivalent(oracle, sharded, "replication shards=" + std::to_string(shards));
@@ -246,7 +240,7 @@ TEST(ShardingEquivalence, ScheduleEventsLandInTheSerialPhase) {
   spec.setpoint_schedule.push_back({200.0, 1, 0.6});
   spec.concurrency_schedule.push_back({240.0, 3, 60});
 
-  const RunDigest oracle = run_with(spec, 0, 0);
+  const RunDigest oracle = run_with(spec, 1, 1);
   const RunDigest sharded = run_with(spec, 3, 2);
   expect_equivalent(oracle, sharded, "schedules shards=3");
 }
@@ -254,7 +248,7 @@ TEST(ShardingEquivalence, ScheduleEventsLandInTheSerialPhase) {
 TEST(ShardingEquivalence, ShardCountAboveAppCountIsHarmless) {
   // More shards than apps leaves some shards empty; empty loops must not
   // disturb the barrier protocol or the merged recorder layout.
-  const RunDigest oracle = run_with(base_spec(), 0, 0);
+  const RunDigest oracle = run_with(base_spec(), 1, 1);
   const RunDigest sharded = run_with(base_spec(), 8, 2);
   expect_equivalent(oracle, sharded, "shards=8 apps=4");
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -21,6 +22,27 @@ TEST(Testbed, ValidatesConfiguration) {
   TestbedConfig config = fast_config();
   config.num_apps = 0;
   EXPECT_THROW(Testbed{config}, std::invalid_argument);
+}
+
+TEST(Testbed, RejectsNonPositiveOrNonFiniteOptimizerPeriod) {
+  // A zero period would reschedule the optimizer tick at the same instant
+  // forever; a negative one would schedule into the past mid-run.
+  for (const double period : {0.0, -300.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    TestbedConfig config = fast_config();
+    config.enable_optimizer = true;
+    config.optimizer_period_s = period;
+    EXPECT_THROW(Testbed{config}, std::invalid_argument) << "period " << period;
+  }
+}
+
+TEST(Testbed, RejectsNonPositiveOrNonFiniteSetpoint) {
+  for (const double setpoint : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    TestbedConfig config = fast_config();
+    config.setpoint_s = setpoint;
+    EXPECT_THROW(Testbed{config}, std::invalid_argument) << "setpoint " << setpoint;
+  }
 }
 
 TEST(Testbed, IdentifiedModelIsPlausible) {
@@ -243,12 +265,13 @@ TEST(Testbed, SupervisorScalesOutUnderSurgeAndCreatesVms) {
   EXPECT_EQ(tb.cluster().vm_count(), vms_before + tb.scale_out_count());
   EXPECT_EQ(tb.cluster().live_vm_count(),
             vms_before + tb.scale_out_count() - tb.scale_in_count());
-  // Replica counts and live-VM totals are on the recorder when scaling is on.
-  EXPECT_TRUE(tb.recorder().has(replica_series_name(0)));
-  EXPECT_TRUE(tb.recorder().has(kLiveVmsSeries));
   // The surge is re-attained: settled response time back near the setpoint.
   const util::RunningStats late = tb.response_stats_after(0, 700.0);
   EXPECT_LT(late.mean(), 1.3);
+  // Replica counts and live-VM totals are recorded when scaling is on.
+  const telemetry::Recorder recorded = tb.take_recorder();
+  EXPECT_TRUE(recorded.has(replica_series_name(0)));
+  EXPECT_TRUE(recorded.has(kLiveVmsSeries));
 }
 
 TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
@@ -257,10 +280,12 @@ TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
   // to the pre-replication format.
   Testbed tb{fast_config()};
   tb.run_until(100.0);
-  EXPECT_FALSE(tb.recorder().has(replica_series_name(0)));
-  EXPECT_FALSE(tb.recorder().has(kLiveVmsSeries));
   EXPECT_EQ(tb.scale_out_count(), 0u);
   EXPECT_EQ(tb.scale_in_count(), 0u);
+  const telemetry::Recorder recorded = tb.take_recorder();
+  EXPECT_TRUE(recorded.has(response_series_name(0)));  // the merged view holds app series
+  EXPECT_FALSE(recorded.has(replica_series_name(0)));
+  EXPECT_FALSE(recorded.has(kLiveVmsSeries));
 }
 
 }  // namespace
