@@ -12,8 +12,12 @@
 //              with 1 worker thread vs more: SELF-speedup of the identical
 //              workload, so the ratio isolates the parallel shard advance
 //              (every leg is also byte-compared against the one-shard,
-//              one-thread oracle). The JSON records hardware_concurrency —
-//              read the ratio against it.
+//              one-thread oracle). One leg runs ~0.3 s, so each thread
+//              count runs kSpeedupRounds times, the thread counts
+//              alternating their order from round to round, and the JSON
+//              reports the median and quartiles of run_s and of the
+//              self-speedup paired within each round. It records
+//              hardware_concurrency — read the ratio against it.
 //   fleet      bounded-memory completion at fleet scale (default 100k
 //              servers hosting 500k VMs = 50k two-tier apps x 5 replicas,
 //              low per-app concurrency, a few control periods): the gate is
@@ -23,8 +27,8 @@
 // Flags:
 //   --quick               identity preset only (CI smoke; soft perf gate)
 //   --out PATH            JSON path (default BENCH_sharding.json)
-//   --min-speedup X       exit non-zero if the best self-speedup falls
-//                         below X (0 disables; meaningless on 1 core)
+//   --min-speedup X       exit non-zero if the best median self-speedup
+//                         falls below X (0 disables; meaningless on 1 core)
 //   --fleet-apps N        fleet preset application count (default 50000)
 //   --fleet-servers N     fleet preset server count (default 100000)
 //   --fleet-duration S    fleet preset simulated seconds (default 12)
@@ -45,10 +49,26 @@
 #include "core/sysid_experiment.hpp"
 #include "core/testbed.hpp"
 #include "telemetry/export.hpp"
+#include "util/statistics.hpp"
 
 namespace {
 
 using namespace vdc;
+
+/// Rounds of the speedup sweep: every thread count runs once per round.
+constexpr std::size_t kSpeedupRounds = 7;
+
+/// Median and quartiles of a sample.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& values) {
+  return Spread{util::quantile(values, 0.5), util::quantile(values, 0.25),
+                util::quantile(values, 0.75)};
+}
 
 double peak_rss_gb() {
   struct rusage usage {};
@@ -201,29 +221,58 @@ int main(int argc, char** argv) {
     thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
                         thread_counts.end());
 
-    json += "  \"speedup\": {\"apps\": 64, \"servers\": 16, \"shards\": 8, "
-            "\"duration_s\": 120.0,\n    \"runs\": [";
-    double wall_at_1 = 0.0;
-    bool first = true;
-    for (const std::size_t threads : thread_counts) {
-      core::TestbedConfig config = spec;
-      config.shard_threads = threads;
-      const RunOutcome run = run_testbed(config, duration_s);
-      const bool match = run.csv == oracle.csv;
-      identity_ok = identity_ok && match;
-      if (threads == 1) wall_at_1 = run.run_s;
-      const double self_speedup = run.run_s <= 0.0 ? 0.0 : wall_at_1 / run.run_s;
-      best_speedup = std::max(best_speedup, self_speedup);
-      std::printf("%-10s threads=%-4zu %10.3fs %12.0f events/s  self-speedup=%5.2fx  "
-                  "identical=%s\n", "speedup", threads, run.run_s, run.events_per_sec(),
-                  self_speedup, match ? "yes" : "NO");
-      if (!first) json += ", ";
-      first = false;
+    // run_s[i][r]: thread_counts[i] in round r. Odd rounds run the thread
+    // counts in reverse, so host drift within a round does not favour one
+    // side of every pair.
+    std::vector<std::vector<double>> run_s(thread_counts.size());
+    std::vector<std::uint64_t> events(thread_counts.size(), 0);
+    std::vector<bool> identical(thread_counts.size(), true);
+    for (std::size_t round = 0; round < kSpeedupRounds; ++round) {
+      for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+        const std::size_t i = round % 2 == 0 ? k : thread_counts.size() - 1 - k;
+        core::TestbedConfig config = spec;
+        config.shard_threads = thread_counts[i];
+        const RunOutcome run = run_testbed(config, duration_s);
+        const bool match = run.csv == oracle.csv;
+        identical[i] = identical[i] && match;
+        identity_ok = identity_ok && match;
+        run_s[i].push_back(run.run_s);
+        events[i] = run.events;
+      }
+    }
+
+    std::snprintf(line, sizeof(line),
+                  "  \"speedup\": {\"apps\": 64, \"servers\": 16, \"shards\": 8, "
+                  "\"duration_s\": 120.0, \"rounds\": %zu,\n    \"runs\": [",
+                  kSpeedupRounds);
+    json += line;
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      // Self-speedup paired within a round: the 1-thread leg of the same
+      // round over this leg.
+      std::vector<double> speedups;
+      for (std::size_t round = 0; round < kSpeedupRounds; ++round) {
+        const double wall = run_s[i][round];
+        speedups.push_back(wall <= 0.0 ? 0.0 : run_s[0][round] / wall);
+      }
+      const Spread wall = spread_of(run_s[i]);
+      const Spread speedup = spread_of(speedups);
+      const double events_per_sec =
+          wall.median <= 0.0 ? 0.0 : static_cast<double>(events[i]) / wall.median;
+      best_speedup = std::max(best_speedup, speedup.median);
+      std::printf("%-10s threads=%-4zu %8.3fs [%.3f, %.3f] %12.0f events/s  "
+                  "self-speedup=%5.2fx [%.2f, %.2f]  identical=%s\n", "speedup",
+                  thread_counts[i], wall.median, wall.q1, wall.q3, events_per_sec,
+                  speedup.median, speedup.q1, speedup.q3, identical[i] ? "yes" : "NO");
+      if (i > 0) json += ",\n      ";
       std::snprintf(line, sizeof(line),
-                    "{\"threads\": %zu, \"run_s\": %.3f, \"events_per_sec\": %.0f, "
-                    "\"self_speedup\": %.3f, \"identical\": %s}",
-                    threads, run.run_s, run.events_per_sec(), self_speedup,
-                    match ? "true" : "false");
+                    "{\"threads\": %zu, \"run_s\": %.3f, \"run_s_q1\": %.3f, "
+                    "\"run_s_q3\": %.3f, \"events_per_sec\": %.0f, ",
+                    thread_counts[i], wall.median, wall.q1, wall.q3, events_per_sec);
+      json += line;
+      std::snprintf(line, sizeof(line),
+                    "\"self_speedup\": %.3f, \"self_speedup_q1\": %.3f, "
+                    "\"self_speedup_q3\": %.3f, \"identical\": %s}",
+                    speedup.median, speedup.q1, speedup.q3, identical[i] ? "true" : "false");
       json += line;
     }
     std::snprintf(line, sizeof(line), "],\n    \"best_self_speedup\": %.3f},\n",
@@ -285,7 +334,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (min_speedup > 0.0 && best_speedup < min_speedup) {
-    std::fprintf(stderr, "REGRESSION: best self-speedup %.2fx < required %.2fx\n",
+    std::fprintf(stderr, "REGRESSION: best median self-speedup %.2fx < required %.2fx\n",
                  best_speedup, min_speedup);
     return 1;
   }

@@ -178,14 +178,18 @@ void MultiTierApp::set_arrival_rate(double requests_per_second) {
   }
   config_.open_arrival_rate_rps = requests_per_second;
   if (!started_) return;
-  // Cancel the pending arrival and resample the gap at the new rate. The
-  // exponential is memoryless, so resampling is exact — and a pause (rate
-  // 0) leaves no pending event, letting an idle simulation go quiescent.
-  if (arrival_event_ != sim::kNoEvent) {
+  // Resample the gap to the next arrival at the new rate and move the
+  // pending arrival there. The exponential is memoryless, so resampling is
+  // exact — and a pause (rate 0) leaves no pending event, letting an idle
+  // simulation go quiescent.
+  if (arrival_event_ == sim::kNoEvent) {
+    schedule_next_arrival();
+  } else if (requests_per_second > 0.0) {
+    sim_.reschedule(arrival_event_, sim_.now() + rng_.exponential(1.0 / requests_per_second));
+  } else {
     sim_.cancel(arrival_event_);
     arrival_event_ = sim::kNoEvent;
   }
-  schedule_next_arrival();
 }
 
 void MultiTierApp::schedule_next_arrival() {

@@ -63,8 +63,9 @@ inline void ps_finish_mark(double vtime_gcycles, double mark_gcycles) {
                                                          << " vtime=" << vtime_gcycles);
 }
 
-/// Event-slab conservation: every slot is either live (armed) or on the free
-/// list. Violations mean a leaked or double-freed event record.
+/// Event-slab conservation: every slot is either live (queued in the event
+/// heap) or on the free list. Violations mean a leaked or double-freed event
+/// record, or a heap entry left behind by a cancelled event.
 inline void event_slab(std::size_t live, std::size_t slab_size, std::size_t free_size) {
   VDC_INVARIANT(live + free_size == slab_size,
                 "event slab leak: live=" << live << " free=" << free_size

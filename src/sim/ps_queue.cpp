@@ -30,6 +30,7 @@ JobId PsQueue::add_job(double demand_gcycles, std::uint64_t tag) {
     marks_.emplace(id, by_mark_.emplace(mark, Marked{id, tag}));
   } else {
     residuals_.emplace(id, Residual{demand_gcycles, tag});
+    min_residual_ = std::min(min_residual_, demand_gcycles);
   }
   schedule_next_completion();
   return id;
@@ -55,6 +56,13 @@ double PsQueue::remove_job(JobId id) {
     if (it == residuals_.end()) return -1.0;
     remaining = it->second.remaining;
     residuals_.erase(it);
+    if (remaining <= min_residual_) {  // the removed job held the minimum
+      min_residual_ = std::numeric_limits<double>::infinity();
+      // vdc-lint: unordered-iter-ok min over all values is commutative; order cannot change the result
+      for (const auto& [other, job] : residuals_) {
+        min_residual_ = std::min(min_residual_, job.remaining);
+      }
+    }
   }
   schedule_next_completion();
   return remaining;
@@ -105,23 +113,35 @@ void PsQueue::sync() {
 // bit-identical to the pre-optimization engine at bench concurrency levels.
 void PsQueue::naive_sync(double elapsed_s) {
   const double per_job = elapsed_s * capacity_ghz_ / static_cast<double>(residuals_.size());
-  // Jobs whose residual hits zero here complete "now"; deliver them in id
-  // order for determinism.
+  // Jobs whose residual hits zero here complete "now" and leave the map in
+  // the same pass (erasing keeps the survivors' visiting order); the
+  // survivors' smallest residual is kept for schedule_next_completion.
   std::vector<Finished> finished = take_finished_buffer();
-  // vdc-lint: unordered-iter-ok every job gets the same per_job decrement and completions are sorted by id before delivery; only the work_done accumulation order varies, which the accounting audit bounds with a tolerance
-  for (auto& [id, job] : residuals_) {
+  double min_remaining = std::numeric_limits<double>::infinity();
+  // Hash order: every job gets the same per_job decrement and completions
+  // are sorted by id before delivery; only the work_done accumulation order
+  // follows the map, which the accounting audit bounds with a tolerance.
+  for (auto it = residuals_.begin(); it != residuals_.end();) {
+    Residual& job = it->second;
     job.remaining -= per_job;
     work_done_gcycles_ += per_job;
     if (job.remaining <= kEps) {
       audit::ps_residual(job.remaining);
       work_done_gcycles_ += job.remaining;  // don't over-count the overshoot
-      finished.push_back(Finished{id, job.tag});
+      finished.push_back(Finished{it->first, job.tag});
+      it = residuals_.erase(it);
+    } else {
+      min_remaining = std::min(min_remaining, job.remaining);
+      ++it;
     }
   }
+  min_residual_ = min_remaining;
   audit::ps_accounting(work_done_gcycles_, busy_time_s_);
-  std::sort(finished.begin(), finished.end(),
-            [](const Finished& a, const Finished& b) { return a.id < b.id; });
-  for (const Finished& done : finished) residuals_.erase(done.id);
+  // Deliver in id order for determinism.
+  if (finished.size() > 1) {
+    std::sort(finished.begin(), finished.end(),
+              [](const Finished& a, const Finished& b) { return a.id < b.id; });
+  }
   deliver(finished);
 }
 
@@ -172,13 +192,17 @@ void PsQueue::convert_to_fast() {
     marks_.emplace(id, by_mark_.emplace(job.remaining, Marked{id, job.tag}));
   }
   residuals_.clear();
+  min_residual_ = std::numeric_limits<double>::infinity();
   fast_ = true;
 }
 
 /// Rounds once per job: remaining = mark - vtime_ (<= 1 ulp of vtime_).
 void PsQueue::convert_to_naive() {
+  min_residual_ = std::numeric_limits<double>::infinity();
   for (const auto& [mark, job] : by_mark_) {
-    residuals_.emplace(job.id, Residual{mark - vtime_, job.tag});
+    const double remaining = mark - vtime_;
+    residuals_.emplace(job.id, Residual{remaining, job.tag});
+    min_residual_ = std::min(min_residual_, remaining);
   }
   by_mark_.clear();
   marks_.clear();
@@ -187,26 +211,22 @@ void PsQueue::convert_to_naive() {
 }
 
 void PsQueue::schedule_next_completion() {
-  if (pending_completion_ != 0) {
-    sim_.cancel(pending_completion_);
-    pending_completion_ = 0;
-  }
-  if (jobs_in_service() == 0 || capacity_ghz_ <= 0.0) return;
-
-  double min_remaining;
-  if (fast_) {
-    min_remaining = by_mark_.begin()->first - vtime_;
-  } else {
-    min_remaining = std::numeric_limits<double>::infinity();
-    // vdc-lint: unordered-iter-ok min over all values is commutative; order cannot change the result
-    for (const auto& [id, job] : residuals_) {
-      min_remaining = std::min(min_remaining, job.remaining);
+  if (jobs_in_service() == 0 || capacity_ghz_ <= 0.0) {
+    if (pending_completion_ != kNoEvent) {
+      sim_.cancel(pending_completion_);
+      pending_completion_ = kNoEvent;
     }
+    return;
   }
+  const double min_remaining = fast_ ? by_mark_.begin()->first - vtime_ : min_residual_;
   const double dt =
       std::max(0.0, min_remaining) * static_cast<double>(jobs_in_service()) / capacity_ghz_;
-  pending_completion_ = sim_.schedule_after(dt, [this] {
-    pending_completion_ = 0;
+  const double at = sim_.now() + dt;
+  // Move the one pending completion event rather than cancel and re-create
+  // it; both give the same firing order.
+  if (pending_completion_ != kNoEvent && sim_.reschedule(pending_completion_, at)) return;
+  pending_completion_ = sim_.schedule(at, [this] {
+    pending_completion_ = kNoEvent;
     sync();
     schedule_next_completion();
   });

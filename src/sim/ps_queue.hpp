@@ -25,6 +25,14 @@
 //   exact (vtime_ rebases to 0, marks == residuals); the down-conversion at
 //   kFastDownThreshold rounds once per job (<= 1 ulp of vtime_).
 //
+// The queue owns at most one pending completion event. An admit, removal,
+// capacity change or completion moves that event with
+// Simulation::reschedule instead of cancelling it and scheduling a new one,
+// so the event heap never carries a stale completion. In per-job-residual
+// mode the smallest residual is kept current as jobs come and go (the
+// sync's one pass over the residuals yields it), so scheduling the next
+// completion reads it instead of walking the residuals again.
+//
 // Each job carries a caller tag, handed back to the completion handler with
 // its id, so an owner that tracks its own record per job (MultiTierApp's
 // request slots) needs no job-id map. Completions of one sync are collected
@@ -37,6 +45,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <type_traits>
 #include <unordered_map>
@@ -154,6 +163,9 @@ class PsQueue {
 
   /// Naive mode: job id -> remaining Gcycles (historical summation order).
   std::unordered_map<JobId, Residual> residuals_;
+  /// Naive mode: the smallest remaining Gcycles in residuals_ (infinity
+  /// when empty, and throughout fast mode).
+  double min_residual_ = std::numeric_limits<double>::infinity();
   /// Fast mode: cumulative per-job attained service (Gcycles), rebased to 0
   /// whenever the queue empties to bound floating-point drift.
   double vtime_ = 0.0;
@@ -167,7 +179,7 @@ class PsQueue {
 
   JobId next_job_id_ = 1;
   double last_sync_ = 0.0;
-  EventId pending_completion_ = 0;  // 0 = none
+  EventId pending_completion_ = kNoEvent;
   double work_done_gcycles_ = 0.0;
   double busy_time_s_ = 0.0;
   double stalled_time_s_ = 0.0;

@@ -1,5 +1,6 @@
 #include "sim/sharded_engine.hpp"
 
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 
@@ -24,6 +25,11 @@ void ShardedEngine::advance_shards(double t) {
 }
 
 void ShardedEngine::run_until(double t) {
+  // A NaN bound compares false against every event time, so the barrier
+  // loop below would run the self-rescheduling spine forever.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("ShardedEngine::run_until: time is not finite");
+  }
   for (;;) {
     const std::optional<double> next = spine_.next_event_time();
     if (!next || *next > t) break;

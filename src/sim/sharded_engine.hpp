@@ -60,7 +60,7 @@ class ShardedEngine {
 
   /// Advances the co-simulation to absolute time `t`: alternates parallel
   /// shard advances with serial spine phases at every spine event time,
-  /// then fast-forwards all clocks to `t`.
+  /// then fast-forwards all clocks to `t` (finite, >= now).
   void run_until(double t);
 
   /// Events executed across the spine and every shard.

@@ -5,15 +5,17 @@
 // Event storage is a slab: callbacks live in a contiguous vector of records
 // addressed by a 32-bit slot index, and an EventId packs that slot with a
 // 32-bit generation counter so a recycled slot invalidates stale handles in
-// O(1) without a hash lookup. The heap carries only plain (time, seq, slot,
-// generation) entries; cancellation is lazy — a popped entry whose generation
-// no longer matches its slot is skipped. FIFO order among equal timestamps is
-// preserved by a monotonic sequence number, independent of slot reuse.
+// O(1) without a hash lookup. The heap is an indexed binary heap of plain
+// (time, seq, slot) entries, and each record keeps its entry's position, so
+// the heap holds live events only: `cancel` removes the entry in O(log n)
+// and `reschedule` moves it in place, keeping the callback and the handle.
+// FIFO order among equal timestamps is preserved by a monotonic sequence
+// number, independent of slot reuse; a reschedule draws a fresh one, so it
+// fires exactly where a cancel followed by a schedule would.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -34,8 +36,8 @@ class Simulation {
   /// Current simulation time in seconds.
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  /// Schedules `callback` at absolute time `time_s` (>= now). Returns a
-  /// handle usable with `cancel`.
+  /// Schedules `callback` at absolute time `time_s` (finite, >= now).
+  /// Returns a handle usable with `cancel` and `reschedule`.
   EventId schedule(double time_s, EventCallback callback);
 
   /// Schedules `callback` after a relative delay (>= 0).
@@ -58,51 +60,72 @@ class Simulation {
   /// is a no-op; returns whether an event was actually cancelled.
   bool cancel(EventId id);
 
+  /// Moves a pending event to absolute time `time_s` (finite, >= now),
+  /// keeping its callback and its handle. It fires exactly where
+  /// `cancel(id)` followed by `schedule(time_s, same callback)` would: it
+  /// takes a fresh place in the FIFO order among equal timestamps. An
+  /// already-fired or unknown event is left alone; returns whether an
+  /// event was moved.
+  bool reschedule(EventId id, double time_s);
+
   /// Executes the next pending event. Returns false when the queue is empty.
   bool step();
 
-  /// Processes all events with time <= t, then advances the clock to t.
+  /// Processes all events with time <= t (finite, >= now), then advances
+  /// the clock to t.
   void run_until(double t);
 
-  /// Processes all events with time <= t but leaves the clock at the last
-  /// executed event instead of fast-forwarding it to t. Returns the number
-  /// of events executed. The ScenarioRunner uses this to flush the final
-  /// control period of a scenario without inventing idle time past it.
+  /// Processes all events with time <= t (finite, >= now) but leaves the
+  /// clock at the last executed event instead of fast-forwarding it to t.
+  /// Returns the number of events executed. The ScenarioRunner uses this to
+  /// flush the final control period of a scenario without inventing idle
+  /// time past it.
   std::size_t drain_until(double t);
 
   /// Runs until no events remain.
   void run();
 
-  /// Timestamp of the next live event, or nullopt when the queue is empty.
-  /// Prunes cancelled entries off the heap top so the answer is exact; the
-  /// sharded engine peeks this to pick the next barrier time.
-  [[nodiscard]] std::optional<double> next_event_time();
+  /// Timestamp of the next pending event, or nullopt when the queue is
+  /// empty; the sharded engine peeks this to pick the next barrier time.
+  [[nodiscard]] std::optional<double> next_event_time() const noexcept {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().time_s;
+  }
 
-  [[nodiscard]] std::size_t pending_events() const noexcept { return live_; }
+  /// Events scheduled and not yet fired or cancelled (armed slab records).
+  [[nodiscard]] std::size_t pending_events() const noexcept {
+    return slab_.size() - free_slots_.size();
+  }
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
 
   /// Capacity of the event slab (high-water mark of simultaneously pending
   /// events) — exposed for tests and the perf bench.
   [[nodiscard]] std::size_t slab_size() const noexcept { return slab_.size(); }
 
+  /// Entries in the event heap. Equals `pending_events()`: the heap holds
+  /// no cancelled entries — exposed for tests.
+  [[nodiscard]] std::size_t heap_size() const noexcept { return heap_.size(); }
+
  private:
   struct Entry {
     double time_s;
     std::uint64_t seq;  // monotonic scheduling order: FIFO tie-break
     std::uint32_t slot;
-    std::uint32_t generation;
     // min-heap on (time_s, seq)
-    bool operator>(const Entry& other) const noexcept {
+    bool operator<(const Entry& other) const noexcept {
       // vdc-lint: float-eq-ok exact heap ordering; equal keys defer to seq for FIFO
-      if (time_s != other.time_s) return time_s > other.time_s;
-      return seq > other.seq;
+      if (time_s != other.time_s) return time_s < other.time_s;
+      return seq < other.seq;
     }
   };
+
+  /// `heap_pos` of a record that is not in the heap (free or firing).
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
 
   struct Record {
     EventCallback callback;
     std::uint32_t generation = 1;
-    bool armed = false;
+    std::uint32_t heap_pos = kNotQueued;
   };
 
   static constexpr EventId make_id(std::uint32_t generation, std::uint32_t slot) noexcept {
@@ -115,27 +138,41 @@ class Simulation {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  [[nodiscard]] bool entry_live(const Entry& entry) const noexcept {
-    const Record& rec = slab_[entry.slot];
-    return rec.armed && rec.generation == entry.generation;
+  /// Throws std::invalid_argument unless `t` is finite and not before now.
+  void require_time(double t, const char* what) const;
+
+  /// The record `id` names while its event is pending, else nullptr.
+  [[nodiscard]] Record* pending_record(EventId id) noexcept;
+
+  /// Pops the heap top, recycles its slot and runs its callback.
+  void fire_top();
+
+  /// Removes the entry at heap position `pos`, restoring heap order.
+  void heap_erase(std::size_t pos);
+  /// Stores `entry` at `pos` and records the position in its slab record.
+  void heap_place(std::size_t pos, const Entry& entry) noexcept {
+    heap_[pos] = entry;
+    slab_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
   }
+  /// Moves `entry` from hole `pos` towards the root to its place.
+  void sift_up(std::size_t pos, Entry entry) noexcept;
+  /// Moves `entry` from hole `pos` towards the leaves to its place.
+  void sift_down(std::size_t pos, Entry entry) noexcept;
 
   /// Disarms a record and recycles its slot; the generation bump invalidates
-  /// every outstanding handle and heap entry referring to it.
+  /// every outstanding handle referring to it.
   void release_slot(std::uint32_t slot) {
     Record& rec = slab_[slot];
-    rec.armed = false;
+    rec.heap_pos = kNotQueued;
     rec.callback.reset();
     ++rec.generation;
     free_slots_.push_back(slot);
-    --live_;
   }
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  // min-heap on (time_s, seq); live events only
   std::vector<Record> slab_;
   std::vector<std::uint32_t> free_slots_;
 };

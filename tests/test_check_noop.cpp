@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "check/dc_audit.hpp"
 #include "check/sim_audit.hpp"
+#include "sim/simulation.hpp"
 
 namespace {
 
@@ -44,6 +46,22 @@ TEST(CheckDisabled, SimAuditorsAreSilentOnViolatingInputs) {
   EXPECT_NO_THROW(vdc::sim::audit::ps_stall_accounting(nan, -2.0));
   EXPECT_NO_THROW(vdc::sim::audit::ps_finish_mark(5.0, 1.0));  // mark in virtual past
   EXPECT_NO_THROW(vdc::sim::audit::event_slab(3, 2, 0));       // slab leak
+}
+
+// The event kernel's time validation does not rest on the auditors, which
+// compile out in a checks-off build (as shown above): a NaN bound must still
+// be rejected, rather than fire every pending event and leave the clock at
+// NaN. The -DVDC_CHECKS=OFF CI build runs this against a checks-off kernel.
+TEST(CheckDisabled, SimulationStillRejectsNanRunUntil) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  vdc::sim::Simulation sim;
+  int fired = 0;
+  sim.schedule(1.0, [&fired] { ++fired; });
+  EXPECT_THROW(sim.run_until(nan), std::invalid_argument);
+  EXPECT_THROW(sim.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 0.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(CheckDisabled, DataCenterAuditorsAreSilentOnViolatingInputs) {

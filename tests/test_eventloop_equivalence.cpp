@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -133,6 +134,224 @@ TEST(EventLoopEquivalence, DualModeCrossoverPreservesJobs) {
   }
   EXPECT_EQ(q.jobs_in_service(), 0u);
   EXPECT_EQ(completed, 0u);
+}
+
+// ---- indexed event heap vs the naive kernel ----------------------------------
+
+/// What a random schedule/cancel/reschedule script observed on one engine.
+struct HeapTrace {
+  std::vector<std::uint64_t> labels;  // firing order (event labels)
+  std::vector<double> times;          // firing times
+  std::vector<int> results;           // cancel/reschedule/step return values
+  std::vector<std::size_t> pending;   // pending_events() after every op
+  std::size_t stale_ops = 0;          // ops after which heap_size() != pending_events()
+  std::uint64_t executed = 0;
+};
+
+/// Seeded random interleaving of schedule, cancel, reschedule, step and
+/// run_until, with further schedule/cancel/reschedule calls made from
+/// inside callbacks. Times are quantized to quarter seconds so many events
+/// share a timestamp and the FIFO tie-break is exercised throughout. The
+/// naive kernel has no reschedule; there it is cancel + schedule of the
+/// same callback, which is the optimized kernel's contract.
+template <typename Sim>
+class HeapScript {
+ public:
+  static constexpr bool kOptimized = std::is_same_v<Sim, sim::Simulation>;
+
+  explicit HeapScript(std::uint64_t seed) : rng_(seed) {}
+
+  HeapTrace run(int ops) {
+    for (int k = 0; k < ops; ++k) random_op(/*top_level=*/true);
+    sim_.run();
+    record();
+    trace_.executed = sim_.events_executed();
+    return trace_;
+  }
+
+ private:
+  static constexpr std::size_t kMaxEvents = 6000;
+
+  /// Mostly near-term times, a fifth of them up to 10 s out, so late
+  /// schedules often land ahead of earlier ones in the heap.
+  double quantized_time() {
+    const std::int64_t quarters = rng_.bernoulli(0.2) ? 40 : 4;
+    return sim_.now() + 0.25 * static_cast<double>(rng_.uniform_int(0, quarters));
+  }
+
+  auto callback(std::size_t label) {
+    return [this, label] {
+      trace_.labels.push_back(label);
+      trace_.times.push_back(sim_.now());
+      const std::int64_t nested = rng_.uniform_int(0, 2);
+      for (std::int64_t k = 0; k < nested; ++k) random_op(/*top_level=*/false);
+    };
+  }
+
+  void random_op(bool top_level) {
+    switch (rng_.uniform_int(0, top_level ? 9 : 5)) {
+      case 0:
+      case 1:
+      case 2:
+        if (ids_.size() < kMaxEvents) {
+          const std::size_t label = ids_.size();
+          ids_.push_back(sim_.schedule(quantized_time(), callback(label)));
+        }
+        break;
+      case 3:
+        if (!ids_.empty()) trace_.results.push_back(sim_.cancel(ids_[rng_.index(ids_.size())]));
+        break;
+      case 4:
+      case 5:
+        if (!ids_.empty()) reschedule(rng_.index(ids_.size()), quantized_time());
+        break;
+      case 6:
+      case 7:
+        trace_.results.push_back(sim_.step());
+        break;
+      default:
+        sim_.run_until(quantized_time());
+        break;
+    }
+    record();
+  }
+
+  void reschedule(std::size_t label, double time_s) {
+    if constexpr (kOptimized) {
+      trace_.results.push_back(sim_.reschedule(ids_[label], time_s));
+    } else {
+      const bool pending = sim_.cancel(ids_[label]);
+      if (pending) ids_[label] = sim_.schedule(time_s, callback(label));
+      trace_.results.push_back(pending);
+    }
+  }
+
+  void record() {
+    trace_.pending.push_back(sim_.pending_events());
+    if constexpr (kOptimized) {
+      if (sim_.heap_size() != sim_.pending_events()) ++trace_.stale_ops;
+    }
+  }
+
+  Sim sim_;
+  util::Rng rng_;
+  std::vector<sim::EventId> ids_;  // label -> current handle
+  HeapTrace trace_;
+};
+
+TEST(EventLoopEquivalence, IndexedHeapMatchesNaiveUnderScheduleCancelReschedule) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const HeapTrace fast = HeapScript<sim::Simulation>(seed).run(3000);
+    const HeapTrace ref = HeapScript<sim::naive::Simulation>(seed).run(3000);
+
+    ASSERT_GT(fast.labels.size(), 1000u);  // the script really ran events
+    EXPECT_EQ(fast.labels, ref.labels);
+    EXPECT_EQ(fast.times, ref.times);
+    EXPECT_EQ(fast.results, ref.results);
+    EXPECT_EQ(fast.pending, ref.pending);
+    EXPECT_EQ(fast.executed, ref.executed);
+    // No cancelled or moved event leaves an entry behind in the heap.
+    EXPECT_EQ(fast.stale_ops, 0u);
+  }
+}
+
+// ---- PS queue: the tracked minimum residual ----------------------------------
+
+struct ResidualTrace {
+  ReplayTrace replay;
+  std::uint64_t events = 0;
+  bool went_fast = false;      // optimized queue only: entered virtual-time mode
+  bool came_back = false;      // ... and returned to per-job residuals
+};
+
+/// Drives one queue through admits (a short one undercutting every resident
+/// residual), removal of the job holding the minimum and of others, a stall
+/// at zero capacity and back, a climb to `peak` resident jobs, removals down
+/// to 200 and a second climb to `peak`, then drains it.
+template <typename Sim, typename Queue>
+ResidualTrace min_residual_script(std::size_t peak, std::uint64_t seed) {
+  Sim sim;
+  util::Rng rng(seed);
+  ResidualTrace out;
+  Queue queue(sim, 2.0, [&](std::uint64_t job) {
+    out.replay.order.push_back(job);
+    out.replay.times.push_back(sim.now());
+  });
+  std::vector<std::uint64_t> ids;
+  auto watch_mode = [&] {
+    if constexpr (std::is_same_v<Queue, sim::PsQueue>) {
+      if (queue.fast_mode()) out.went_fast = true;
+      if (out.went_fast && !queue.fast_mode()) out.came_back = true;
+    }
+  };
+  auto admit_up_to = [&](std::size_t resident) {
+    while (queue.jobs_in_service() < resident) {
+      ids.push_back(queue.add_job(rng.uniform(0.5, 4.0)));
+      watch_mode();
+    }
+  };
+  sim.schedule(0.0, [&] { admit_up_to(40); });
+  sim.schedule(0.1, [&] { ids.push_back(queue.add_job(1e-3)); });  // the new minimum
+  sim.schedule(0.105, [&] { queue.remove_job(ids.back()); });       // remove the minimum
+  sim.schedule(0.2, [&] { queue.remove_job(ids[5]); });             // remove another
+  sim.schedule(0.3, [&] { queue.set_capacity(0.0); });
+  sim.schedule(0.6, [&] { queue.set_capacity(1.5); });
+  sim.schedule(1.0, [&] { admit_up_to(peak); });
+  sim.schedule(1.5, [&] {
+    for (auto it = ids.rbegin(); it != ids.rend() && queue.jobs_in_service() > 200; ++it) {
+      queue.remove_job(*it);
+      watch_mode();
+    }
+  });
+  sim.schedule(1.6, [&] { ids.push_back(queue.add_job(1e-3)); });
+  sim.schedule(2.0, [&] { admit_up_to(peak); });
+  sim.run();
+  watch_mode();
+  out.replay.work_done_gcycles = queue.work_done_gcycles();
+  out.replay.busy_time_s = queue.busy_time_s();
+  out.replay.stalled_time_s = queue.stalled_time_s();
+  out.events = sim.events_executed();
+  return out;
+}
+
+TEST(EventLoopEquivalence, MinimumResidualBelowThresholdIsBitIdenticalToNaive) {
+  const std::size_t peak = sim::PsQueue::kFastUpThreshold - 112;  // 400: never fast
+  const ResidualTrace fast = min_residual_script<sim::Simulation, sim::PsQueue>(peak, 11);
+  const ResidualTrace ref =
+      min_residual_script<sim::naive::Simulation, sim::naive::PsQueue>(peak, 11);
+
+  EXPECT_FALSE(fast.went_fast);
+  ASSERT_EQ(fast.replay.order.size(), ref.replay.order.size());
+  EXPECT_EQ(fast.replay.order, ref.replay.order);
+  for (std::size_t i = 0; i < fast.replay.times.size(); ++i) {
+    ASSERT_EQ(fast.replay.times[i], ref.replay.times[i]) << "completion " << i;
+  }
+  // A stale minimum would add or drop a completion event, and split a sync.
+  EXPECT_EQ(fast.events, ref.events);
+  EXPECT_EQ(fast.replay.work_done_gcycles, ref.replay.work_done_gcycles);
+  EXPECT_EQ(fast.replay.busy_time_s, ref.replay.busy_time_s);
+  EXPECT_EQ(fast.replay.stalled_time_s, ref.replay.stalled_time_s);
+}
+
+TEST(EventLoopEquivalence, MinimumResidualAcrossModeSwitchesAgreesWithNaive) {
+  // 700 resident jobs crosses 512 up and 256 down, twice; the conversions
+  // round residuals at ulp level, so times agree to a tight tolerance.
+  const std::size_t peak = 700;
+  const ResidualTrace fast = min_residual_script<sim::Simulation, sim::PsQueue>(peak, 12);
+  const ResidualTrace ref =
+      min_residual_script<sim::naive::Simulation, sim::naive::PsQueue>(peak, 12);
+
+  EXPECT_TRUE(fast.went_fast);
+  EXPECT_TRUE(fast.came_back);
+  ASSERT_EQ(fast.replay.order.size(), ref.replay.order.size());
+  EXPECT_EQ(fast.replay.order, ref.replay.order);
+  for (std::size_t i = 0; i < fast.replay.times.size(); ++i) {
+    const double scale = std::max(1.0, std::abs(ref.replay.times[i]));
+    ASSERT_NEAR(fast.replay.times[i], ref.replay.times[i], 1e-9 * scale) << "completion " << i;
+  }
+  EXPECT_NEAR(fast.replay.work_done_gcycles, ref.replay.work_done_gcycles,
+              1e-6 * std::max(1.0, ref.replay.work_done_gcycles));
 }
 
 TEST(EventLoopEquivalence, TelemetryCsvIsByteDeterministic) {

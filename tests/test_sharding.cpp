@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,24 @@ namespace {
 
 TEST(ShardedEngine, RejectsZeroShards) {
   EXPECT_THROW(sim::ShardedEngine(0, 1), std::invalid_argument);
+}
+
+TEST(ShardedEngine, RunUntilRejectsNonFiniteTime) {
+  sim::ShardedEngine engine(2, 1);
+  int ticks = 0;
+  // A self-rescheduling spine event, like the Testbed's control tick.
+  std::function<void()> tick = [&] {
+    ++ticks;
+    engine.spine().schedule_after(1.0, [&] { tick(); });
+  };
+  engine.spine().schedule(1.0, [&] { tick(); });
+  EXPECT_THROW(engine.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(engine.run_until(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_EQ(ticks, 0);
+  engine.run_until(3.0);
+  EXPECT_EQ(ticks, 3);
 }
 
 TEST(ShardedEngine, ShardsAreDistinctLoops) {
