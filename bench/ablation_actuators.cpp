@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,17 +123,18 @@ VariantMetrics analyze(const char* name, const ScenarioResult& result, double su
   // Power proxy: total granted capacity = per-replica allocation x replica
   // count, summed over tiers, averaged over the post-surge window. The
   // replica series exists only when replication is active (1 otherwise).
-  const std::vector<std::vector<double>>& alloc = result.allocation_series(0);
-  const bool replicated = result.recorder.has(replica_series_name(0));
-  const std::vector<std::vector<double>>* replicas =
-      replicated ? &result.recorder.rows(replica_series_name(0)) : nullptr;
+  const telemetry::Recorder::RowsView alloc = result.allocation_series(0);
+  const std::optional<telemetry::Recorder::RowsView> replicas =
+      result.recorder.has(replica_series_name(0))
+          ? std::optional(result.recorder.rows(replica_series_name(0)))
+          : std::nullopt;
   util::RunningStats alloc_stats;
   double peak = 0.0;
   for (std::size_t k = 0; k < alloc.size(); ++k) {
     double total_ghz = 0.0;
     double total_replicas = 0.0;
     for (std::size_t j = 0; j < alloc[k].size(); ++j) {
-      const double n = replicas != nullptr && k < replicas->size() ? (*replicas)[k][j] : 1.0;
+      const double n = replicas && k < replicas->size() ? (*replicas)[k][j] : 1.0;
       total_ghz += alloc[k][j] * n;
       total_replicas += n;
     }

@@ -1,9 +1,6 @@
 #include "app/monitor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/statistics.hpp"
 
 namespace vdc::app {
 
@@ -16,35 +13,12 @@ std::string to_string(SlaMetric metric) {
   return "?";
 }
 
-namespace {
-
-PeriodStats stats_of(std::vector<double> samples, double q, SlaMetric metric) {
-  PeriodStats out;
-  out.count = samples.size();
-  if (samples.empty()) return out;
-  util::RunningStats rs;
-  for (double s : samples) rs.add(s);
-  out.mean = rs.mean();
-  out.min = rs.min();
-  out.max = rs.max();
-  out.quantile = util::quantile(std::move(samples), q);
-  switch (metric) {
-    case SlaMetric::kQuantile: out.controlled = out.quantile; break;
-    case SlaMetric::kMean: out.controlled = out.mean; break;
-    case SlaMetric::kMax: out.controlled = out.max; break;
-  }
-  return out;
-}
-
-}  // namespace
-
 ResponseTimeMonitor::ResponseTimeMonitor(double q, SlaMetric metric) : q_(q), metric_(metric) {
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("ResponseTimeMonitor: q outside [0,1]");
 }
 
 void ResponseTimeMonitor::record(double response_time_s) {
   period_.add(response_time_s);  // throws on NaN before any state mutates
-  lifetime_samples_.push_back(response_time_s);
 }
 
 std::optional<PeriodStats> ResponseTimeMonitor::harvest() {
@@ -70,10 +44,6 @@ std::optional<PeriodStats> ResponseTimeMonitor::harvest() {
   out.dropped = dropped;
   out.stale = stale;
   return out;
-}
-
-PeriodStats ResponseTimeMonitor::lifetime() const {
-  return stats_of(lifetime_samples_, q_, metric_);
 }
 
 }  // namespace vdc::app

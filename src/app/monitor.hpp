@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "util/statistics.hpp"
 
@@ -69,9 +68,6 @@ class ResponseTimeMonitor {
   /// so callers can tell sensor failure apart from idleness.
   [[nodiscard]] std::optional<PeriodStats> harvest();
 
-  /// Statistics over everything recorded since construction (all periods).
-  [[nodiscard]] PeriodStats lifetime() const;
-
   [[nodiscard]] std::size_t pending_samples() const noexcept { return period_.count(); }
   [[nodiscard]] SlaMetric metric() const noexcept { return metric_; }
   [[nodiscard]] double quantile_level() const noexcept { return q_; }
@@ -79,15 +75,11 @@ class ResponseTimeMonitor {
  private:
   double q_;
   SlaMetric metric_;
-  // Per-period statistics are maintained by the shared util::WindowStats
-  // accumulator (Welford moments plus the period's samples), so record() is
-  // O(1) and harvest() selects the period's quantile in O(n) instead of
-  // copying and sorting every sample. The values are identical to the
-  // historical copy+sort (same Welford add order, same type-7 interpolation
-  // over the same order statistics) — and bit-identical to the telemetry
-  // tsdb's tier rollups, which run the same accumulator.
+  // The current period only (Welford moments plus its samples): record() is
+  // O(1), harvest() selects the quantile in O(n), and the values are
+  // bit-identical to the tsdb's tier rollups, which run the same
+  // accumulator. Nothing outlives the period.
   util::WindowStats period_;
-  std::vector<double> lifetime_samples_;
   std::size_t period_dropped_ = 0;
   bool period_stale_ = false;
 };

@@ -14,15 +14,6 @@
 
 namespace vdc::sim::audit {
 
-/// A newly scheduled event must carry a finite timestamp no earlier than
-/// the current clock.
-inline void event_time(double now_s, double event_time_s) {
-  VDC_INVARIANT(std::isfinite(event_time_s),
-                "event timestamp is not finite: t=" << event_time_s);
-  VDC_INVARIANT(event_time_s >= now_s,
-                "event scheduled in the past: t=" << event_time_s << " now=" << now_s);
-}
-
 /// Executing the event queue never moves the clock backwards.
 inline void clock_monotonic(double previous_s, double next_s) {
   VDC_INVARIANT(next_s >= previous_s,

@@ -16,8 +16,7 @@ const std::vector<double>& ScenarioResult::response_series(std::size_t app) cons
   return recorder.values(response_series_name(app));
 }
 
-const std::vector<std::vector<double>>& ScenarioResult::allocation_series(
-    std::size_t app) const {
+telemetry::Recorder::RowsView ScenarioResult::allocation_series(std::size_t app) const {
   return recorder.rows(allocation_series_name(app));
 }
 

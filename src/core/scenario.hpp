@@ -110,8 +110,7 @@ struct ScenarioResult {
   std::uint64_t scale_ins = 0;
 
   [[nodiscard]] const std::vector<double>& response_series(std::size_t app = 0) const;
-  [[nodiscard]] const std::vector<std::vector<double>>& allocation_series(
-      std::size_t app = 0) const;
+  [[nodiscard]] telemetry::Recorder::RowsView allocation_series(std::size_t app = 0) const;
   /// Cluster power per period (testbed engine only).
   [[nodiscard]] const std::vector<double>& power_series() const;
   /// Statistics over response samples recorded after `from_s`.

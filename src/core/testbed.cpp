@@ -304,12 +304,8 @@ const std::vector<double>& Testbed::power_series() const {
   return recorder_.values(kPowerSeries);
 }
 
-const std::vector<std::vector<double>>& Testbed::allocation_series(std::size_t app) const {
+telemetry::Recorder::RowsView Testbed::allocation_series(std::size_t app) const {
   return recorder_for_app(app).rows(allocation_series_name(app));
-}
-
-app::PeriodStats Testbed::lifetime_stats(std::size_t app) const {
-  return stacks_.at(app)->monitor().lifetime();
 }
 
 util::RunningStats Testbed::response_stats_after(std::size_t app, double from_s) const {

@@ -194,10 +194,7 @@ class Testbed {
   [[nodiscard]] telemetry::Recorder take_recorder();
   [[nodiscard]] const std::vector<double>& response_series(std::size_t app) const;
   [[nodiscard]] const std::vector<double>& power_series() const;
-  [[nodiscard]] const std::vector<std::vector<double>>& allocation_series(
-      std::size_t app) const;
-  /// Response-time statistics over everything since construction.
-  [[nodiscard]] app::PeriodStats lifetime_stats(std::size_t app) const;
+  [[nodiscard]] telemetry::Recorder::RowsView allocation_series(std::size_t app) const;
   /// Statistics over periods recorded after `from_s` (skip settling).
   [[nodiscard]] util::RunningStats response_stats_after(std::size_t app, double from_s) const;
 

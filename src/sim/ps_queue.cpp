@@ -118,9 +118,7 @@ void PsQueue::naive_sync(double elapsed_s) {
   // survivors' smallest residual is kept for schedule_next_completion.
   std::vector<Finished> finished = take_finished_buffer();
   double min_remaining = std::numeric_limits<double>::infinity();
-  // Hash order: every job gets the same per_job decrement and completions
-  // are sorted by id before delivery; only the work_done accumulation order
-  // follows the map, which the accounting audit bounds with a tolerance.
+  // vdc-lint: unordered-iter-ok every job gets the same per_job decrement and completions are sorted by id before delivery; only the work_done accumulation order follows the map, which the accounting audit bounds with a tolerance
   for (auto it = residuals_.begin(); it != residuals_.end();) {
     Residual& job = it->second;
     job.remaining -= per_job;

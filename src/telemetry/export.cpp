@@ -53,7 +53,7 @@ std::optional<VectorColumn> parse_vector_column(const std::string& column) {
 void write_csv(const Recorder& recorder, std::ostream& out) {
   if (recorder.empty()) throw std::invalid_argument("telemetry::write_csv: no series");
 
-  // Header: scalar series as-is, vector series flattened to max row width.
+  // Header: scalar series as-is, vector series flattened to their row width.
   std::vector<std::string> header;
   struct Column {
     const std::string* series;
@@ -65,10 +65,8 @@ void write_csv(const Recorder& recorder, std::ostream& out) {
   for (const std::string& name : recorder.series_names()) {
     samples = std::max(samples, recorder.size(name));
     if (recorder.is_vector(name)) {
-      std::size_t width = 0;
-      for (const std::vector<double>& row : recorder.rows(name)) {
-        width = std::max(width, row.size());
-      }
+      const Recorder::RowsView rows = recorder.rows(name);
+      const std::size_t width = rows.empty() ? 0 : rows.front().size();
       for (std::size_t j = 0; j < width; ++j) {
         header.push_back(name + "[" + std::to_string(j) + "]");
         columns.push_back(Column{&name, true, j});
@@ -86,7 +84,7 @@ void write_csv(const Recorder& recorder, std::ostream& out) {
       const Column& column = columns[c];
       cells[c].clear();
       if (column.vector) {
-        const auto& rows = recorder.rows(*column.series);
+        const Recorder::RowsView rows = recorder.rows(*column.series);
         if (k < rows.size() && column.index < rows[k].size()) {
           cells[c] = format_sample(rows[k][column.index]);
         }
@@ -151,7 +149,7 @@ Recorder from_csv(std::string_view text) {
         if (j >= row.size() || row[j].empty()) break;
         sample.push_back(parse_sample(row[j]));
       }
-      recorder.append(series, std::move(sample));
+      recorder.append(series, sample);
     }
   }
   return recorder;

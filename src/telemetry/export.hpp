@@ -32,7 +32,8 @@ void write_csv_file(const Recorder& recorder, const std::filesystem::path& path)
 /// Parses a table produced by `write_csv` back into a Recorder. Columns
 /// named "name[i]" are reassembled into the vector series "name"; every
 /// other column becomes a scalar series. Empty cells are skipped. The
-/// recorder's tier-0 retention is unbounded, so every row is kept.
+/// recorder's tier-0 retention is unbounded, so every row is kept. A vector
+/// series whose rows differ in width throws std::invalid_argument.
 [[nodiscard]] Recorder from_csv(std::string_view text);
 
 /// `from_csv` on a file's contents; throws std::runtime_error when

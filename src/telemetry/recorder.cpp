@@ -47,14 +47,6 @@ const Recorder::Series* Recorder::find(std::string_view series) const noexcept {
   return it == ids_.end() ? nullptr : &series_[static_cast<std::size_t>(it->second)];
 }
 
-Recorder::SeriesId Recorder::declare_scalar(const std::string& series) {
-  return open(series, /*vector=*/false);
-}
-
-Recorder::SeriesId Recorder::declare_vector(const std::string& series) {
-  return open(series, /*vector=*/true);
-}
-
 void Recorder::append(SeriesId series, double value) {
   Series& s = at(series, /*vector=*/false);
   const double time_s =
@@ -70,20 +62,22 @@ void Recorder::append_at(SeriesId series, double time_s, double value) {
 }
 
 void Recorder::append(SeriesId series, std::span<const double> row) {
-  at(series, /*vector=*/true).rows.emplace_back(row.begin(), row.end());
-}
-
-void Recorder::append(const std::string& series, double value) {
-  append(open(series, /*vector=*/false), value);
-}
-
-void Recorder::append_at(const std::string& series, double time_s, double value) {
-  append_at(open(series, /*vector=*/false), time_s, value);
-}
-
-void Recorder::append(const std::string& series, std::vector<double> row) {
-  // The row is moved in rather than copied through the span overload.
-  at(open(series, /*vector=*/true), /*vector=*/true).rows.push_back(std::move(row));
+  Series& s = at(series, /*vector=*/true);
+  if (s.rows == 0) s.width = row.size();  // only before the first row
+  if (row.size() != s.width) {
+    throw std::invalid_argument("Recorder: series '" + names_[static_cast<std::size_t>(series)] +
+                                "' holds rows of width " + std::to_string(s.width));
+  }
+  // The tsdb's tier-0 rule: past tier0_max_pages pages, the row that opens
+  // a page drops the oldest page whole. Erasing keeps the capacity.
+  const std::size_t page = config_.tsdb.page_samples;
+  if (config_.tsdb.tier0_max_pages > 0 && s.rows == config_.tsdb.tier0_max_pages * page) {
+    s.data.erase(s.data.begin(), s.data.begin() + static_cast<std::ptrdiff_t>(page * s.width));
+    s.rows -= page;
+  }
+  s.data.insert(s.data.end(), row.begin(), row.end());
+  ++s.rows;
+  s.cache_dirty = true;
 }
 
 bool Recorder::has(std::string_view series) const noexcept { return find(series) != nullptr; }
@@ -114,18 +108,27 @@ const std::vector<double>& Recorder::values(std::string_view series) const {
   return scalar_samples(*s);
 }
 
-const std::vector<std::vector<double>>& Recorder::rows(std::string_view series) const {
+Recorder::RowsView Recorder::rows(std::string_view series) const {
   const Series* s = find(series);
   if (s == nullptr || !s->vector) {
     throw std::out_of_range("Recorder: no vector series named '" + std::string(series) + "'");
   }
-  return s->rows;
+  return RowsView(*s);
+}
+
+Recorder::RowsView::operator const std::vector<std::vector<double>>&() const {
+  if (series_->cache_dirty) {
+    series_->row_cache.clear();
+    for (const auto row : rows_) series_->row_cache.emplace_back(row.begin(), row.end());
+    series_->cache_dirty = false;
+  }
+  return series_->row_cache;
 }
 
 std::size_t Recorder::size(std::string_view series) const noexcept {
   const Series* s = find(series);
   if (s == nullptr) return 0;
-  if (s->vector) return s->rows.size();
+  if (s->vector) return s->rows;
   return tsdb_.samples_appended(s->metric) - tsdb_.samples_evicted(s->metric);
 }
 
@@ -157,23 +160,14 @@ void Recorder::annotate(double time_s, std::string label) {
   annotations_.push_back(Annotation{time_s, std::move(label)});
 }
 
-void Recorder::clear() {
-  series_.clear();
-  ids_.clear();
-  names_.clear();
-  annotations_.clear();
-  tsdb_ = tsdb::Tsdb(config_.tsdb);
-}
-
 bool operator==(const Recorder& a, const Recorder& b) {
   if (a.names_ != b.names_ || a.annotations_ != b.annotations_) return false;
   for (const std::string& name : a.names_) {
     const Recorder::Series* sa = a.find(name);
     const Recorder::Series* sb = b.find(name);
     if (sb == nullptr || sa->vector != sb->vector) return false;
-    if (sa->vector) {
-      if (sa->rows != sb->rows) return false;
-    } else if (a.scalar_samples(*sa) != b.scalar_samples(*sb)) {
+    if (sa->vector ? sa->rows != sb->rows || sa->data != sb->data
+                   : a.scalar_samples(*sa) != b.scalar_samples(*sb)) {
       return false;
     }
   }

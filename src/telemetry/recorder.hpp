@@ -13,9 +13,12 @@
 // values() returns every appended sample in append order, so every exporter
 // reading it sees the same bytes an unbounded vector would hold; past
 // retention, raw history ages out but the rollups stay exact. NaN samples
-// are rejected (counted, never stored). Vector series (rows) are kept in
-// plain vectors — they are per-tier allocation snapshots, small and
-// structural, not streaming metrics.
+// are rejected (counted, never stored). Vector series keep their rows in one
+// flat buffer of the first row's width, under the same tier-0 rule: past
+// tier0_max_pages pages of page_samples rows, the row that opens a page
+// drops the oldest page whole (0 keeps every row). At the defaults (64 pages
+// x 256 samples, 4,096 tier-1 and 1,024 tier-2 points) a scalar metric levels
+// off near 0.5 MB, and memory stops growing once every series is full.
 //
 // References returned by the accessors stay valid as more series are
 // created (series storage is a deque indexed by id).
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
@@ -60,6 +64,8 @@ struct RecorderConfig {
 };
 
 class Recorder {
+  struct Series;
+
  public:
   /// A series handle: its index in creation order (series_names()[id]).
   /// Ids stay valid as more series are created; absorb() renumbers the
@@ -71,12 +77,37 @@ class Recorder {
   /// Throws std::invalid_argument on a bad sample_period_s or tsdb config.
   explicit Recorder(RecorderConfig config);
 
+  /// Read-only view of a vector series' retained rows, oldest first: row k
+  /// is a span of the series' row width. Valid until the series' next append.
+  class RowsView : public std::ranges::view_interface<RowsView> {
+   public:
+    [[nodiscard]] auto begin() const { return rows_.begin(); }
+    [[nodiscard]] auto end() const { return rows_.end(); }
+    /// The rows copied out as nested vectors into a per-series cache (the
+    /// reference stays valid and is refreshed in place). Implicit, so code
+    /// that binds rows() to `const std::vector<std::vector<double>>&` works.
+    operator const std::vector<std::vector<double>>&() const;
+
+   private:
+    friend class Recorder;
+    struct RowAt {
+      const Series* series;
+      std::span<const double> operator()(std::size_t k) const {
+        return {series->data.data() + k * series->width, series->width};
+      }
+    };
+    explicit RowsView(const Series& series)
+        : series_(&series), rows_(std::views::iota(std::size_t{0}, series.rows), RowAt{&series}) {}
+    const Series* series_;
+    std::ranges::transform_view<std::ranges::iota_view<std::size_t, std::size_t>, RowAt> rows_;
+  };
+
   /// Creates an empty series up front so accessors are valid before the
   /// first sample arrives, and returns its id. When it already exists with
   /// this kind, returns the existing id; with the other kind, throws
   /// std::invalid_argument.
-  SeriesId declare_scalar(const std::string& series);
-  SeriesId declare_vector(const std::string& series);
+  SeriesId declare_scalar(const std::string& series) { return open(series, false); }
+  SeriesId declare_vector(const std::string& series) { return open(series, true); }
 
   /// Appends one sample to a scalar series at the synthesized timestamp
   /// index * sample_period_s.
@@ -84,15 +115,20 @@ class Recorder {
   /// Appends one sample with an explicit timestamp (simulation time). A
   /// timestamp before the series' last accepted one is rejected.
   void append_at(SeriesId series, double time_s, double value);
-  /// Appends one row (copied) to a vector series.
+  /// Appends one row (copied) to a vector series. Every row of a series has
+  /// the first row's width; another width throws std::invalid_argument.
   void append(SeriesId series, std::span<const double> row);
   // The id overloads throw std::out_of_range for an id this recorder never
   // issued and std::invalid_argument for an id of the other kind.
 
   /// By-name forms: create the series on first use, then append as above.
-  void append(const std::string& series, double value);
-  void append_at(const std::string& series, double time_s, double value);
-  void append(const std::string& series, std::vector<double> row);
+  void append(const std::string& series, double value) { append(open(series, false), value); }
+  void append_at(const std::string& series, double time_s, double value) {
+    append_at(open(series, false), time_s, value);
+  }
+  void append(const std::string& series, const std::vector<double>& row) {
+    append(open(series, true), std::span<const double>(row));
+  }
 
   [[nodiscard]] bool has(std::string_view series) const noexcept;
   [[nodiscard]] bool is_vector(std::string_view series) const;
@@ -102,9 +138,10 @@ class Recorder {
   /// tier-0 samples into a per-series cache (the returned reference stays
   /// valid and is refreshed in place).
   [[nodiscard]] const std::vector<double>& values(std::string_view series) const;
-  /// Rows of a vector series; throws std::out_of_range when unknown or
-  /// when the name refers to a scalar series.
-  [[nodiscard]] const std::vector<std::vector<double>>& rows(std::string_view series) const;
+  /// Retained rows of a vector series, oldest first; throws
+  /// std::out_of_range when unknown or when the name refers to a scalar
+  /// series.
+  [[nodiscard]] RowsView rows(std::string_view series) const;
 
   /// Number of retained samples in a series (either kind); 0 for unknown
   /// names. Equal to the number appended while nothing has been evicted.
@@ -137,7 +174,7 @@ class Recorder {
   [[nodiscard]] std::size_t series_count() const noexcept { return names_.size(); }
   [[nodiscard]] bool empty() const noexcept { return names_.empty(); }
 
-  void clear();
+  void clear() { *this = Recorder(config_); }
 
   [[nodiscard]] const RecorderConfig& config() const noexcept { return config_; }
   /// The tiered store behind the scalar series. Tier/rollup queries go
@@ -153,10 +190,15 @@ class Recorder {
  private:
   struct Series {
     bool vector = false;
-    std::vector<std::vector<double>> rows;
     tsdb::MetricId metric = 0;  // scalar series only
-    // Tier-0 samples materialized on demand for values().
+    // Vector series: the retained rows, flat and oldest first.
+    std::vector<double> data;
+    std::size_t width = 0;  // fixed by the first row
+    std::size_t rows = 0;
+    // Tier-0 samples materialized on demand for values(), or the rows for
+    // RowsView's nested-vector form.
     mutable std::vector<double> cache;
+    mutable std::vector<std::vector<double>> row_cache;
     mutable bool cache_dirty = false;
   };
 

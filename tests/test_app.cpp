@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
-#include "app/monitor.hpp"
 #include "util/statistics.hpp"
 
 namespace vdc::app {
@@ -63,12 +64,12 @@ TEST(MultiTierApp, MoreCpuLowersResponseTime) {
   const auto p90_at = [](double alloc) {
     sim::Simulation sim;
     MultiTierApp app(sim, small_app(4, 40));
-    ResponseTimeMonitor monitor(0.9);
-    app.set_response_callback([&](double, double rt) { monitor.record(rt); });
+    std::vector<double> samples;
+    app.set_response_callback([&](double, double rt) { samples.push_back(rt); });
     app.set_allocations(std::vector<double>(2, alloc));
     app.start();
     sim.run_until(400.0);
-    return monitor.lifetime().quantile;
+    return util::quantile(std::move(samples), 0.9);
   };
   const double starved = p90_at(0.25);
   const double generous = p90_at(1.5);

@@ -36,19 +36,6 @@ using check::CheckFailure;
 
 // ---- sim::audit -------------------------------------------------------------
 
-TEST(SimAudit, RejectsEventScheduledInThePast) {
-  EXPECT_NO_THROW(sim::audit::event_time(5.0, 5.0));
-  EXPECT_NO_THROW(sim::audit::event_time(5.0, 7.5));
-  EXPECT_THROW(sim::audit::event_time(5.0, 4.0), CheckFailure);
-}
-
-TEST(SimAudit, RejectsNonFiniteEventTime) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(sim::audit::event_time(0.0, nan), CheckFailure);
-  EXPECT_THROW(sim::audit::event_time(0.0, inf), CheckFailure);
-}
-
 TEST(SimAudit, RejectsClockRewind) {
   EXPECT_NO_THROW(sim::audit::clock_monotonic(1.0, 1.0));
   EXPECT_THROW(sim::audit::clock_monotonic(5.0, 4.999), CheckFailure);

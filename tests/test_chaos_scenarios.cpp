@@ -6,6 +6,8 @@
 // bit-identical telemetry on every rerun.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -75,7 +77,8 @@ TEST(ChaosScenarios, StaleSensorTriggersMpcHoldAndRecovery) {
   const auto& allocs = run.allocation_series(0);
   const std::size_t last_fresh = 200 / 4 - 2;
   for (std::size_t k = last_fresh + 1; k <= last_fresh + 25; ++k) {
-    EXPECT_EQ(allocs[k], allocs[last_fresh]) << "allocation moved during hold, tick " << k;
+    EXPECT_TRUE(std::ranges::equal(allocs[k], allocs[last_fresh]))
+        << "allocation moved during hold, tick " << k;
   }
   // And it recovers: post-window response returns to the set point.
   EXPECT_NEAR(run.response_stats_after(0, 600.0).mean(), spec.stack.mpc.setpoint, 0.3);
@@ -91,7 +94,7 @@ TEST(ChaosScenarios, SensorSpikesDoNotDestabilizeTheController) {
   // The corrupted measurements are *measurements*, not reality: the p90
   // the monitor reported during the window includes the spikes, but the
   // allocations stay inside the MPC's actuator bounds throughout.
-  for (const std::vector<double>& a : run.allocation_series(0)) {
+  for (const std::span<const double> a : run.allocation_series(0)) {
     for (const double ghz : a) {
       EXPECT_GE(ghz, 0.0);
       EXPECT_LE(ghz, spec.stack.mpc.c_max[0] + 1e-9);

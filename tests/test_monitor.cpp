@@ -52,24 +52,6 @@ TEST(Monitor, NinetiethPercentileDefault) {
   EXPECT_NEAR(stats->quantile, 91.0, 1e-9);
 }
 
-TEST(Monitor, LifetimeSpansAllPeriods) {
-  ResponseTimeMonitor m(0.5);
-  m.record(1.0);
-  (void)m.harvest();
-  m.record(3.0);
-  (void)m.harvest();
-  const PeriodStats life = m.lifetime();
-  EXPECT_EQ(life.count, 2u);
-  EXPECT_DOUBLE_EQ(life.mean, 2.0);
-}
-
-TEST(Monitor, LifetimeOnEmptyMonitorIsZeroed) {
-  const ResponseTimeMonitor m;
-  const PeriodStats life = m.lifetime();
-  EXPECT_EQ(life.count, 0u);
-  EXPECT_DOUBLE_EQ(life.mean, 0.0);
-}
-
 TEST(Monitor, ControlledValueFollowsMetricSelection) {
   const auto fill = [](ResponseTimeMonitor& m) {
     for (const double x : {1.0, 2.0, 3.0, 4.0, 10.0}) m.record(x);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "app/monitor.hpp"
+#include <utility>
+#include <vector>
+
 #include "app/multi_tier_app.hpp"
 #include "util/statistics.hpp"
 
@@ -90,12 +92,12 @@ TEST(OpenWorkload, ResponseTimesRiseWithUtilization) {
   const auto p90_at = [](double rate) {
     sim::Simulation sim;
     MultiTierApp app(sim, open_app(rate, 9));
-    ResponseTimeMonitor monitor(0.9);
-    app.set_response_callback([&](double, double rt) { monitor.record(rt); });
+    std::vector<double> samples;
+    app.set_response_callback([&](double, double rt) { samples.push_back(rt); });
     app.set_allocations(std::vector<double>{0.4, 0.6});  // web 50 rps capacity
     app.start();
     sim.run_until(400.0);
-    return monitor.lifetime().quantile;
+    return util::quantile(std::move(samples), 0.9);
   };
   EXPECT_GT(p90_at(40.0), 2.0 * p90_at(10.0));
 }

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "app/monitor.hpp"
 #include "app/multi_tier_app.hpp"
 #include "sim/simulation.hpp"
+#include "util/statistics.hpp"
 
 namespace vdc::app {
 namespace {
@@ -73,12 +73,12 @@ TEST(Mva, PredictsDesMeanResponseTime) {
 
   sim::Simulation sim;
   MultiTierApp app(sim, config);
-  ResponseTimeMonitor monitor(0.9);
-  app.set_response_callback([&](double, double rt) { monitor.record(rt); });
+  util::RunningStats response;
+  app.set_response_callback([&](double, double rt) { response.add(rt); });
   app.set_allocations(std::vector<double>{web_alloc, db_alloc});
   app.start();
   sim.run_until(2000.0);
-  const double sim_mean = monitor.lifetime().mean;
+  const double sim_mean = response.mean();
 
   const ClosedNetwork net{
       config.think_time_s,
@@ -141,15 +141,15 @@ TEST(Mg1Ps, PredictsOpenWorkloadDes) {
   const double db_alloc = 0.6;   // service time 0.02  -> rho 0.5
   sim::Simulation sim;
   MultiTierApp app(sim, config);
-  ResponseTimeMonitor monitor(0.9);
-  app.set_response_callback([&](double, double rt) { monitor.record(rt); });
+  util::RunningStats response;
+  app.set_response_callback([&](double, double rt) { response.add(rt); });
   app.set_allocations(std::vector<double>{web_alloc, db_alloc});
   app.start();
   sim.run_until(2000.0);
   const double expected =
       mg1_ps_response_time_s(25.0, config.tiers[0].mean_demand_gcycles / web_alloc) +
       mg1_ps_response_time_s(25.0, config.tiers[1].mean_demand_gcycles / db_alloc);
-  EXPECT_NEAR(monitor.lifetime().mean, expected, 0.12 * expected);
+  EXPECT_NEAR(response.mean(), expected, 0.12 * expected);
 }
 
 }  // namespace

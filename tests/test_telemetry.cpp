@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 
 namespace vdc::telemetry {
 namespace {
+
+std::vector<double> copy_of(std::span<const double> row) { return {row.begin(), row.end()}; }
 
 TEST(Recorder, ScalarSeriesAppendsInOrder) {
   Recorder rec;
@@ -35,7 +38,7 @@ TEST(Recorder, VectorSeriesKeepsRows) {
   rec.append("alloc", std::vector<double>{0.5, 0.6});
   EXPECT_TRUE(rec.is_vector("alloc"));
   ASSERT_EQ(rec.rows("alloc").size(), 2u);
-  EXPECT_EQ(rec.rows("alloc")[1], (std::vector<double>{0.5, 0.6}));
+  EXPECT_EQ(copy_of(rec.rows("alloc")[1]), (std::vector<double>{0.5, 0.6}));
 }
 
 TEST(Recorder, DeclareCreatesEmptySeries) {
@@ -163,8 +166,8 @@ TEST(RecorderSeriesId, NameAndIdAppendsLandInOneSeries) {
   rec.append(alloc, row);
   rec.append("app0/alloc", std::vector<double>{0.25, 1.0});
   ASSERT_EQ(rec.rows("app0/alloc").size(), 2u);
-  EXPECT_EQ(rec.rows("app0/alloc")[0], row);
-  EXPECT_EQ(rec.rows("app0/alloc")[1], (std::vector<double>{0.25, 1.0}));
+  EXPECT_EQ(copy_of(rec.rows("app0/alloc")[0]), row);
+  EXPECT_EQ(copy_of(rec.rows("app0/alloc")[1]), (std::vector<double>{0.25, 1.0}));
 
   // The id path and the name path build equal recorders.
   Recorder by_name;
@@ -328,6 +331,86 @@ TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
                 .front()
                 .count,
             4u);  // window [0,4) at 1 s synthesized spacing, period 4 s
+}
+
+TEST(RecorderTsdb, RowsAgeOutByWholePagesLikeScalars) {
+  RecorderConfig config;
+  config.tsdb.page_samples = 4;
+  config.tsdb.tier0_max_pages = 2;
+  Recorder rec(config);
+  for (int i = 0; i < 12; ++i) {
+    const double v = static_cast<double>(i);
+    rec.append("p90", v);
+    rec.append("alloc", std::vector<double>{v, -v});
+    // Rows and scalars keep the same window at every step.
+    ASSERT_EQ(rec.size("alloc"), rec.size("p90")) << "after " << i + 1 << " appends";
+  }
+  const Recorder::RowsView rows = rec.rows("alloc");
+  ASSERT_EQ(rows.size(), 8u);
+  EXPECT_EQ(copy_of(rows.front()), (std::vector<double>{4.0, -4.0}));
+  EXPECT_EQ(copy_of(rows.back()), (std::vector<double>{11.0, -11.0}));
+  // The 13th row opens a page: the oldest page goes whole.
+  rec.append("alloc", std::vector<double>{12.0, -12.0});
+  EXPECT_EQ(rec.size("alloc"), 5u);
+  EXPECT_EQ(rec.rows("alloc")[0][0], 8.0);
+
+  // tier0_max_pages = 0 keeps every row.
+  RecorderConfig keep_all = config;
+  keep_all.tsdb.tier0_max_pages = 0;
+  Recorder all(keep_all);
+  for (int i = 0; i < 100; ++i) all.append("alloc", std::vector<double>{static_cast<double>(i)});
+  EXPECT_EQ(all.size("alloc"), 100u);
+  EXPECT_EQ(all.rows("alloc")[0][0], 0.0);
+}
+
+TEST(RecorderTsdb, RowWidthIsFixedByTheFirstRow) {
+  Recorder rec;
+  const Recorder::SeriesId alloc = rec.declare_vector("alloc");
+  rec.append(alloc, std::vector<double>{0.5, 0.5});
+  EXPECT_THROW(rec.append(alloc, std::vector<double>{0.5}), std::invalid_argument);
+  EXPECT_THROW(rec.append("alloc", std::vector<double>{1.0, 2.0, 3.0}), std::invalid_argument);
+  EXPECT_EQ(rec.size("alloc"), 1u);  // rejected rows leave no trace
+  rec.append(alloc, std::vector<double>{0.25, 0.75});
+  EXPECT_EQ(copy_of(rec.rows("alloc")[1]), (std::vector<double>{0.25, 0.75}));
+}
+
+TEST(RecorderTsdb, RowsViewIteratesAndCopiesOut) {
+  Recorder rec;
+  rec.append("alloc", std::vector<double>{1.0, 2.0});
+  rec.append("alloc", std::vector<double>{3.0, 4.0});
+  double sum = 0.0;
+  for (const std::span<const double> row : rec.rows("alloc")) {
+    ASSERT_EQ(row.size(), 2u);
+    sum += row[0] + row[1];
+  }
+  EXPECT_EQ(sum, 10.0);
+  // The nested-vector form is cached per series and refreshed in place.
+  const std::vector<std::vector<double>>& nested = rec.rows("alloc");
+  EXPECT_EQ(nested, (std::vector<std::vector<double>>{{1.0, 2.0}, {3.0, 4.0}}));
+  rec.append("alloc", std::vector<double>{5.0, 6.0});
+  const std::vector<std::vector<double>>& again = rec.rows("alloc");
+  EXPECT_EQ(&again, &nested);
+  EXPECT_EQ(nested.size(), 3u);
+}
+
+TEST(RecorderTsdb, RowEqualityComparesRetainedRows) {
+  RecorderConfig small;
+  small.tsdb.page_samples = 2;
+  small.tsdb.tier0_max_pages = 1;
+  Recorder a(small);
+  Recorder b(small);
+  RecorderConfig keep_all = small;
+  keep_all.tsdb.tier0_max_pages = 0;
+  Recorder c(keep_all);
+  for (const double v : {1.0, 2.0, 3.0}) {
+    a.append("alloc", std::vector<double>{v});
+    b.append("alloc", std::vector<double>{v});
+  }
+  c.append("alloc", std::vector<double>{3.0});
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == c);  // only row 3.0 is retained in a
+  b.append("alloc", std::vector<double>{4.0});
+  EXPECT_FALSE(a == b);
 }
 
 TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {

@@ -240,15 +240,31 @@ std::size_t skip_angle_brackets(const std::vector<Token>& code, std::size_t i) {
 void rule_unordered_iter(SourceFile& file, const std::set<std::string>& unordered_names,
                          std::vector<Finding>& out) {
   const std::vector<Token>& code = file.code;
-  // Range-for statements whose range mentions a name declared (anywhere in
-  // the tree — members live in headers, loops in .cpp files) with an
-  // unordered container type.
+  // A name declared (anywhere in the tree — members live in headers, loops
+  // in .cpp files) with an unordered container type, or the type itself.
+  const auto unordered = [&](std::size_t j) {
+    return j < code.size() && code[j].kind == TokenKind::kIdentifier &&
+           (unordered_names.count(std::string(code[j].text)) > 0 ||
+            code[j].text == "unordered_map" || code[j].text == "unordered_set");
+  };
+  const auto is_begin = [&](std::size_t j) {
+    return j < code.size() && (is_ident(code[j], "begin") || is_ident(code[j], "cbegin"));
+  };
+  const auto flag = [&](std::size_t i, std::size_t j, const char* loop) {
+    emit(file, out, "unordered-iter", code[i].line, code[i].col,
+         std::string(loop) + " over unordered container '" + std::string(code[j].text) +
+             "': iteration order is implementation-defined and must not influence "
+             "plan ordering or floating-point summation");
+  };
+  // Range-for statements whose range mentions such a name, and classic for
+  // statements whose init-statement takes its begin()/cbegin() (member or
+  // std:: free form): both walk the container in hash order.
   for (std::size_t i = 0; i + 1 < code.size(); ++i) {
     if (!is_ident(code[i], "for") || !is_punct(code[i + 1], "(")) continue;
     int depth = 0;
     std::size_t colon = 0;
     std::size_t close = 0;
-    bool classic = false;
+    std::size_t semicolon = 0;
     for (std::size_t j = i + 1; j < code.size(); ++j) {
       if (is_punct(code[j], "(")) {
         ++depth;
@@ -259,21 +275,29 @@ void rule_unordered_iter(SourceFile& file, const std::set<std::string>& unordere
         }
       } else if (depth == 1 && colon == 0) {
         if (is_punct(code[j], ";")) {
-          classic = true;
+          semicolon = j;
           break;
         }
         if (is_punct(code[j], ":")) colon = j;
       }
     }
-    if (classic || colon == 0 || close == 0) continue;
+    if (semicolon != 0) {
+      for (std::size_t j = i + 2; j < semicolon; ++j) {
+        const bool member = unordered(j) && j + 2 < semicolon &&
+                            (is_punct(code[j + 1], ".") || is_punct(code[j + 1], "->")) &&
+                            is_begin(j + 2);
+        if (member || (is_begin(j) && j + 2 < semicolon && is_punct(code[j + 1], "(") &&
+                       unordered(j + 2))) {
+          flag(i, member ? j : j + 2, "iterator loop");
+          break;
+        }
+      }
+      continue;
+    }
+    if (colon == 0 || close == 0) continue;
     for (std::size_t j = colon + 1; j < close; ++j) {
-      if (code[j].kind != TokenKind::kIdentifier) continue;
-      if (unordered_names.count(std::string(code[j].text)) > 0 ||
-          code[j].text == "unordered_map" || code[j].text == "unordered_set") {
-        emit(file, out, "unordered-iter", code[i].line, code[i].col,
-             "range-for over unordered container '" + std::string(code[j].text) +
-                 "': iteration order is implementation-defined and must not influence "
-                 "plan ordering or floating-point summation");
+      if (unordered(j)) {
+        flag(i, j, "range-for");
         break;
       }
     }

@@ -11,7 +11,8 @@
 //   determinism       std::rand/srand, time(), std::chrono::system_clock and
 //                     std::random_device are banned everywhere — every result
 //                     in this repo must replay bit-identically.
-//   unordered-iter    range-for over std::unordered_map/unordered_set in the
+//   unordered-iter    range-for over std::unordered_map/unordered_set, or an
+//                     iterator loop starting at its begin()/cbegin(), in the
 //                     plan-ordering subsystems (src/sim, src/consolidate,
 //                     src/datacenter, src/core) needs an annotation stating
 //                     why iteration order cannot leak into results.
