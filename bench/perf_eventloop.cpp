@@ -3,7 +3,7 @@
 // Drives an identical closed-loop workload — N clients cycling through a
 // processor-sharing queue with heavy-tailed demands and exponential think
 // times — through both the optimized engine (sim::Simulation slab +
-// dual-mode sim::PsQueue) and the retained naive reference
+// virtual-time sim::PsQueue) and the retained naive reference
 // (sim::naive::*), and reports throughput for each at 1k / 10k / 100k
 // resident jobs. Results are written as machine-readable JSON
 // (BENCH_eventloop.json) so CI can gate on regressions.

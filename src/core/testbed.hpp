@@ -204,6 +204,11 @@ class Testbed {
   /// every barrier, at any shard count.
   [[nodiscard]] sim::Simulation& simulation() noexcept { return sim_; }
   [[nodiscard]] const sim::ShardedEngine& engine() const noexcept { return engine_; }
+  /// The engine itself, so a caller can step its loops event by event (a
+  /// run_until that never returns cannot be observed). Stepping must
+  /// replay run_until's barrier order: a shard's events up to a barrier,
+  /// then the spine's.
+  [[nodiscard]] sim::ShardedEngine& engine() noexcept { return engine_; }
   /// Live migrations completed so far (two-level mode).
   [[nodiscard]] std::size_t completed_migrations() const noexcept {
     return completed_migrations_;

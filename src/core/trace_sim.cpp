@@ -215,10 +215,8 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
   result.server_wakes = cluster.wake_count();
   result.total_energy_wh += static_cast<double>(result.server_wakes) * config.server_wake_energy_wh;
   if (config.rack.enabled) {
-    for (const datacenter::MigrationRecord& record : cluster.migration_log().records()) {
-      result.migration_energy_wh +=
-          record.duration_s * config.rack.cost.migration_power_w / 3600.0;
-    }
+    result.migration_energy_wh = cluster.migration_log().total_duration_s() *
+                                 config.rack.cost.migration_power_w / 3600.0;
     result.total_energy_wh += result.migration_energy_wh;
   }
   result.energy_wh_per_vm = result.total_energy_wh / static_cast<double>(config.num_vms);

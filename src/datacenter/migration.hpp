@@ -3,6 +3,7 @@
 // the network once (plus dirty-page rounds folded into `overhead_factor`).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,19 +67,32 @@ struct MigrationRecord {
   NetworkDistance distance = NetworkDistance::kSameRack;
 };
 
-/// Append-only log of executed migrations with aggregate statistics.
+/// Log of executed migrations: exact run-wide aggregates, plus the most
+/// recent kRetainedRecords records in the order they were logged. Older
+/// records are dropped, so a run that keeps consolidating holds a
+/// fixed-size log.
 class MigrationLog {
  public:
+  /// How many of the most recent records are kept.
+  static constexpr std::size_t kRetainedRecords = 1024;
+
   void add(MigrationRecord record);
 
-  [[nodiscard]] std::size_t count() const noexcept { return records_.size(); }
+  /// Migrations logged since construction or the last clear().
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double total_bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] double total_duration_s() const noexcept { return total_duration_s_; }
-  [[nodiscard]] const std::vector<MigrationRecord>& records() const noexcept { return records_; }
+  /// The retained records (the last min(count(), kRetainedRecords)), oldest
+  /// first.
+  [[nodiscard]] std::vector<MigrationRecord> records() const;
   void clear() noexcept;
 
  private:
-  std::vector<MigrationRecord> records_;
+  /// Ring of retained records: grows to kRetainedRecords, then each add
+  /// overwrites the oldest, at `oldest_`.
+  std::vector<MigrationRecord> ring_;
+  std::size_t oldest_ = 0;
+  std::size_t count_ = 0;
   double total_bytes_ = 0.0;
   double total_duration_s_ = 0.0;
 };

@@ -6,49 +6,45 @@
 // capacity equally — the behaviour of a CPU-bound tier under Xen's
 // work-conserving-off cap, which is what the paper's arbitrator enforces.
 //
-// The queue is dual-mode:
+// The queue runs in virtual time (attained service): `vtime_` is the
+// service every resident job has received since the queue last emptied,
+// and it is rebased to 0 whenever the queue empties. A job with demand d
+// is stored once, as the finish mark `vtime_ + d`, in a binary min-heap of
+// (mark, id, tag) entries kept in a plain vector. Advancing by wall time dt
+// moves vtime_ by dt * capacity / n — one addition instead of n
+// subtractions — so a sync costs O(1 + completions * log n), and the next
+// completion is the heap's top. Equal marks complete in admission (id)
+// order, and one sync's completions are delivered in admission order.
 //
-// * Below kFastUpThreshold resident jobs it runs the classic per-job-residual
-//   formulation: every sync subtracts the shared quantum from each residual.
-//   That is O(jobs) per event, which is fine when jobs is a few hundred, and
-//   it reproduces the historical floating-point summation order bit-for-bit —
-//   the figure benches (<= 80 concurrent requests per tier) produce
-//   byte-identical output across this rewrite.
+// A job completes when its residual (mark - vtime_) is within kEps Gcycles,
+// or when its finish time now + residual * n / capacity is not after now.
+// The second arm keeps the clock moving late in a run: once ulp(now) *
+// capacity / n exceeds kEps, a residual the first arm keeps alive can be
+// too small to move now, and its completion event would fire at now
+// forever. With it, the event scheduled for the top job either completes
+// that job or moves the clock. The rule is checked on every sync, also
+// when no time has passed, so an event that fires at the instant it was
+// scheduled from still completes its job.
 //
-// * At kFastUpThreshold jobs it converts to the virtual-time (attained-
-//   service) formulation: `vtime_` tracks the cumulative service every
-//   resident job has received, and a job with demand d is stored once as a
-//   finish mark `vtime_ + d` in an ordered index. Advancing by wall time dt
-//   moves vtime_ by dt * capacity / n — one addition instead of n
-//   subtractions — so sync() costs O(completions * log n) and the next
-//   completion is an O(1) read of the smallest mark. The up-conversion is
-//   exact (vtime_ rebases to 0, marks == residuals); the down-conversion at
-//   kFastDownThreshold rounds once per job (<= 1 ulp of vtime_).
-//
-// The queue owns at most one pending completion event. An admit, removal,
-// capacity change or completion moves that event with
-// Simulation::reschedule instead of cancelling it and scheduling a new one,
-// so the event heap never carries a stale completion. In per-job-residual
-// mode the smallest residual is kept current as jobs come and go (the
-// sync's one pass over the residuals yields it), so scheduling the next
-// completion reads it instead of walking the residuals again.
+// The queue owns at most one pending completion event. An admit, capacity
+// change or completion moves that event with Simulation::reschedule
+// instead of cancelling it and scheduling a new one, so the event heap
+// never carries a stale completion.
 //
 // Each job carries a caller tag, handed back to the completion handler with
 // its id, so an owner that tracks its own record per job (MultiTierApp's
-// request slots) needs no job-id map. Completions of one sync are collected
-// in a buffer reused across syncs.
+// request slots) needs no job-id map. The heap and the completion buffer
+// keep their capacity, so once a queue has held its high-water mark of
+// jobs, admitting and completing jobs allocates nothing.
 //
-// The pre-optimization queue (per-job residuals at every size) lives in
-// the test-only oracle target, tests/oracle/sim/naive.hpp, as the reference
-// for differential replay tests and the perf-bench baseline.
+// The per-job-residual formulation lives in the test-only oracle target,
+// tests/oracle/sim/naive.hpp, as the reference for differential replay
+// tests and the perf-bench baseline.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <map>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -63,10 +59,10 @@ class PsQueue {
   /// admitted with; runs inside the simulation event.
   using CompletionHandler = std::function<void(JobId, std::uint64_t tag)>;
 
-  /// Resident-job count at which the queue switches to the O(log n)
-  /// virtual-time index (and back, with hysteresis to prevent thrashing).
+  /// Resident-job depth that perfbench's `testbed` and `crowd` gates use to
+  /// tell shallow queues from deep ones. The queue itself no longer reads it:
+  /// it has one formulation at every depth.
   static constexpr std::size_t kFastUpThreshold = 512;
-  static constexpr std::size_t kFastDownThreshold = 256;
 
   /// `capacity_ghz` is the initial processing rate in 1e9 cycles/second.
   PsQueue(Simulation& sim, double capacity_ghz, CompletionHandler on_complete);
@@ -90,18 +86,12 @@ class PsQueue {
   /// request slot) without a map of its own.
   JobId add_job(double demand_gcycles, std::uint64_t tag = 0);
 
-  /// Removes a job before completion (e.g. client abandoned). Returns the
-  /// remaining demand, or a negative value if the job is unknown.
-  double remove_job(JobId id);
-
   /// Changes the capacity (DVFS / new CPU allocation). Takes effect
   /// immediately; in-flight work is preserved.
   void set_capacity(double capacity_ghz);
 
   [[nodiscard]] double capacity_ghz() const noexcept { return capacity_ghz_; }
-  [[nodiscard]] std::size_t jobs_in_service() const noexcept {
-    return fast_ ? marks_.size() : residuals_.size();
-  }
+  [[nodiscard]] std::size_t jobs_in_service() const noexcept { return heap_.size(); }
 
   /// Total work completed since construction (Gcycles) — used for
   /// utilization accounting.
@@ -116,24 +106,27 @@ class PsQueue {
   /// Seconds spent with >= 1 resident job but zero capacity (work stalled).
   [[nodiscard]] double stalled_time_s() const;
 
-  /// True while the queue is in the O(log n) virtual-time mode (exposed for
-  /// tests and the perf bench).
-  [[nodiscard]] bool fast_mode() const noexcept { return fast_; }
-
  private:
-  /// Advances all job state to sim.now(), delivering any completions.
-  void sync();
-  void naive_sync(double elapsed_s);
-  void fast_sync(double elapsed_s);
-  void schedule_next_completion();
-  void convert_to_fast();
-  void convert_to_naive();
+  /// A resident job: its finish mark in virtual time, id and caller tag.
+  struct Marked {
+    double mark;
+    JobId id;
+    std::uint64_t tag;
+  };
   /// A finished job and its caller tag.
   struct Finished {
     JobId id;
     std::uint64_t tag;
   };
-  /// Sorts `finished` by id, hands each to the completion handler, and
+
+  /// Advances all job state to sim.now(), delivering any completions.
+  void sync();
+  void schedule_next_completion();
+  /// When a job with `remaining` Gcycles left finishes if nothing changes.
+  [[nodiscard]] double finish_time_s(double now, double remaining) const noexcept {
+    return now + remaining * static_cast<double>(heap_.size()) / capacity_ghz_;
+  }
+  /// Hands each of `finished` to the completion handler, in order, and
   /// returns the buffer (cleared) for the next sync.
   void deliver(std::vector<Finished>& finished);
   /// Borrows the reusable completion buffer. A handler that re-enters this
@@ -149,31 +142,12 @@ class PsQueue {
   double capacity_ghz_;
   CompletionHandler on_complete_;
 
-  bool fast_ = false;
-  /// A naive-mode resident job: remaining Gcycles and the caller tag.
-  struct Residual {
-    double remaining;
-    std::uint64_t tag;
-  };
-  /// A fast-mode resident job: id and the caller tag.
-  struct Marked {
-    JobId id;
-    std::uint64_t tag;
-  };
-
-  /// Naive mode: job id -> remaining Gcycles (historical summation order).
-  std::unordered_map<JobId, Residual> residuals_;
-  /// Naive mode: the smallest remaining Gcycles in residuals_ (infinity
-  /// when empty, and throughout fast mode).
-  double min_residual_ = std::numeric_limits<double>::infinity();
-  /// Fast mode: cumulative per-job attained service (Gcycles), rebased to 0
-  /// whenever the queue empties to bound floating-point drift.
+  /// Cumulative per-job attained service (Gcycles), rebased to 0 whenever
+  /// the queue empties to bound floating-point drift.
   double vtime_ = 0.0;
-  /// Fast mode: finish marks in virtual time -> job; the next completion
-  /// is the first element. Ties (equal marks) are delivered in id order.
-  std::multimap<double, Marked> by_mark_;
-  /// Fast mode: job id -> its node in by_mark_, for O(log n) removal.
-  std::unordered_map<JobId, std::multimap<double, Marked>::iterator> marks_;
+  /// Resident jobs as a binary min-heap on (mark, id); the next completion
+  /// is heap_.front().
+  std::vector<Marked> heap_;
   /// Completion buffer reused across syncs (see take_finished_buffer).
   std::vector<Finished> finished_;
 

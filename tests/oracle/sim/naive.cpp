@@ -83,16 +83,6 @@ JobId PsQueue::add_job(double demand_gcycles) {
   return id;
 }
 
-double PsQueue::remove_job(JobId id) {
-  sync();
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return -1.0;
-  const double remaining = it->second;
-  jobs_.erase(it);
-  schedule_next_completion();
-  return remaining;
-}
-
 void PsQueue::set_capacity(double capacity_ghz) {
   if (capacity_ghz < 0.0) throw std::invalid_argument("naive::PsQueue: negative capacity");
   sync();

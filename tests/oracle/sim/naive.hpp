@@ -74,7 +74,6 @@ class PsQueue {
   PsQueue& operator=(const PsQueue&) = delete;
 
   JobId add_job(double demand_gcycles);
-  double remove_job(JobId id);
   void set_capacity(double capacity_ghz);
 
   [[nodiscard]] double capacity_ghz() const noexcept { return capacity_ghz_; }

@@ -1,7 +1,7 @@
 // Allocation budgets of the steady-state simulated period. This binary
 // replaces the global operator new with a counting one, then checks that a
-// request through the multi-tier app allocates at most one heap block per
-// tier hop (the PS queue's residual node), that a control period of a
+// request through the multi-tier app allocates nothing once the queues and
+// slabs have reached their high-water marks, that a control period of a
 // sharded Testbed stays within a fixed per-app budget, requests included,
 // and that a Testbed's live heap stops growing once its telemetry
 // retention is full.
@@ -122,7 +122,7 @@ TEST(AllocBudget, RequestPathAllocatesAtMostOneBlockPerTierHop) {
     }
   };
   // Warm-up: the event slab, request slab, completion buffers and the
-  // queues' hash tables reach their high-water marks.
+  // queues' heaps reach their high-water marks.
   until_s = 300.0;
   sim.run_until(until_s);
   drain();
@@ -143,7 +143,10 @@ TEST(AllocBudget, RequestPathAllocatesAtMostOneBlockPerTierHop) {
   const double per_request = static_cast<double>(allocs) / static_cast<double>(completed);
   std::printf("[ alloc ] %zu allocations over %llu requests: %.2f per request\n", allocs,
               static_cast<unsigned long long>(completed), per_request);
-  EXPECT_LE(per_request, static_cast<double>(app.tier_count()));
+  // 0 in steady state (it read 4 allocations over 10,146 requests, from
+  // buffers that grow past their warm-up high-water mark); the one-node-
+  // per-hop queue it replaced read 2.00, one per tier.
+  EXPECT_LE(per_request, 0.01);
 }
 
 std::uint64_t completed_requests(core::Testbed& testbed) {
@@ -190,7 +193,9 @@ TEST(AllocBudget, ShardedTestbedControlPeriodStaysWithinPerAppBudget) {
               "per period\n",
               allocs, config.num_apps * kPeriods, static_cast<unsigned long long>(requests),
               per_app_period);
-  EXPECT_LE(per_app_period, 17.0);
+  // Reads 2.30: the control plane's share. Each request used to add one
+  // block per tier hop (16.51 with ~7.1 requests per app-period).
+  EXPECT_LE(per_app_period, 3.0);
 }
 
 TEST(AllocBudget, LiveHeapStaysFlatOnceTelemetryRetentionIsFull) {

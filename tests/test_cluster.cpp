@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace vdc::datacenter {
 namespace {
 
@@ -51,7 +53,7 @@ TEST(Cluster, MigrationMovesVmAndLogs) {
   EXPECT_EQ(c.host_of(v), 1u);
   EXPECT_TRUE(c.vms_on(0).empty());
   ASSERT_EQ(c.migration_log().count(), 1u);
-  const MigrationRecord& rec = c.migration_log().records()[0];
+  const MigrationRecord rec = c.migration_log().records()[0];
   EXPECT_EQ(rec.from, 0u);
   EXPECT_EQ(rec.to, 1u);
   EXPECT_DOUBLE_EQ(rec.time_s, 100.0);
@@ -139,6 +141,39 @@ TEST(MigrationLog, Aggregates) {
   log.clear();
   EXPECT_EQ(log.count(), 0u);
   EXPECT_DOUBLE_EQ(log.total_bytes(), 0.0);
+}
+
+TEST(MigrationLog, KeepsExactTotalsAndOnlyTheMostRecentRecordsInOrder) {
+  // Two and a half windows of migrations: the count and both totals cover
+  // every one, the records only the last window, oldest first.
+  MigrationLog log;
+  const std::size_t n = 2 * MigrationLog::kRetainedRecords + MigrationLog::kRetainedRecords / 2;
+  double bytes = 0.0;
+  double duration_s = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<VmId>(i);
+    const MigrationRecord record{.vm = id, .from = 0, .to = 1, .time_s = static_cast<double>(i),
+                                 .duration_s = 0.5 + static_cast<double>(i % 7),
+                                 .bytes = 1e6 * static_cast<double>(1 + i % 5)};
+    log.add(record);
+    bytes += record.bytes;
+    duration_s += record.duration_s;
+  }
+  EXPECT_EQ(log.count(), n);
+  EXPECT_EQ(log.total_bytes(), bytes);
+  EXPECT_EQ(log.total_duration_s(), duration_s);
+  const std::vector<MigrationRecord> records = log.records();
+  ASSERT_EQ(records.size(), MigrationLog::kRetainedRecords);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    EXPECT_EQ(records[k].vm, static_cast<VmId>(n - MigrationLog::kRetainedRecords + k));
+  }
+  log.clear();
+  EXPECT_EQ(log.count(), 0u);
+  EXPECT_TRUE(log.records().empty());
+  log.add(MigrationRecord{.vm = 7, .from = 1, .to = 0, .time_s = 0.0, .duration_s = 1.0,
+                          .bytes = 1.0});
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.records()[0].vm, 7u);
 }
 
 // ---- server failure / repair (fault injection) ------------------------------

@@ -1,13 +1,13 @@
 // Differential replay tests: the optimized event loop (slab Simulation +
-// dual-mode PsQueue) against the retained naive reference implementations in
-// sim/naive.hpp. Both engines are driven through the same seeded closed-loop
-// workload; below the dual-mode threshold the optimized queue reproduces the
-// naive floating-point summation order exactly, so results must be
-// bit-identical. Above the threshold the virtual-time formulation is used
-// and only tight-tolerance agreement is required.
+// virtual-time PsQueue) against the retained naive reference implementations
+// in sim/naive.hpp. Both engines are driven through the same seeded
+// closed-loop workload. The two queues sum service in different orders, so
+// completion order must be identical and times agree to a tight tolerance;
+// the event kernels alone must agree exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -31,9 +31,9 @@ struct ReplayTrace {
   double work_done_gcycles = 0.0;
 };
 
-/// Closed-loop workload with capacity modulation and occasional job
-/// abandonment — exercises add, remove, completion, set_capacity and the
-/// stall path on whichever engine is instantiated.
+/// Closed-loop workload with capacity modulation — exercises add,
+/// completion, set_capacity and the stall path on whichever engine is
+/// instantiated.
 template <typename Sim, typename Queue>
 ReplayTrace replay(std::size_t clients, std::uint64_t target_completions,
                    std::uint64_t seed) {
@@ -48,13 +48,8 @@ ReplayTrace replay(std::size_t clients, std::uint64_t target_completions,
     trace.order.push_back(job);
     trace.times.push_back(sim.now());
     if (completions >= target_completions) return;
-    sim.schedule_after(rng.exponential(0.02), [&] {
-      const std::uint64_t id = queue_ptr->add_job(rng.bounded_pareto(1.2, 0.05, 4.0));
-      // A slice of requests is abandoned shortly after admission.
-      if (rng.bernoulli(0.05)) {
-        sim.schedule_after(rng.exponential(0.005), [&, id] { queue_ptr->remove_job(id); });
-      }
-    });
+    sim.schedule_after(rng.exponential(0.02),
+                       [&] { queue_ptr->add_job(rng.bounded_pareto(1.2, 0.05, 4.0)); });
   });
   queue_ptr = &queue;
 
@@ -72,29 +67,9 @@ ReplayTrace replay(std::size_t clients, std::uint64_t target_completions,
   return trace;
 }
 
-TEST(EventLoopEquivalence, SmallWorkloadIsBitIdenticalToNaive) {
-  // 120 clients stays far below the dual-mode threshold: the optimized queue
-  // runs the historical summation order and every double must match bitwise.
-  const ReplayTrace fast = replay<sim::Simulation, sim::PsQueue>(120, 3000, 42);
-  const ReplayTrace ref = replay<sim::naive::Simulation, sim::naive::PsQueue>(120, 3000, 42);
-
-  ASSERT_EQ(fast.order.size(), ref.order.size());
-  EXPECT_EQ(fast.order, ref.order);
-  for (std::size_t i = 0; i < fast.times.size(); ++i) {
-    ASSERT_EQ(fast.times[i], ref.times[i]) << "timestamp diverged at completion " << i;
-  }
-  EXPECT_EQ(fast.busy_time_s, ref.busy_time_s);
-  EXPECT_EQ(fast.stalled_time_s, ref.stalled_time_s);
-  EXPECT_EQ(fast.work_done_gcycles, ref.work_done_gcycles);
-}
-
-TEST(EventLoopEquivalence, LargeWorkloadAgreesWithinTolerance) {
-  // 1500 clients pushes the optimized queue into the virtual-time mode where
-  // the summation order legitimately differs at ulp level; completion ORDER
-  // must still be identical and every statistic tightly close.
-  const ReplayTrace fast = replay<sim::Simulation, sim::PsQueue>(1500, 2500, 7);
-  const ReplayTrace ref = replay<sim::naive::Simulation, sim::naive::PsQueue>(1500, 2500, 7);
-
+/// Same completion order as the oracle, every time within 1e-9 relative,
+/// and the accounting tightly close.
+void expect_agreement(const ReplayTrace& fast, const ReplayTrace& ref) {
   ASSERT_EQ(fast.order.size(), ref.order.size());
   EXPECT_EQ(fast.order, ref.order);
   for (std::size_t i = 0; i < fast.times.size(); ++i) {
@@ -103,37 +78,23 @@ TEST(EventLoopEquivalence, LargeWorkloadAgreesWithinTolerance) {
   }
   EXPECT_NEAR(fast.busy_time_s, ref.busy_time_s, 1e-9 * std::max(1.0, ref.busy_time_s));
   EXPECT_NEAR(fast.stalled_time_s, ref.stalled_time_s, 1e-9 * std::max(1.0, ref.stalled_time_s));
-  EXPECT_NEAR(fast.work_done_gcycles, ref.work_done_gcycles, 1e-6 * std::max(1.0, ref.work_done_gcycles));
+  EXPECT_NEAR(fast.work_done_gcycles, ref.work_done_gcycles,
+              1e-6 * std::max(1.0, ref.work_done_gcycles));
 }
 
-TEST(EventLoopEquivalence, DualModeCrossoverPreservesJobs) {
-  sim::Simulation sim;
-  std::size_t completed = 0;
-  sim::PsQueue q(sim, 1.0, [&](sim::JobId) { ++completed; });
+TEST(EventLoopEquivalence, SmallWorkloadAgreesWithNaive) {
+  // 120 clients: the queue depths of the figure benches.
+  const ReplayTrace fast = replay<sim::Simulation, sim::PsQueue>(120, 3000, 42);
+  const ReplayTrace ref = replay<sim::naive::Simulation, sim::naive::PsQueue>(120, 3000, 42);
+  expect_agreement(fast, ref);
+}
 
-  std::vector<sim::JobId> ids;
-  for (std::size_t i = 0; i < sim::PsQueue::kFastUpThreshold - 1; ++i) {
-    ids.push_back(q.add_job(1000.0));
-  }
-  EXPECT_FALSE(q.fast_mode());
-  ids.push_back(q.add_job(1000.0));  // crosses the up-threshold
-  EXPECT_TRUE(q.fast_mode());
-  EXPECT_EQ(q.jobs_in_service(), sim::PsQueue::kFastUpThreshold);
-
-  // Removing back below the down-threshold (hysteresis) converts back; every
-  // job must survive both conversions with its residual intact.
-  while (q.jobs_in_service() > sim::PsQueue::kFastDownThreshold) {
-    const double remaining = q.remove_job(ids.back());
-    ids.pop_back();
-    EXPECT_GT(remaining, 0.0);
-  }
-  EXPECT_FALSE(q.fast_mode());
-  EXPECT_EQ(q.jobs_in_service(), sim::PsQueue::kFastDownThreshold);
-  for (const sim::JobId id : ids) {
-    EXPECT_NEAR(q.remove_job(id), 1000.0, 1e-6);
-  }
-  EXPECT_EQ(q.jobs_in_service(), 0u);
-  EXPECT_EQ(completed, 0u);
+TEST(EventLoopEquivalence, LargeWorkloadAgreesWithinTolerance) {
+  // 1500 clients: a deep queue, where one virtual-time addition replaces
+  // 1500 per-job subtractions per sync.
+  const ReplayTrace fast = replay<sim::Simulation, sim::PsQueue>(1500, 2500, 7);
+  const ReplayTrace ref = replay<sim::naive::Simulation, sim::naive::PsQueue>(1500, 2500, 7);
+  expect_agreement(fast, ref);
 }
 
 // ---- indexed event heap vs the naive kernel ----------------------------------
@@ -254,104 +215,6 @@ TEST(EventLoopEquivalence, IndexedHeapMatchesNaiveUnderScheduleCancelReschedule)
     // No cancelled or moved event leaves an entry behind in the heap.
     EXPECT_EQ(fast.stale_ops, 0u);
   }
-}
-
-// ---- PS queue: the tracked minimum residual ----------------------------------
-
-struct ResidualTrace {
-  ReplayTrace replay;
-  std::uint64_t events = 0;
-  bool went_fast = false;      // optimized queue only: entered virtual-time mode
-  bool came_back = false;      // ... and returned to per-job residuals
-};
-
-/// Drives one queue through admits (a short one undercutting every resident
-/// residual), removal of the job holding the minimum and of others, a stall
-/// at zero capacity and back, a climb to `peak` resident jobs, removals down
-/// to 200 and a second climb to `peak`, then drains it.
-template <typename Sim, typename Queue>
-ResidualTrace min_residual_script(std::size_t peak, std::uint64_t seed) {
-  Sim sim;
-  util::Rng rng(seed);
-  ResidualTrace out;
-  Queue queue(sim, 2.0, [&](std::uint64_t job) {
-    out.replay.order.push_back(job);
-    out.replay.times.push_back(sim.now());
-  });
-  std::vector<std::uint64_t> ids;
-  auto watch_mode = [&] {
-    if constexpr (std::is_same_v<Queue, sim::PsQueue>) {
-      if (queue.fast_mode()) out.went_fast = true;
-      if (out.went_fast && !queue.fast_mode()) out.came_back = true;
-    }
-  };
-  auto admit_up_to = [&](std::size_t resident) {
-    while (queue.jobs_in_service() < resident) {
-      ids.push_back(queue.add_job(rng.uniform(0.5, 4.0)));
-      watch_mode();
-    }
-  };
-  sim.schedule(0.0, [&] { admit_up_to(40); });
-  sim.schedule(0.1, [&] { ids.push_back(queue.add_job(1e-3)); });  // the new minimum
-  sim.schedule(0.105, [&] { queue.remove_job(ids.back()); });       // remove the minimum
-  sim.schedule(0.2, [&] { queue.remove_job(ids[5]); });             // remove another
-  sim.schedule(0.3, [&] { queue.set_capacity(0.0); });
-  sim.schedule(0.6, [&] { queue.set_capacity(1.5); });
-  sim.schedule(1.0, [&] { admit_up_to(peak); });
-  sim.schedule(1.5, [&] {
-    for (auto it = ids.rbegin(); it != ids.rend() && queue.jobs_in_service() > 200; ++it) {
-      queue.remove_job(*it);
-      watch_mode();
-    }
-  });
-  sim.schedule(1.6, [&] { ids.push_back(queue.add_job(1e-3)); });
-  sim.schedule(2.0, [&] { admit_up_to(peak); });
-  sim.run();
-  watch_mode();
-  out.replay.work_done_gcycles = queue.work_done_gcycles();
-  out.replay.busy_time_s = queue.busy_time_s();
-  out.replay.stalled_time_s = queue.stalled_time_s();
-  out.events = sim.events_executed();
-  return out;
-}
-
-TEST(EventLoopEquivalence, MinimumResidualBelowThresholdIsBitIdenticalToNaive) {
-  const std::size_t peak = sim::PsQueue::kFastUpThreshold - 112;  // 400: never fast
-  const ResidualTrace fast = min_residual_script<sim::Simulation, sim::PsQueue>(peak, 11);
-  const ResidualTrace ref =
-      min_residual_script<sim::naive::Simulation, sim::naive::PsQueue>(peak, 11);
-
-  EXPECT_FALSE(fast.went_fast);
-  ASSERT_EQ(fast.replay.order.size(), ref.replay.order.size());
-  EXPECT_EQ(fast.replay.order, ref.replay.order);
-  for (std::size_t i = 0; i < fast.replay.times.size(); ++i) {
-    ASSERT_EQ(fast.replay.times[i], ref.replay.times[i]) << "completion " << i;
-  }
-  // A stale minimum would add or drop a completion event, and split a sync.
-  EXPECT_EQ(fast.events, ref.events);
-  EXPECT_EQ(fast.replay.work_done_gcycles, ref.replay.work_done_gcycles);
-  EXPECT_EQ(fast.replay.busy_time_s, ref.replay.busy_time_s);
-  EXPECT_EQ(fast.replay.stalled_time_s, ref.replay.stalled_time_s);
-}
-
-TEST(EventLoopEquivalence, MinimumResidualAcrossModeSwitchesAgreesWithNaive) {
-  // 700 resident jobs crosses 512 up and 256 down, twice; the conversions
-  // round residuals at ulp level, so times agree to a tight tolerance.
-  const std::size_t peak = 700;
-  const ResidualTrace fast = min_residual_script<sim::Simulation, sim::PsQueue>(peak, 12);
-  const ResidualTrace ref =
-      min_residual_script<sim::naive::Simulation, sim::naive::PsQueue>(peak, 12);
-
-  EXPECT_TRUE(fast.went_fast);
-  EXPECT_TRUE(fast.came_back);
-  ASSERT_EQ(fast.replay.order.size(), ref.replay.order.size());
-  EXPECT_EQ(fast.replay.order, ref.replay.order);
-  for (std::size_t i = 0; i < fast.replay.times.size(); ++i) {
-    const double scale = std::max(1.0, std::abs(ref.replay.times[i]));
-    ASSERT_NEAR(fast.replay.times[i], ref.replay.times[i], 1e-9 * scale) << "completion " << i;
-  }
-  EXPECT_NEAR(fast.replay.work_done_gcycles, ref.replay.work_done_gcycles,
-              1e-6 * std::max(1.0, ref.replay.work_done_gcycles));
 }
 
 TEST(EventLoopEquivalence, TelemetryCsvIsByteDeterministic) {

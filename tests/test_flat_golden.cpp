@@ -1,18 +1,25 @@
-// Byte-identity regression goldens for the flat-topology default.
+// Regression goldens for the flat-topology default.
 //
 // The rack/pod topology layer and the migration-cost-aware consolidation
 // variants are strictly opt-in: with no Topology configured (the default,
-// and what every figure bench ships with), the refactored stack must
-// produce *byte-identical* results to the pre-topology code. These tests
-// pin that down: each runs a deterministic, small-scale scenario through
-// the same engines the figure benches use — the planner stack behind
-// ablation_packing (PAC / FFD / IPAC / pMapper), the Testbed co-simulation
-// behind fig2-fig5, and the trace-driven simulator behind fig6 — formats
-// the results as CSV with fixed "%.17g" formatting, and compares the bytes
-// against a committed golden file.
+// and what every figure bench ships with), the stack must keep producing
+// the results it did. Each test runs a deterministic, small-scale scenario
+// through the same engines the figure benches use:
 //
-// Regenerating (only legitimate when a PR *intentionally* changes default
-// behavior, which the topology refactor must not):
+// * the planner stack behind ablation_packing (PAC / FFD / IPAC / pMapper)
+//   and the trace-driven simulator behind fig6 format their results as CSV
+//   with fixed "%.17g" formatting and compare the bytes against a
+//   committed golden file;
+// * the Testbed co-simulation behind fig2-fig5 is checked by a behaviour
+//   summary (settled p90 against the setpoint, energy, migrations and
+//   optimizer invocations, each within a stated bound), because its PS
+//   queues' floating-point arithmetic is not part of the contract; its
+//   invariance to the shard count stays byte-exact;
+// * the telemetry export of a Testbed run is compared byte for byte, since
+//   the export format is a contract.
+//
+// Regenerating (only legitimate when a change intentionally moves default
+// behavior or, for the Testbed export, its arithmetic):
 //   VDC_REGEN_GOLDEN=1 ./build/tests/test_flat_golden
 #include <gtest/gtest.h>
 
@@ -201,7 +208,9 @@ const control::ArxModel& shared_model() {
   return identified.model;
 }
 
-TEST(FlatGolden, TestbedSeriesAreByteIdentical) {
+/// The flat-golden Testbed scenario (4 apps on 3 servers, IPAC every
+/// 120 s, seed 7, 400 s) at the given shard layout.
+core::ScenarioResult run_flat_testbed(std::size_t shards, std::size_t shard_threads) {
   core::ScenarioSpec spec;
   spec.name = "flat-golden";
   spec.engine = core::ScenarioSpec::Engine::kTestbed;
@@ -209,48 +218,16 @@ TEST(FlatGolden, TestbedSeriesAreByteIdentical) {
   spec.testbed.num_servers = 3;
   spec.testbed.enable_optimizer = true;
   spec.testbed.optimizer_period_s = 120.0;
+  spec.testbed.shards = shards;
+  spec.testbed.shard_threads = shard_threads;
   spec.model = shared_model();
   spec.seed = 7;
   spec.duration_s = 400.0;
-  const core::ScenarioResult run = core::ScenarioRunner().run(spec);
-
-  std::ostringstream csv;
-  csv << "series,index,value\n";
-  const std::vector<double>& power = run.power_series();
-  for (std::size_t k = 0; k < power.size(); ++k) {
-    csv << "power_w," << k << ',' << fmt(power[k]) << '\n';
-  }
-  for (std::size_t app = 0; app < run.app_count; ++app) {
-    const std::vector<double>& resp = run.response_series(app);
-    for (std::size_t k = 0; k < resp.size(); ++k) {
-      csv << "response_s_app" << app << ',' << k << ',' << fmt(resp[k]) << '\n';
-    }
-  }
-  csv << "migrations,," << run.completed_migrations << '\n';
-  csv << "optimizer_invocations,," << run.optimizer_invocations << '\n';
-  check_golden("testbed.csv", csv.str());
+  return core::ScenarioRunner().run(spec);
 }
 
-TEST(FlatGolden, ShardedTestbedMatchesTheSameGolden) {
-  // Four shards against the SAME committed golden as the default one-shard
-  // Testbed above: partitioning the apps over 4 parallel shards must not
-  // move a single byte. (The full shard x thread matrix lives in
-  // test_sharding.cpp; this pins the sharded path to the committed file so
-  // a regen of the golden cannot silently paper over a divergence.)
-  core::ScenarioSpec spec;
-  spec.name = "flat-golden-sharded";
-  spec.engine = core::ScenarioSpec::Engine::kTestbed;
-  spec.testbed.num_apps = 4;
-  spec.testbed.num_servers = 3;
-  spec.testbed.enable_optimizer = true;
-  spec.testbed.optimizer_period_s = 120.0;
-  spec.testbed.shards = 4;
-  spec.testbed.shard_threads = 2;
-  spec.model = shared_model();
-  spec.seed = 7;
-  spec.duration_s = 400.0;
-  const core::ScenarioResult run = core::ScenarioRunner().run(spec);
-
+/// Every per-period series and count of a run, in "%.17g".
+std::string testbed_csv(const core::ScenarioResult& run) {
   std::ostringstream csv;
   csv << "series,index,value\n";
   const std::vector<double>& power = run.power_series();
@@ -265,7 +242,56 @@ TEST(FlatGolden, ShardedTestbedMatchesTheSameGolden) {
   }
   csv << "migrations,," << run.completed_migrations << '\n';
   csv << "optimizer_invocations,," << run.optimizer_invocations << '\n';
-  check_golden("testbed.csv", csv.str());
+  return csv.str();
+}
+
+TEST(FlatGolden, TestbedBehaviourMatchesItsSummary) {
+  // What the fig2-fig5 engine must do on this scenario, not one summation
+  // order: the PS queues' floating-point arithmetic may change without
+  // changing any of this. Each bound comes from the measurement quoted
+  // beside it; a controller that holds a fixed allocation instead of
+  // running the MPC misses the p90 bound.
+  const core::ScenarioResult run = run_flat_testbed(1, 1);
+  const double period_s = run.control_period_s;
+  const double setpoint_s = 1.0;
+  constexpr double kSettledFromS = 100.0;
+
+  // Mean per-period p90 after settling, per app: 0.999-1.007 s against the
+  // 1 s setpoint (0.989-1.014 s with the earlier dual-mode PS queue). A
+  // per-period p90 scatters by ~25 % around the setpoint, so over 75
+  // periods the mean of one realization is good to ~3.5 %. Bound: 10 %.
+  for (std::size_t app = 0; app < run.app_count; ++app) {
+    const std::vector<double>& p90 = run.response_series(app);
+    const auto first = static_cast<std::size_t>(kSettledFromS / period_s);
+    ASSERT_GT(p90.size(), first + 50);
+    double sum = 0.0;
+    for (std::size_t k = first; k < p90.size(); ++k) sum += p90[k];
+    const double mean = sum / static_cast<double>(p90.size() - first);
+    EXPECT_NEAR(mean / setpoint_s, 1.0, 0.10) << "app " << app << " settled p90 " << mean;
+  }
+
+  // Cluster energy over the run: 90.43 kJ (87.70 kJ with the dual-mode PS
+  // queue, whose model identification and trajectories differed). Bound:
+  // 6 %.
+  double energy_kj = 0.0;
+  for (const double w : run.power_series()) energy_kj += w * period_s / 1000.0;
+  EXPECT_NEAR(energy_kj, 90.43, 0.06 * 90.43);
+
+  // IPAC runs at 120, 240 and 360 s; it migrated 9 VMs (9 before too).
+  // Bound: 6 to 12.
+  EXPECT_EQ(run.optimizer_invocations, 3u);
+  EXPECT_GE(run.completed_migrations, 6u);
+  EXPECT_LE(run.completed_migrations, 12u);
+}
+
+TEST(FlatGolden, ShardedTestbedIsByteIdenticalToOneShard) {
+  // Partitioning the apps over 4 shards on 2 threads must not move a single
+  // byte of the series. (The full shard x thread matrix lives in
+  // test_sharding.cpp.)
+  const std::string one = testbed_csv(run_flat_testbed(1, 1));
+  const std::string four = testbed_csv(run_flat_testbed(4, 2));
+  EXPECT_GT(one.size(), 10'000u);
+  EXPECT_EQ(one, four);
 }
 
 // ---- telemetry export bytes -------------------------------------------------

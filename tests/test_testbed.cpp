@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sysid_experiment.hpp"
+
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -286,6 +288,56 @@ TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
   EXPECT_TRUE(recorded.has(response_series_name(0)));  // the merged view holds app series
   EXPECT_FALSE(recorded.has(replica_series_name(0)));
   EXPECT_FALSE(recorded.has(kLiveVmsSeries));
+}
+
+TEST(Testbed, ClockKeepsMovingPastTwoToTheFifteenSeconds) {
+  // The flat-golden configuration (4 apps on 3 servers, IPAC every 120 s,
+  // seed 7) on one shard, run to 40,000 s. Past 2^15 s, ulp(now) times a
+  // tier's capacity is far above the PS queue's Gcycle tolerance; a queue
+  // whose completion rule compares Gcycles only stops the clock there (the
+  // shard fires one completion event at the same instant forever). The
+  // loop below replays ShardedEngine::run_until's barrier order one event
+  // at a time, so a stopped clock fails the test instead of hanging it.
+  TestbedConfig config;
+  config.num_apps = 4;
+  config.num_servers = 3;
+  config.enable_optimizer = true;
+  config.optimizer_period_s = 120.0;
+  config.seed = 7;
+  config.shards = 1;
+  core::SysIdExperimentConfig sysid;
+  sysid.periods = 120;
+  config.model =
+      core::identify_app_model(app::default_two_tier_app("golden", 1001, 40), sysid).model;
+  Testbed tb{config};
+  tb.run_until(0.0);  // starts the applications and the control loop
+
+  sim::Simulation& spine = tb.engine().spine();
+  sim::Simulation& shard = tb.engine().shard(0);
+  constexpr double kHorizonS = 40'000.0;
+  constexpr int kMaxEventsAtOneTime = 10'000;
+  double last_now = shard.now();
+  int events_at_now = 0;
+  while (tb.now() < kHorizonS) {
+    const std::optional<double> barrier = spine.next_event_time();
+    ASSERT_TRUE(barrier.has_value());  // the control tick always re-arms
+    for (std::optional<double> next = shard.next_event_time(); next && *next <= *barrier;
+         next = shard.next_event_time()) {
+      ASSERT_TRUE(shard.step());
+      if (shard.now() > last_now) {
+        last_now = shard.now();
+        events_at_now = 0;
+      } else {
+        ASSERT_LT(++events_at_now, kMaxEventsAtOneTime) << "clock stopped at " << shard.now();
+      }
+    }
+    shard.run_until(*barrier);
+    spine.run_until(*barrier);
+  }
+  EXPECT_GE(tb.optimizer_invocations(), static_cast<std::size_t>(kHorizonS / 120.0) - 1);
+  for (std::size_t i = 0; i < tb.app_count(); ++i) {
+    EXPECT_GT(tb.application(i).completed_requests(), 0u);
+  }
 }
 
 }  // namespace
