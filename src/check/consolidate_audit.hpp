@@ -2,15 +2,19 @@
 // Minimum Slack must be *applicable* (every move names a live VM/server and
 // a correct source host, no VM is moved twice) and *feasible* (every server
 // that receives a VM satisfies the full constraint set — Algorithm 1's
-// generalised bin check — with its final residents).
+// generalised bin check — with its final residents). A planning model
+// refreshed in place must equal the snapshot a fresh build would take.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "check/check.hpp"
 #include "consolidate/constraints.hpp"
+#include "consolidate/ffd.hpp"
 #include "consolidate/snapshot.hpp"
 #include "consolidate/working_placement.hpp"
 
@@ -66,6 +70,64 @@ inline void plan(const DataCenterSnapshot& snapshot, const PlacementPlan& plan_t
   static_cast<void>(snapshot);
   static_cast<void>(plan_to_check);
   static_cast<void>(constraints);
+#endif
+}
+
+/// A snapshot refreshed in place (PlanningModel::refresh) equals
+/// `snapshot_of(cluster)` field for field, doubles to the bit, and its
+/// cached efficiency order equals a fresh sort. Costs what the rebuild it
+/// replaced cost, so it runs only in checked builds.
+inline void planning_model(const DataCenterSnapshot& refreshed,
+                           std::span<const ServerId> order,
+                           const datacenter::Cluster& cluster) {
+#if VDC_CHECKS_ENABLED
+  const DataCenterSnapshot fresh = snapshot_of(cluster);
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  VDC_INVARIANT(refreshed.servers.size() == fresh.servers.size() &&
+                    refreshed.vms.size() == fresh.vms.size() &&
+                    refreshed.racks.size() == fresh.racks.size() &&
+                    refreshed.pods.size() == fresh.pods.size(),
+                "refreshed planning model has the wrong shape");
+  for (std::size_t i = 0; i < fresh.servers.size(); ++i) {
+    const ServerSnapshot& a = refreshed.servers[i];
+    const ServerSnapshot& b = fresh.servers[i];
+    VDC_INVARIANT(a.id == b.id && same(a.max_capacity_ghz, b.max_capacity_ghz) &&
+                      same(a.memory_mb, b.memory_mb) && same(a.max_power_w, b.max_power_w) &&
+                      same(a.idle_power_w, b.idle_power_w) &&
+                      same(a.sleep_power_w, b.sleep_power_w) &&
+                      same(a.power_efficiency_ghz_per_w, b.power_efficiency_ghz_per_w) &&
+                      a.active == b.active && a.failed == b.failed && a.rack == b.rack &&
+                      a.pod == b.pod && a.hosted == b.hosted,
+                  "refreshed planning model is stale for server " << i);
+  }
+  for (std::size_t i = 0; i < fresh.vms.size(); ++i) {
+    const VmSnapshot& a = refreshed.vms[i];
+    const VmSnapshot& b = fresh.vms[i];
+    VDC_INVARIANT(a.id == b.id && same(a.cpu_demand_ghz, b.cpu_demand_ghz) &&
+                      same(a.memory_mb, b.memory_mb) && a.retired == b.retired,
+                  "refreshed planning model is stale for VM " << i);
+  }
+  for (std::size_t i = 0; i < fresh.racks.size(); ++i) {
+    const RackSnapshot& a = refreshed.racks[i];
+    const RackSnapshot& b = fresh.racks[i];
+    VDC_INVARIANT(a.id == b.id && a.pod == b.pod && same(a.shared_power_w, b.shared_power_w) &&
+                      a.members == b.members,
+                  "refreshed planning model is stale for rack " << i);
+  }
+  for (std::size_t i = 0; i < fresh.pods.size(); ++i) {
+    VDC_INVARIANT(refreshed.pods[i].id == fresh.pods[i].id &&
+                      same(refreshed.pods[i].shared_power_w, fresh.pods[i].shared_power_w),
+                  "refreshed planning model is stale for pod " << i);
+  }
+  const std::vector<ServerId> sorted = servers_by_power_efficiency(fresh);
+  VDC_INVARIANT(std::equal(order.begin(), order.end(), sorted.begin(), sorted.end()),
+                "cached power-efficiency order differs from a fresh sort");
+#else
+  static_cast<void>(refreshed);
+  static_cast<void>(order);
+  static_cast<void>(cluster);
 #endif
 }
 

@@ -16,6 +16,13 @@ constexpr std::size_t kIndexThreshold = 64;
 
 FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
                                std::span<const VmId> vms, const ConstraintSet& constraints) {
+  SlackIndex index;
+  return first_fit_decreasing(placement, servers, vms, constraints, index);
+}
+
+FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
+                               std::span<const VmId> vms, const ConstraintSet& constraints,
+                               SlackIndex& index) {
   const DataCenterSnapshot& snapshot = placement.snapshot();
   std::vector<VmId> order(vms.begin(), vms.end());
   std::sort(order.begin(), order.end(), [&](VmId a, VmId b) {
@@ -33,10 +40,9 @@ FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const Serv
   // sets without a CPU constraint keep the plain linear scan.
   const ConstraintSet::BuiltinProfile& profile = constraints.builtin_profile();
   const bool use_index = profile.has_cpu && servers.size() >= kIndexThreshold;
-  SlackIndex index;
   if (use_index) {
-    index.build(servers, snapshot.servers.size());
-    for (const ServerId server : servers) index.update(server, placement.cpu_slack(server));
+    index.build(servers, snapshot.servers.size(),
+                [&](ServerId server) { return placement.cpu_slack(server); });
   }
 
   FfdResult result;

@@ -10,6 +10,8 @@
 
 namespace vdc::consolidate {
 
+class SlackIndex;
+
 struct FfdResult {
   std::vector<VmId> placed;
   std::vector<VmId> unplaced;
@@ -19,6 +21,12 @@ struct FfdResult {
 /// given order, VMs in decreasing CPU-demand order. Mutates `placement`.
 FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
                                std::span<const VmId> vms, const ConstraintSet& constraints);
+
+/// The same, with the caller's SlackIndex as the first-fit search buffer
+/// (a PlanningModel's, so that a warm pass allocates no index).
+FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
+                               std::span<const VmId> vms, const ConstraintSet& constraints,
+                               SlackIndex& index);
 
 /// Servers sorted by descending power efficiency (the order in which both
 /// pMapper's phase 1 and PAC walk the server list).

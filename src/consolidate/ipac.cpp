@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "check/consolidate_audit.hpp"
-#include "consolidate/ffd.hpp"
 #include "consolidate/pac.hpp"
-#include "consolidate/slack_index.hpp"
+#include "consolidate/planning_model.hpp"
 #include "util/log.hpp"
 
 namespace vdc::consolidate {
@@ -40,10 +39,23 @@ VmId smallest_vm(const WorkingPlacement& placement, ServerId server) {
 //    target list each round;
 //  * overload-relief feasibility checks hit the O(1) builtin-constraint
 //    path inside WorkingPlacement::feasible.
+//
+// It runs on a PlanningModel: the efficiency order, the placement, the
+// index and the per-pass server lists are the model's buffers, so a warm
+// plan sorts nothing fleet-wide and allocates nothing per server.
 IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constraints,
                 const MigrationCostPolicy& policy, const IpacOptions& options,
                 const RackAwareOptions& rack) {
-  WorkingPlacement wp(snapshot);
+  PlanningModel model(snapshot);
+  return ipac(model, constraints, policy, options, rack);
+}
+
+IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
+                const MigrationCostPolicy& policy, const IpacOptions& options,
+                const RackAwareOptions& rack) {
+  const DataCenterSnapshot& snapshot = model.snapshot();
+  WorkingPlacement& wp = model.fresh_placement();
+  PlanningModel::Scratch& scratch = model.scratch();
   IpacReport report;
   report.occupied_before = wp.occupied_server_count();
   double bytes_approved = 0.0;
@@ -57,7 +69,8 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
   // Racks with at least one up (awake or occupied) member: waking a server
   // inside one costs only its own idle power, while waking one in a dark
   // rack also switches the rack's shared draw back on.
-  std::vector<char> rack_lit(snapshot.racks.size(), 0);
+  std::vector<char>& rack_lit = scratch.flags;
+  rack_lit.assign(snapshot.racks.size(), 0);
   if (rack_on) {
     for (const ServerSnapshot& server : snapshot.servers) {
       if (server.rack != datacenter::kNoRack && (server.active || !server.hosted.empty())) {
@@ -75,19 +88,13 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
   // rack for one VM when an already-lit rack has a cold machine. With one
   // server per rack every sleeper's rack is dark and the refinement is a
   // no-op, preserving flat-equivalent behavior for degenerate topologies.
-  const std::vector<ServerId> efficiency_order = servers_by_power_efficiency(snapshot);
-  std::vector<ServerId> active_first;
-  active_first.reserve(efficiency_order.size());
-  for (const ServerId s : efficiency_order) {
-    if (snapshot.server(s).active || !snapshot.server(s).hosted.empty()) {
-      active_first.push_back(s);
-    }
-  }
-  std::vector<ServerId> sleepers;
-  for (const ServerId s : efficiency_order) {
-    if (!snapshot.server(s).active && snapshot.server(s).hosted.empty()) {
-      sleepers.push_back(s);
-    }
+  std::vector<ServerId>& active_first = scratch.order;
+  std::vector<ServerId>& sleepers = scratch.tail;
+  active_first.clear();
+  sleepers.clear();
+  for (const ServerId s : model.efficiency_order()) {
+    const ServerSnapshot& server = snapshot.servers[s];
+    (server.active || !server.hosted.empty() ? active_first : sleepers).push_back(s);
   }
   if (rack_on) {
     std::stable_partition(sleepers.begin(), sleepers.end(), [&](ServerId s) {
@@ -97,9 +104,9 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
   }
   active_first.insert(active_first.end(), sleepers.begin(), sleepers.end());
 
-  SlackIndex index;
-  index.build(active_first, snapshot.servers.size());
-  for (const ServerId s : active_first) index.update(s, wp.cpu_slack(s));
+  SlackIndex& index = model.slack_index();
+  index.build(active_first, snapshot.servers.size(),
+              [&](ServerId s) { return wp.cpu_slack(s); });
   wp.set_slack_observer(&index);
 
   // ---- Step 0: pick up homeless VMs --------------------------------------
@@ -153,7 +160,8 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
 
   // ---- Step 2: consolidation rounds --------------------------------------
   // Candidate donors: occupied servers, least power-efficient first.
-  std::vector<ServerId> donors;
+  std::vector<ServerId>& donors = scratch.servers;
+  donors.clear();
   for (const ServerSnapshot& server : snapshot.servers) {
     if (wp.occupied(server.id)) donors.push_back(server.id);
   }

@@ -24,6 +24,8 @@
 
 namespace vdc::consolidate {
 
+class PlanningModel;
+
 struct IpacOptions {
   MinSlackOptions min_slack;
   /// Upper bound on consolidation rounds per invocation (each round can
@@ -67,8 +69,17 @@ struct IpacReport {
 /// cross-pod-expensive donor says nothing about a same-rack-cheap one).
 /// With the default (disabled) options, or on a flat snapshot, plans are
 /// move-for-move identical to the pre-topology engine.
+///
+/// This entry point plans on a one-shot PlanningModel over `snapshot`.
 [[nodiscard]] IpacReport ipac(const DataCenterSnapshot& snapshot,
                               const ConstraintSet& constraints,
+                              const MigrationCostPolicy& policy = FreeMigrationPolicy(),
+                              const IpacOptions& options = {},
+                              const RackAwareOptions& rack = {});
+
+/// The same pass on a persistent model (refreshed by the caller): the plan
+/// is bit-identical to `ipac(model.snapshot(), ...)`.
+[[nodiscard]] IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
                               const MigrationCostPolicy& policy = FreeMigrationPolicy(),
                               const IpacOptions& options = {},
                               const RackAwareOptions& rack = {});

@@ -1,8 +1,10 @@
 #include "consolidate/minimum_slack.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "check/consolidate_audit.hpp"
 
@@ -645,6 +647,19 @@ BudgetedMinSlackResult minimum_slack_budgeted(const WorkingPlacement& placement,
   if (state.best.slack_ghz >= options.epsilon_ghz && !target.failed) state.dfs(0);
   audit::min_slack_selection(placement, server, candidates, constraints, state.best.selected);
   return BudgetedMinSlackResult{std::move(state.best), state.best_cost};
+}
+
+void validate(const MinSlackOptions& options, std::string_view owner) {
+  const auto reject = [&](const char* what) {
+    throw std::invalid_argument(std::string(owner) + ": min_slack." + what);
+  };
+  if (!std::isfinite(options.epsilon_ghz) || !(options.epsilon_ghz > 0.0)) {
+    reject("epsilon_ghz must be finite and > 0");
+  }
+  if (options.step_budget < 1) reject("step_budget must be >= 1");
+  if (!std::isfinite(options.epsilon_escalation) || !(options.epsilon_escalation > 1.0)) {
+    reject("epsilon_escalation must be finite and > 1");
+  }
 }
 
 MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,

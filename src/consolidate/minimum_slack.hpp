@@ -11,6 +11,7 @@
 #pragma once
 
 #include <span>
+#include <string_view>
 
 #include "consolidate/constraints.hpp"
 #include "consolidate/working_placement.hpp"
@@ -27,6 +28,13 @@ struct MinSlackOptions {
   /// Escalations before the search returns the best found so far.
   std::size_t max_escalations = 8;
 };
+
+/// Throws std::invalid_argument, naming `owner`, unless epsilon_ghz is
+/// finite and > 0, step_budget >= 1 and epsilon_escalation is finite and
+/// > 1. A NaN epsilon would fail every "slack >= epsilon" test and so skip
+/// every search; a ladder that does not grow would never end a search that
+/// the budget stops.
+void validate(const MinSlackOptions& options, std::string_view owner);
 
 struct MinSlackResult {
   std::vector<VmId> selected;  ///< best-fitting VM subset, in selection order

@@ -22,20 +22,25 @@ PacResult consolidate(WorkingPlacement& placement, std::span<const VmId> vms,
   // skipped: Minimum Slack's capacity bound would prune every candidate at
   // the top level there, so the reference engine returns an empty selection
   // for them anyway. The index answers "next viable server" in O(log n);
-  // the linear walk pays an O(1) test per server. The same argument covers
-  // memory when the constraint set is builtin: a server whose free memory
-  // cannot hold even the smallest remaining candidate rejects every
-  // candidate at every depth (the memory check is monotone in the
-  // selection), so its visit provably selects nothing — and since the step
-  // budget is per Minimum-Slack call, skipping the visit outright leaves
-  // every other call, and therefore the plan, untouched. The reference
-  // engine still touches each candidate once at the top level of such a
-  // visit (one counted step apiece, selecting nothing), so the skip adds
-  // that count analytically; when the candidate list is long enough that
-  // the per-call budget could bind mid-scan, the real call is made so the
+  // the linear walk pays an O(1) test per server.
+  //
+  // Two more gates cover builtin constraint sets. A server whose free
+  // memory cannot hold even the smallest remaining candidate, or whose CPU
+  // limit (capacity times the utilization target) cannot take even the
+  // smallest remaining demand on top of its residents, rejects every
+  // candidate at every depth (both checks are monotone in the selection),
+  // so its visit provably selects nothing — and since the step budget is
+  // per Minimum-Slack call, skipping the visit outright leaves every other
+  // call, and therefore the plan, untouched. The engine still touches each
+  // candidate once at the top level of such a visit (one counted step
+  // apiece, selecting nothing), so the skip adds that count analytically.
+  // The real call is made instead when the per-call budget could bind
+  // mid-scan, or when the smallest demand is so small against the slack
+  // that an armed branch-and-bound could leave the level early: then the
   // step accounting stays exact.
-  const bool memory_gate = constraints.builtin_profile().all_builtin &&
-                           constraints.builtin_profile().has_memory;
+  const ConstraintSet::BuiltinProfile& profile = constraints.builtin_profile();
+  const bool memory_gate = profile.all_builtin && profile.has_memory;
+  const bool cpu_gate = profile.all_builtin && profile.has_cpu;
   double smallest = 0.0;
   double smallest_memory = 0.0;
   auto refresh_smallest = [&] {
@@ -62,13 +67,18 @@ PacResult consolidate(WorkingPlacement& placement, std::span<const VmId> vms,
       server = server_order[pos];
       if (placement.cpu_slack(server) + 1e-9 < smallest) continue;
     }
-    if (memory_gate && placement.memory_used_mb(server) + smallest_memory >
-                           snapshot.server(server).memory_mb + 1e-9 &&
-        !snapshot.server(server).failed) {
-      // Below epsilon the reference exits before its first step; otherwise
-      // it pays one step per candidate.
-      if (placement.cpu_slack(server) < options.epsilon_ghz) continue;
-      if (remaining.size() < options.step_budget) {
+    const ServerSnapshot& info = snapshot.server(server);
+    const bool blocked =
+        (memory_gate && placement.memory_used_mb(server) + smallest_memory >
+                            info.memory_mb + 1e-9) ||
+        (cpu_gate &&
+         placement.cpu_demand_ghz(server) + smallest > constraints.cpu_limit_ghz(info) + 1e-9);
+    if (blocked && !info.failed) {
+      // Below epsilon the search exits before its first step; otherwise it
+      // pays one step per candidate.
+      const double slack = placement.cpu_slack(server);
+      if (slack < options.epsilon_ghz) continue;
+      if (remaining.size() < options.step_budget && slack - smallest < slack) {
         result.min_slack_steps += remaining.size();
         continue;
       }

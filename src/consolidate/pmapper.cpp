@@ -4,25 +4,30 @@
 
 #include "check/consolidate_audit.hpp"
 #include "consolidate/ffd.hpp"
-#include "consolidate/working_placement.hpp"
+#include "consolidate/planning_model.hpp"
 
 namespace vdc::consolidate {
 
 PMapperReport pmapper(const DataCenterSnapshot& snapshot, const ConstraintSet& constraints,
                       const RackAwareOptions& rack) {
+  PlanningModel model(snapshot);
+  return pmapper(model, constraints, rack);
+}
+
+PMapperReport pmapper(PlanningModel& model, const ConstraintSet& constraints,
+                      const RackAwareOptions& rack) {
+  const DataCenterSnapshot& snapshot = model.snapshot();
   PMapperReport report;
   const bool rack_on = rack.enabled && !snapshot.racks.empty();
 
-  // ---- Phase 1: target allocation on a phantom (emptied) copy -------------
-  DataCenterSnapshot phantom = snapshot;
-  for (ServerSnapshot& server : phantom.servers) server.hosted.clear();
-  WorkingPlacement target(phantom);
+  // ---- Phase 1: target allocation on a phantom (emptied) fleet ------------
+  WorkingPlacement& target = model.fresh_phantom();
   {
-    const std::vector<ServerId> order = servers_by_power_efficiency(phantom);
     std::vector<VmId> all;
-    all.reserve(phantom.vms.size());
-    for (const VmSnapshot& vm : phantom.vms) all.push_back(vm.id);
-    (void)first_fit_decreasing(target, order, all, constraints);
+    all.reserve(snapshot.vms.size());
+    for (const VmSnapshot& vm : snapshot.vms) all.push_back(vm.id);
+    (void)first_fit_decreasing(target, model.efficiency_order(), all, constraints,
+                               model.slack_index());
   }
   report.target_demand_ghz.resize(snapshot.servers.size(), 0.0);
   for (const ServerSnapshot& server : snapshot.servers) {
@@ -30,10 +35,11 @@ PMapperReport pmapper(const DataCenterSnapshot& snapshot, const ConstraintSet& c
   }
 
   // ---- Phase 2: donors shed their smallest VMs; receivers absorb ----------
-  WorkingPlacement wp(snapshot);
+  WorkingPlacement& wp = model.fresh_placement();
   report.occupied_before = wp.occupied_server_count();
 
-  std::vector<ServerId> receivers;
+  std::vector<ServerId>& receivers = model.scratch().servers;
+  receivers.clear();
   std::vector<VmId> migration_list;
   constexpr double kEps = 1e-9;
   for (const ServerSnapshot& server : snapshot.servers) {
@@ -69,12 +75,6 @@ PMapperReport pmapper(const DataCenterSnapshot& snapshot, const ConstraintSet& c
     return a < b;
   });
 
-  // Remember origins so VMs nobody can absorb return to their donor.
-  std::vector<ServerId> origin(snapshot.vms.size(), datacenter::kNoServer);
-  for (const ServerSnapshot& server : snapshot.servers) {
-    for (const VmId vm : server.hosted) origin[vm] = server.id;
-  }
-
   std::vector<VmId> order = migration_list;
   std::sort(order.begin(), order.end(), [&](VmId a, VmId b) {
     const double da = snapshot.vm(a).cpu_demand_ghz;
@@ -91,15 +91,16 @@ PMapperReport pmapper(const DataCenterSnapshot& snapshot, const ConstraintSet& c
   // identical arithmetic in the reference engine, see topology_cost.hpp.
   bool gate_blocked = false;
   const auto gate_allows = [&](VmId vm, ServerId receiver) {
-    if (!rack_on || origin[vm] == datacenter::kNoServer) return true;
+    const ServerId origin = wp.original_host(vm);
+    if (!rack_on || origin == datacenter::kNoServer) return true;
     const VmSnapshot& info = snapshot.vm(vm);
     const double cost_j =
-        rack.cost.energy_j(info.memory_mb, snapshot.distance(origin[vm], receiver));
+        rack.cost.energy_j(info.memory_mb, snapshot.distance(origin, receiver));
     if (report.migration_energy_j + cost_j > rack.migration_energy_budget_j + 1e-9) {
       gate_blocked = true;
       return false;
     }
-    const double benefit_w = placement_delta_w(wp, origin[vm], info.cpu_demand_ghz) -
+    const double benefit_w = placement_delta_w(wp, origin, info.cpu_demand_ghz) -
                              placement_delta_w(wp, receiver, info.cpu_demand_ghz);
     if (benefit_w * rack.benefit_horizon_s + 1e-9 < cost_j) {
       gate_blocked = true;
@@ -141,8 +142,9 @@ PMapperReport pmapper(const DataCenterSnapshot& snapshot, const ConstraintSet& c
       // No receiver can take it: keep it where it was (no migration) rather
       // than leaving it homeless.
       if (gate_blocked) ++report.moves_rejected_by_budget;
-      if (origin[vm] != datacenter::kNoServer) {
-        wp.place(vm, origin[vm]);
+      const ServerId origin = wp.original_host(vm);
+      if (origin != datacenter::kNoServer) {
+        wp.place(vm, origin);
       } else {
         unplaced.push_back(vm);
       }

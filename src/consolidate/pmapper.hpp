@@ -17,6 +17,8 @@
 
 namespace vdc::consolidate {
 
+class PlanningModel;
+
 struct PMapperReport {
   PlacementPlan plan;
   std::size_t occupied_before = 0;
@@ -41,6 +43,10 @@ struct PMapperReport {
 /// disabled runs) are move-for-move identical to the pre-topology engine.
 [[nodiscard]] PMapperReport pmapper(const DataCenterSnapshot& snapshot,
                                     const ConstraintSet& constraints,
+                                    const RackAwareOptions& rack = {});
+
+/// The same pass on a persistent model (refreshed by the caller).
+[[nodiscard]] PMapperReport pmapper(PlanningModel& model, const ConstraintSet& constraints,
                                     const RackAwareOptions& rack = {});
 
 }  // namespace vdc::consolidate

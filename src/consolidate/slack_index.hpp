@@ -34,18 +34,30 @@ class SlackIndex {
   SlackIndex() = default;
 
   /// Rebuilds the index over `order` (the visiting order; positions are
-  /// indices into it). Keys start at -inf; the caller seeds them with
-  /// `update`. Servers outside `order` are ignored by every operation.
-  void build(std::span<const ServerId> order, std::size_t server_count) {
+  /// indices into it) with every key at `key_of(server)`, nothing masked.
+  /// The tree is seeded bottom-up in O(n): each inner node is the max of
+  /// its children, which is what n single-key `update`s would leave, bit
+  /// for bit. Buffers keep their capacity, so a rebuild over a fleet of
+  /// the same size allocates nothing. Servers outside `order` are ignored
+  /// by every operation.
+  template <typename KeyOf>
+  void build(std::span<const ServerId> order, std::size_t server_count, KeyOf key_of) {
     n_ = order.size();
     order_.assign(order.begin(), order.end());
     pos_of_.assign(server_count, npos);
-    for (std::size_t i = 0; i < n_; ++i) pos_of_[order_[i]] = i;
     base_ = 1;
     while (base_ < n_) base_ <<= 1;
     tree_.assign(2 * base_, kNegInf);
-    key_.assign(n_, kNegInf);
+    key_.resize(n_);
     masked_.assign(n_, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      pos_of_[order_[i]] = i;
+      key_[i] = key_of(order_[i]);
+      tree_[base_ + i] = key_[i];
+    }
+    for (std::size_t i = base_ - 1; i > 0; --i) {
+      tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
+    }
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }

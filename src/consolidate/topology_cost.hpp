@@ -17,7 +17,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "consolidate/working_placement.hpp"
 #include "datacenter/migration.hpp"
@@ -62,6 +66,21 @@ struct RackAwareOptions {
   /// stationary W savings into J for comparison against migration cost.
   double benefit_horizon_s = 3600.0;
 };
+
+/// Throws std::invalid_argument, naming `owner`, unless the budget is >= 0
+/// (infinity is the unbudgeted default) and the benefit horizon is finite
+/// and >= 0. A NaN budget fails every "cost > budget" test, so it would
+/// silently lift the budget.
+inline void validate(const RackAwareOptions& rack, std::string_view owner) {
+  if (!(rack.migration_energy_budget_j >= 0.0)) {
+    throw std::invalid_argument(std::string(owner) +
+                                ": rack.migration_energy_budget_j must be >= 0");
+  }
+  if (!std::isfinite(rack.benefit_horizon_s) || !(rack.benefit_horizon_s >= 0.0)) {
+    throw std::invalid_argument(std::string(owner) +
+                                ": rack.benefit_horizon_s must be finite and >= 0");
+  }
+}
 
 /// Closed-form power delta (W) of adding one VM of `vm_demand_ghz` to
 /// `server` in the placement's CURRENT state: linear dynamic power on the

@@ -25,26 +25,40 @@ void compensated_add(double& total, double& compensation, double delta) {
 
 }  // namespace
 
-WorkingPlacement::WorkingPlacement(const DataCenterSnapshot& snapshot)
-    : snapshot_(&snapshot),
-      host_(snapshot.vms.size(), datacenter::kNoServer),
-      original_(snapshot.vms.size(), datacenter::kNoServer),
-      slot_(snapshot.vms.size(), 0),
-      hosted_(snapshot.servers.size()),
-      demand_(snapshot.servers.size(), 0.0),
-      memory_(snapshot.servers.size(), 0.0),
-      power_(snapshot.servers.size(), 0.0),
-      rack_occupied_(snapshot.racks.size(), 0),
-      pod_occupied_(snapshot.pods.size(), 0) {
-  for (const ServerSnapshot& server : snapshot.servers) {
-    for (const VmId vm : server.hosted) {
-      const VmSnapshot& info = snapshot.vm(vm);
-      host_.at(vm) = server.id;
-      original_.at(vm) = server.id;
-      slot_[vm] = static_cast<std::uint32_t>(hosted_[server.id].size());
-      hosted_[server.id].push_back(vm);
-      demand_[server.id] += info.cpu_demand_ghz;
-      memory_[server.id] += info.memory_mb;
+WorkingPlacement::WorkingPlacement(const DataCenterSnapshot& snapshot) { reset(snapshot); }
+
+void WorkingPlacement::reset(const DataCenterSnapshot& snapshot, Start start) {
+  snapshot_ = &snapshot;
+  const std::size_t vm_count = snapshot.vms.size();
+  const std::size_t server_count = snapshot.servers.size();
+  host_.assign(vm_count, datacenter::kNoServer);
+  original_.assign(vm_count, datacenter::kNoServer);
+  slot_.assign(vm_count, 0);
+  hosted_.resize(server_count);
+  for (std::vector<VmId>& list : hosted_) list.clear();
+  ptrs_valid_ = false;
+  demand_.assign(server_count, 0.0);
+  memory_.assign(server_count, 0.0);
+  power_.assign(server_count, 0.0);
+  power_total_w_ = 0.0;
+  power_compensation_w_ = 0.0;
+  occupied_count_ = 0;
+  rack_occupied_.assign(snapshot.racks.size(), 0);
+  pod_occupied_.assign(snapshot.pods.size(), 0);
+  occupied_rack_count_ = 0;
+  slack_observer_ = nullptr;
+
+  if (start == Start::kSnapshot) {
+    for (const ServerSnapshot& server : snapshot.servers) {
+      for (const VmId vm : server.hosted) {
+        const VmSnapshot& info = snapshot.vm(vm);
+        host_.at(vm) = server.id;
+        original_.at(vm) = server.id;
+        slot_[vm] = static_cast<std::uint32_t>(hosted_[server.id].size());
+        hosted_[server.id].push_back(vm);
+        demand_[server.id] += info.cpu_demand_ghz;
+        memory_[server.id] += info.memory_mb;
+      }
     }
   }
   for (const ServerSnapshot& server : snapshot.servers) {
@@ -190,10 +204,10 @@ bool WorkingPlacement::admits_with(ServerId server, std::span<const VmId> extra,
 }
 
 void WorkingPlacement::materialize_ptrs() const {
-  hosted_ptrs_.assign(hosted_.size(), {});
+  hosted_ptrs_.resize(hosted_.size());
   for (ServerId server = 0; server < hosted_.size(); ++server) {
     auto& ptrs = hosted_ptrs_[server];
-    ptrs.reserve(hosted_[server].size());
+    ptrs.clear();
     for (const VmId vm : hosted_[server]) ptrs.push_back(&snapshot_->vm(vm));
   }
   ptrs_valid_ = true;

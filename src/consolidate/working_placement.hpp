@@ -5,7 +5,9 @@
 // and `occupied_server_count` are all O(1) and `remove` is O(1) via
 // swap-and-pop slot tracking. The original-host map is captured once at
 // construction (it is immutable per snapshot), so emitting the diff as a
-// PlacementPlan no longer rescans the snapshot.
+// PlacementPlan no longer rescans the snapshot. `reset` rebuilds the same
+// state in place, reusing every buffer, for planners that keep one
+// placement alive across plans (see PlanningModel).
 #pragma once
 
 #include <span>
@@ -20,7 +22,18 @@ class SlackIndex;
 
 class WorkingPlacement {
  public:
+  /// Where the placement starts: the snapshot's own mapping, or with every
+  /// VM unplaced (a phantom fleet to plan a target allocation on).
+  enum class Start { kSnapshot, kEmpty };
+
+  WorkingPlacement() = default;
   explicit WorkingPlacement(const DataCenterSnapshot& snapshot);
+
+  /// Rebuilds the placement over `snapshot` exactly as the constructor
+  /// would — same summation order, so every aggregate is bit-identical —
+  /// but in the existing buffers: once they have grown to the fleet's
+  /// size, a reset allocates nothing. Detaches any slack observer.
+  void reset(const DataCenterSnapshot& snapshot, Start start = Start::kSnapshot);
 
   [[nodiscard]] const DataCenterSnapshot& snapshot() const noexcept { return *snapshot_; }
 
@@ -105,7 +118,7 @@ class WorkingPlacement {
   void note_emptied(ServerId server);
   void materialize_ptrs() const;
 
-  const DataCenterSnapshot* snapshot_;
+  const DataCenterSnapshot* snapshot_ = nullptr;
   std::vector<ServerId> host_;             // per VM
   std::vector<ServerId> original_;         // per VM, frozen at construction
   std::vector<std::uint32_t> slot_;        // per VM: index within its host list

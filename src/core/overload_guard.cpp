@@ -2,22 +2,31 @@
 
 #include <algorithm>
 
-#include "consolidate/ffd.hpp"
 #include "consolidate/pac.hpp"
-#include "consolidate/working_placement.hpp"
 
 namespace vdc::core {
 
-OverloadGuard::OverloadGuard(OverloadGuardConfig config) : config_(config) {}
+OverloadGuard::OverloadGuard(OverloadGuardConfig config)
+    : config_(config),
+      constraints_(consolidate::ConstraintSet::standard(config.utilization_target)) {
+  consolidate::validate(config_.min_slack, "OverloadGuard");
+}
 
 OverloadGuardReport OverloadGuard::check(datacenter::Cluster& cluster, double now_s) {
+  if (!own_model_) own_model_ = std::make_unique<consolidate::PlanningModel>();
+  return check(cluster, now_s, *own_model_);
+}
+
+OverloadGuardReport OverloadGuard::check(datacenter::Cluster& cluster, double now_s,
+                                         consolidate::PlanningModel& model) {
   OverloadGuardReport report;
   strikes_.resize(cluster.server_count(), 0);
 
-  // Debounce: count consecutive overloads per server.
+  // Debounce: count consecutive overloads per server. An empty server is
+  // never overloaded, so only occupied ones pay for the check.
   std::vector<datacenter::ServerId> triggered;
   for (datacenter::ServerId s = 0; s < cluster.server_count(); ++s) {
-    if (cluster.overloaded(s)) {
+    if (!cluster.vms_on(s).empty() && cluster.overloaded(s)) {
       if (++strikes_[s] >= config_.trigger_after_checks) triggered.push_back(s);
     } else {
       strikes_[s] = 0;
@@ -26,10 +35,10 @@ OverloadGuardReport OverloadGuard::check(datacenter::Cluster& cluster, double no
   report.overloaded_servers = triggered.size();
   if (triggered.empty()) return report;
 
-  const consolidate::DataCenterSnapshot snapshot = consolidate::snapshot_of(cluster);
-  consolidate::WorkingPlacement wp(snapshot);
-  const consolidate::ConstraintSet constraints =
-      consolidate::ConstraintSet::standard(config_.utilization_target);
+  model.refresh(cluster);
+  const consolidate::DataCenterSnapshot& snapshot = model.snapshot();
+  consolidate::WorkingPlacement& wp = model.fresh_placement();
+  const consolidate::ConstraintSet& constraints = constraints_;
 
   // Shed the smallest VMs from each triggered server until it is feasible.
   std::vector<consolidate::VmId> evicted;
@@ -53,15 +62,14 @@ OverloadGuardReport OverloadGuard::check(datacenter::Cluster& cluster, double no
 
   // Place on active servers first, waking sleeping ones only if needed —
   // "move VMs from the overloaded servers to idle servers".
-  const std::vector<datacenter::ServerId> order =
-      consolidate::servers_by_power_efficiency(snapshot);
-  std::vector<datacenter::ServerId> targets;
-  for (const datacenter::ServerId s : order) {
-    if (snapshot.server(s).active) targets.push_back(s);
+  std::vector<datacenter::ServerId>& targets = model.scratch().order;
+  std::vector<datacenter::ServerId>& sleepers = model.scratch().tail;
+  targets.clear();
+  sleepers.clear();
+  for (const datacenter::ServerId s : model.efficiency_order()) {
+    (snapshot.servers[s].active ? targets : sleepers).push_back(s);
   }
-  for (const datacenter::ServerId s : order) {
-    if (!snapshot.server(s).active) targets.push_back(s);
-  }
+  targets.insert(targets.end(), sleepers.begin(), sleepers.end());
   const consolidate::PacResult pac =
       consolidate::power_aware_consolidation(wp, evicted, constraints, config_.min_slack,
                                              targets);

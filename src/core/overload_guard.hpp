@@ -13,11 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "consolidate/constraints.hpp"
 #include "consolidate/minimum_slack.hpp"
-#include "consolidate/snapshot.hpp"
+#include "consolidate/planning_model.hpp"
 #include "datacenter/cluster.hpp"
 
 namespace vdc::core {
@@ -41,16 +42,26 @@ struct OverloadGuardReport {
 
 class OverloadGuard {
  public:
+  /// Throws std::invalid_argument on an invalid `min_slack` sub-config or
+  /// a utilization target outside (0, 1].
   explicit OverloadGuard(OverloadGuardConfig config = {});
 
   /// One check (call once per control period). Returns what was done.
+  /// Relief is planned on the guard's own planning model.
   OverloadGuardReport check(datacenter::Cluster& cluster, double now_s);
+  /// The same check, planning on a borrowed model (the optimizer's, so
+  /// both share one set of planning buffers and one efficiency order).
+  OverloadGuardReport check(datacenter::Cluster& cluster, double now_s,
+                            consolidate::PlanningModel& model);
 
   [[nodiscard]] std::size_t total_migrations() const noexcept { return total_migrations_; }
   [[nodiscard]] std::size_t total_activations() const noexcept { return total_activations_; }
 
  private:
   OverloadGuardConfig config_;
+  consolidate::ConstraintSet constraints_;
+  /// Created on the first check that plans without a borrowed model.
+  std::unique_ptr<consolidate::PlanningModel> own_model_;
   /// Per-server consecutive-overload counters (resized lazily).
   std::vector<std::size_t> strikes_;
   std::size_t total_migrations_ = 0;

@@ -18,11 +18,14 @@ PowerOptimizer::PowerOptimizer(OptimizerConfig config,
                                std::shared_ptr<consolidate::MigrationCostPolicy> policy)
     : config_(config),
       constraints_(consolidate::ConstraintSet::standard(config.utilization_target)),
-      policy_(std::move(policy)) {
+      policy_(std::move(policy)),
+      model_(std::make_unique<consolidate::PlanningModel>()) {
   // NaN or negative would silently disable the backoff (see plan()).
   if (std::isnan(config_.migration_backoff_s) || config_.migration_backoff_s < 0.0) {
     throw std::invalid_argument("PowerOptimizer: migration_backoff_s must be >= 0");
   }
+  consolidate::validate(config_.ipac.min_slack, "PowerOptimizer");
+  consolidate::validate(config_.rack, "PowerOptimizer");
   if (!policy_) policy_ = std::make_shared<consolidate::FreeMigrationPolicy>();
 }
 
@@ -33,17 +36,13 @@ void PowerOptimizer::add_constraint(
 
 consolidate::PlacementPlan PowerOptimizer::plan(const datacenter::Cluster& cluster,
                                                 double now_s) {
-  const consolidate::DataCenterSnapshot snapshot = consolidate::snapshot_of(cluster);
   consolidate::PlacementPlan out;
-  switch (config_.algorithm) {
-    case ConsolidationAlgorithm::kIpac:
-      out = consolidate::ipac(snapshot, constraints_, *policy_, config_.ipac, config_.rack).plan;
-      break;
-    case ConsolidationAlgorithm::kPMapper:
-      out = consolidate::pmapper(snapshot, constraints_, config_.rack).plan;
-      break;
-    case ConsolidationAlgorithm::kNone:
-      return out;
+  if (config_.algorithm == ConsolidationAlgorithm::kNone) return out;
+  model_->refresh(cluster);
+  if (config_.algorithm == ConsolidationAlgorithm::kIpac) {
+    out = consolidate::ipac(*model_, constraints_, *policy_, config_.ipac, config_.rack).plan;
+  } else {
+    out = consolidate::pmapper(*model_, constraints_, config_.rack).plan;
   }
 
   // Drop moves of VMs still backing off from a failed migration; placements

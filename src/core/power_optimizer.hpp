@@ -1,8 +1,9 @@
-// Data-center-level power optimizer: periodically snapshots the cluster,
-// runs the configured consolidation algorithm (IPAC or the pMapper
-// baseline), pushes the resulting migrations/sleep transitions back to the
-// cluster, and keeps statistics. The reference engine it is tested against
-// lives with the tests (tests/oracle/consolidate/naive.hpp).
+// Data-center-level power optimizer: periodically refreshes its planning
+// model from the cluster, runs the configured consolidation algorithm
+// (IPAC or the pMapper baseline), pushes the resulting migrations/sleep
+// transitions back to the cluster, and keeps statistics. The reference
+// engine it is tested against lives with the tests
+// (tests/oracle/consolidate/naive.hpp).
 #pragma once
 
 #include <map>
@@ -12,6 +13,7 @@
 #include "consolidate/constraints.hpp"
 #include "consolidate/cost_policy.hpp"
 #include "consolidate/ipac.hpp"
+#include "consolidate/planning_model.hpp"
 #include "consolidate/pmapper.hpp"
 #include "datacenter/cluster.hpp"
 
@@ -52,6 +54,8 @@ class PowerOptimizer {
  public:
   /// `policy` may be null (allow-all). Additional constraints can be added
   /// through `extra_constraints` (appended to the standard CPU+memory set).
+  /// Throws std::invalid_argument on an invalid backoff, `ipac.min_slack`
+  /// or `rack` sub-config.
   explicit PowerOptimizer(OptimizerConfig config,
                           std::shared_ptr<consolidate::MigrationCostPolicy> policy = nullptr);
 
@@ -73,6 +77,10 @@ class PowerOptimizer {
   void note_migration_failure(datacenter::VmId vm, double now_s);
 
   [[nodiscard]] const OptimizerConfig& config() const noexcept { return config_; }
+  /// The planning state kept across plans. Other planners on the same
+  /// cluster (the overload guard, an initial placement) may borrow it:
+  /// every user refreshes it from the cluster before planning.
+  [[nodiscard]] consolidate::PlanningModel& model() noexcept { return *model_; }
   /// Cumulative counters across invocations.
   [[nodiscard]] std::size_t total_migrations() const noexcept { return total_migrations_; }
   [[nodiscard]] std::size_t invocations() const noexcept { return invocations_; }
@@ -84,6 +92,7 @@ class PowerOptimizer {
   OptimizerConfig config_;
   consolidate::ConstraintSet constraints_;
   std::shared_ptr<consolidate::MigrationCostPolicy> policy_;
+  std::unique_ptr<consolidate::PlanningModel> model_;
   std::size_t total_migrations_ = 0;
   std::size_t invocations_ = 0;
   std::size_t migration_failures_ = 0;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "consolidate/ffd.hpp"
-#include "consolidate/working_placement.hpp"
+#include "consolidate/topology_cost.hpp"
 #include "core/overload_guard.hpp"
 #include "trace/forecast.hpp"
 #include "util/log.hpp"
@@ -47,6 +48,8 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
   if (!(config.forecast_safety > 0.0)) {
     throw std::invalid_argument("TraceDrivenSimulator: forecast_safety must be > 0");
   }
+  consolidate::validate(config.ipac.min_slack, "TraceDrivenSimulator");
+  consolidate::validate(config.rack, "TraceDrivenSimulator");
   util::Rng rng(config.seed);
 
   // ---- build the data center ---------------------------------------------
@@ -97,31 +100,32 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
     cluster.add_vm(vm);
   }
 
-  // Initial placement: first-fit decreasing onto the most power-efficient
-  // servers (identical starting point for every algorithm under test).
-  {
-    const consolidate::DataCenterSnapshot snap = consolidate::snapshot_of(cluster);
-    consolidate::WorkingPlacement wp(snap);
-    const consolidate::ConstraintSet constraints =
-        consolidate::ConstraintSet::standard(config.utilization_target);
-    const std::vector<datacenter::ServerId> order =
-        consolidate::servers_by_power_efficiency(snap);
-    std::vector<datacenter::VmId> all;
-    for (datacenter::VmId v = 0; v < config.num_vms; ++v) all.push_back(v);
-    const consolidate::FfdResult ffd =
-        consolidate::first_fit_decreasing(wp, order, all, constraints);
-    if (!ffd.unplaced.empty()) {
-      throw std::runtime_error("TraceDrivenSimulator: initial placement failed");
-    }
-    consolidate::apply_plan(cluster, wp.plan(), 0.0);
-  }
-
   OptimizerConfig opt_config;
   opt_config.algorithm = config.algorithm;
   opt_config.utilization_target = config.utilization_target;
   opt_config.ipac = config.ipac;
   opt_config.rack = config.rack;
   PowerOptimizer optimizer(opt_config);
+  // One planning model serves the initial placement, every optimizer plan
+  // and the guard's relief.
+  consolidate::PlanningModel& model = optimizer.model();
+
+  // Initial placement: first-fit decreasing onto the most power-efficient
+  // servers (identical starting point for every algorithm under test).
+  {
+    model.refresh(cluster);
+    consolidate::WorkingPlacement& wp = model.fresh_placement();
+    const consolidate::ConstraintSet constraints =
+        consolidate::ConstraintSet::standard(config.utilization_target);
+    std::vector<datacenter::VmId> all;
+    for (datacenter::VmId v = 0; v < config.num_vms; ++v) all.push_back(v);
+    const consolidate::FfdResult ffd = consolidate::first_fit_decreasing(
+        wp, model.efficiency_order(), all, constraints, model.slack_index());
+    if (!ffd.unplaced.empty()) {
+      throw std::runtime_error("TraceDrivenSimulator: initial placement failed");
+    }
+    consolidate::apply_plan(cluster, wp.plan(), 0.0);
+  }
 
   OverloadGuardConfig guard_config;
   guard_config.utilization_target = config.utilization_target;
@@ -152,11 +156,13 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
       std::max(1.0, config.consolidation_period_s / dt));
   std::size_t overloaded_samples = 0;
   std::size_t active_samples = 0;
+  std::vector<std::span<const double>> demand_rows(config.num_vms);
+  for (datacenter::VmId v = 0; v < config.num_vms; ++v) demand_rows[v] = trace_->series(v);
 
   for (std::size_t k = 0; k < trace_->sample_count(); ++k) {
     const double now = static_cast<double>(k) * dt;
     for (datacenter::VmId v = 0; v < config.num_vms; ++v) {
-      cluster.vm(v).cpu_demand_ghz = trace_->at(v, k) * peak_ghz[v];
+      cluster.vm(v).cpu_demand_ghz = demand_rows[v][k] * peak_ghz[v];
     }
     if (forecaster) {
       for (datacenter::VmId v = 0; v < config.num_vms; ++v) {
@@ -188,28 +194,32 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
             << outcome.unplaced << " VMs unplaced at t=" << now;
       }
     } else if (config.on_demand_overload_guard) {
-      const OverloadGuardReport relief = guard.check(cluster, now);
+      const OverloadGuardReport relief = guard.check(cluster, now, model);
       result.guard_migrations += relief.migrations;
     }
 
+    // One flat pass over the fleet: the awake count, the overload count
+    // (an empty server is never overloaded, so only occupied ones are
+    // checked) and, with shut-down semantics, the sleeping servers' draw
+    // taken back out in server-id order, as the power sum added it.
     double power = cluster.arbitrate_and_power_w(config.dvfs);
-    if (!config.count_sleep_power) {
-      // Shut-down semantics: sleeping servers draw nothing.
-      for (datacenter::ServerId s = 0; s < cluster.server_count(); ++s) {
-        if (!cluster.server(s).active()) power -= cluster.server(s).power_model().sleep_w;
+    const std::span<const datacenter::Server> servers = cluster.servers();
+    std::size_t active = 0;
+    for (datacenter::ServerId s = 0; s < servers.size(); ++s) {
+      if (servers[s].active()) {
+        ++active;
+      } else if (!config.count_sleep_power) {
+        power -= servers[s].power_model().sleep_w;
       }
+      if (!cluster.vms_on(s).empty() && cluster.overloaded(s)) ++overloaded_samples;
     }
     result.power_series_w.push_back(power);
     result.total_energy_wh += power * dt / 3600.0;
 
     if (config.sample_probe) config.sample_probe(cluster, k);
 
-    const std::size_t active = cluster.active_server_count();
     result.peak_active_servers = std::max(result.peak_active_servers, active);
     active_samples += active;
-    for (datacenter::ServerId s = 0; s < cluster.server_count(); ++s) {
-      if (cluster.overloaded(s)) ++overloaded_samples;
-    }
   }
 
   result.server_wakes = cluster.wake_count();

@@ -35,6 +35,8 @@ class Cluster {
 
   [[nodiscard]] std::size_t server_count() const noexcept { return servers_.size(); }
   [[nodiscard]] std::size_t vm_count() const noexcept { return vms_.size(); }
+  /// Every server in id order, for flat passes over the fleet.
+  [[nodiscard]] std::span<const Server> servers() const noexcept { return servers_; }
   [[nodiscard]] const Server& server(ServerId id) const;
   [[nodiscard]] Server& server(ServerId id);
   [[nodiscard]] const Vm& vm(VmId id) const;

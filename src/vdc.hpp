@@ -56,6 +56,7 @@
 #include "consolidate/ipac.hpp"               // IWYU pragma: export
 #include "consolidate/minimum_slack.hpp"      // IWYU pragma: export
 #include "consolidate/pac.hpp"                // IWYU pragma: export
+#include "consolidate/planning_model.hpp"     // IWYU pragma: export
 #include "consolidate/pmapper.hpp"            // IWYU pragma: export
 #include "consolidate/snapshot.hpp"           // IWYU pragma: export
 #include "consolidate/working_placement.hpp"  // IWYU pragma: export

@@ -17,6 +17,8 @@
 #include <new>
 
 #include "app/multi_tier_app.hpp"
+#include "check/check.hpp"
+#include "core/power_optimizer.hpp"
 #include "core/sysid_experiment.hpp"
 #include "core/testbed.hpp"
 #include "sim/simulation.hpp"
@@ -24,11 +26,14 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+// Bytes requested from operator new since start-up.
+std::atomic<std::size_t> g_requested_bytes{0};
 // Bytes held by live operator-new blocks, as the allocator sized them.
 std::atomic<std::int64_t> g_live_bytes{0};
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = nullptr;
   if (align <= alignof(std::max_align_t)) {
@@ -50,6 +55,7 @@ void counted_free(void* p) noexcept {
 }
 
 std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+std::size_t requested_bytes() { return g_requested_bytes.load(std::memory_order_relaxed); }
 std::int64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace
@@ -90,9 +96,11 @@ namespace {
 
 TEST(AllocBudget, CounterSeesHeapAllocations) {
   const std::size_t before = allocations();
+  const std::size_t requested_before = requested_bytes();
   const std::int64_t live_before = live_bytes();
   auto* p = new int(7);
   const std::size_t after = allocations();
+  EXPECT_EQ(requested_bytes() - requested_before, sizeof(int));
   EXPECT_GE(live_bytes() - live_before, static_cast<std::int64_t>(sizeof(int)));
   delete p;
   EXPECT_EQ(after - before, 1u);
@@ -249,6 +257,64 @@ TEST(AllocBudget, LiveHeapStaysFlatOnceTelemetryRetentionIsFull) {
   // ~8 bytes per request (~20 KiB per app here), and heap-vector rows ~60
   // bytes per row (~48 KiB per app).
   EXPECT_LE(high - live0, static_cast<std::int64_t>(config.num_apps * 1024));
+}
+
+// A warm plan allocates nothing per server: the optimizer's planning model
+// keeps the snapshot, the efficiency order (sorted once per fleet), the
+// placement, the slack index and the per-pass server lists across plans.
+// What a plan still allocates (its move list, the migration list, a
+// round's evacuees) depends on the VMs, not on the fleet, so growing the
+// fleet tenfold with sleeping servers must not add a block or a byte.
+TEST(AllocBudget, WarmPlanAllocationsDoNotGrowWithTheFleet) {
+#if VDC_CHECKS_ENABLED
+  GTEST_SKIP() << "checked builds audit each refresh against a snapshot built from scratch";
+#else
+  struct Used {
+    std::size_t blocks;
+    std::size_t bytes;
+  };
+  const auto warm_plan_allocations = [](std::size_t servers) {
+    datacenter::Cluster cluster;
+    for (std::size_t s = 0; s < servers; ++s) {
+      // The first 40 servers mix the classes; the rest are the least
+      // efficient class, so they sort behind every server the plan uses.
+      if (s < 40 && s % 4 == 0) {
+        cluster.add_server(datacenter::Server(datacenter::quad_core_3ghz(),
+                                              datacenter::power_model_quad_3ghz(), 32768.0));
+      } else if (s < 40 && s % 4 == 1) {
+        cluster.add_server(datacenter::Server(datacenter::dual_core_2ghz(),
+                                              datacenter::power_model_dual_2ghz(), 16384.0));
+      } else {
+        cluster.add_server(datacenter::Server(datacenter::dual_core_1_5ghz(),
+                                              datacenter::power_model_dual_1_5ghz(), 12288.0));
+      }
+    }
+    for (std::size_t v = 0; v < 80; ++v) {
+      datacenter::Vm vm;
+      vm.cpu_demand_ghz = 0.2 + 0.01 * static_cast<double>(v % 37);
+      vm.memory_mb = 512.0;
+      cluster.add_vm(vm, static_cast<datacenter::ServerId>(v % 40));
+    }
+    cluster.sleep_idle_servers();
+    core::OptimizerConfig config;
+    config.utilization_target = 0.8;
+    core::PowerOptimizer optimizer(config);
+    (void)optimizer.plan(cluster, 0.0);  // cold: the model's buffers grow
+    (void)optimizer.plan(cluster, 0.0);  // and every scratch reaches its high-water mark
+    const std::size_t blocks_before = allocations();
+    const std::size_t bytes_before = requested_bytes();
+    const consolidate::PlacementPlan plan = optimizer.plan(cluster, 0.0);
+    const Used used{allocations() - blocks_before, requested_bytes() - bytes_before};
+    EXPECT_FALSE(plan.moves.empty());
+    return used;
+  };
+  const Used small_fleet = warm_plan_allocations(400);
+  const Used large_fleet = warm_plan_allocations(4000);
+  std::printf("[ alloc ] warm plan: %zu blocks / %zu bytes on 400 servers, %zu / %zu on 4,000\n",
+              small_fleet.blocks, small_fleet.bytes, large_fleet.blocks, large_fleet.bytes);
+  EXPECT_EQ(small_fleet.blocks, large_fleet.blocks);
+  EXPECT_EQ(small_fleet.bytes, large_fleet.bytes);
+#endif
 }
 
 }  // namespace

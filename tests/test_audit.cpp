@@ -18,9 +18,11 @@
 #include "check/sim_audit.hpp"
 #include "fault/plan.hpp"
 #include "consolidate/constraints.hpp"
+#include "consolidate/planning_model.hpp"
 #include "consolidate/snapshot.hpp"
 #include "consolidate/working_placement.hpp"
 #include "datacenter/arbitrator.hpp"
+#include "datacenter/cluster.hpp"
 #include "datacenter/cpu_spec.hpp"
 #include "datacenter/power_model.hpp"
 #include "datacenter/server.hpp"
@@ -183,6 +185,36 @@ TEST(ConsolidateAudit, RejectsNonCandidateMinSlackSelection) {
   const std::vector<consolidate::VmId> not_a_candidate = {1};
   EXPECT_THROW(consolidate::audit::min_slack_selection(placement, 1, candidates, constraints,
                                                        not_a_candidate),
+               CheckFailure);
+}
+
+TEST(ConsolidateAudit, RejectsStalePlanningModel) {
+  datacenter::Cluster cluster;
+  cluster.add_server(datacenter::Server(datacenter::dual_core_1_5ghz(),
+                                        datacenter::power_model_dual_1_5ghz(), 12288.0));
+  cluster.add_server(datacenter::Server(datacenter::quad_core_3ghz(),
+                                        datacenter::power_model_quad_3ghz(), 32768.0));
+  datacenter::Vm vm;
+  vm.cpu_demand_ghz = 1.0;
+  cluster.add_vm(vm, 0);
+  consolidate::PlanningModel model;
+  model.refresh(cluster);
+  EXPECT_NO_THROW(
+      consolidate::audit::planning_model(model.snapshot(), model.efficiency_order(), cluster));
+  // The cluster moves on without a refresh: a changed demand, a crash.
+  cluster.vm(0).cpu_demand_ghz = 1.5;
+  EXPECT_THROW(
+      consolidate::audit::planning_model(model.snapshot(), model.efficiency_order(), cluster),
+      CheckFailure);
+  model.refresh(cluster);
+  (void)cluster.fail_server(0);
+  EXPECT_THROW(
+      consolidate::audit::planning_model(model.snapshot(), model.efficiency_order(), cluster),
+      CheckFailure);
+  // A cached order that is not the efficiency order.
+  model.refresh(cluster);
+  const std::vector<consolidate::ServerId> wrong_order = {0, 1};
+  EXPECT_THROW(consolidate::audit::planning_model(model.snapshot(), wrong_order, cluster),
                CheckFailure);
 }
 

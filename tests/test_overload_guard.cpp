@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace vdc::core {
 namespace {
 
@@ -31,6 +35,42 @@ OverloadGuardConfig trigger_after(std::size_t checks) {
   OverloadGuardConfig config;
   config.trigger_after_checks = checks;
   return config;
+}
+
+// One rejection test per validated Minimum Slack field; the message names
+// the guard and the field.
+template <typename Mutate>
+void expect_guard_rejects(Mutate mutate, const std::string& field) {
+  OverloadGuardConfig config;
+  mutate(config);
+  try {
+    OverloadGuard guard(config);
+    ADD_FAILURE() << "config accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("OverloadGuard: " + field, 0), 0u) << e.what();
+  }
+}
+
+TEST(OverloadGuard, RejectsBadMinSlackEpsilon) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_guard_rejects([bad](OverloadGuardConfig& c) { c.min_slack.epsilon_ghz = bad; },
+                         "min_slack.epsilon_ghz");
+  }
+}
+
+TEST(OverloadGuard, RejectsZeroMinSlackStepBudget) {
+  expect_guard_rejects([](OverloadGuardConfig& c) { c.min_slack.step_budget = 0; },
+                       "min_slack.step_budget");
+}
+
+TEST(OverloadGuard, RejectsMinSlackEscalationNotAboveOne) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_guard_rejects(
+        [bad](OverloadGuardConfig& c) { c.min_slack.epsilon_escalation = bad; },
+        "min_slack.epsilon_escalation");
+  }
 }
 
 TEST(OverloadGuard, NoActionWithoutOverload) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "consolidate/ffd.hpp"
 #include "util/rng.hpp"
@@ -123,6 +125,62 @@ TEST(Pac, AccountsForExistingResidents) {
   const PacResult r = power_aware_consolidation(wp, rest, constraints);
   // Only 1 GHz of room left: the 2 GHz VM cannot land.
   EXPECT_EQ(r.unplaced, (std::vector<VmId>{1}));
+}
+
+// PAC skips the Minimum Slack call on a server whose free memory or CPU
+// limit cannot take even the smallest candidate, and adds the steps that
+// call would have counted. A walk that makes every call (skipping only the
+// servers whose raw slack cannot take the smallest candidate, as PAC does)
+// must place the same VMs on the same servers and count the same steps,
+// with a budget that the skipped calls could not reach and with one they
+// could.
+TEST(Pac, GatedVisitsCountTheStepsOfTheCallsTheySkip) {
+  for (const std::size_t budget : {std::size_t{20000}, std::size_t{6}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      util::Rng rng(seed);
+      std::vector<ServerSpec> servers;
+      for (int i = 0; i < 10; ++i) servers.push_back({8.0, rng.uniform(0.01, 0.06)});
+      std::vector<double> demands;
+      for (int i = 0; i < 10; ++i) demands.push_back(rng.uniform(5.0, 6.3));  // residents
+      for (int i = 0; i < 12; ++i) demands.push_back(rng.uniform(0.2, 1.2));  // candidates
+      DataCenterSnapshot snap = make_instance(servers, demands);
+      for (ServerId s = 0; s < 10; ++s) {
+        snap.servers[s].hosted = {s};
+        snap.servers[s].memory_mb = rng.uniform(1.0, 8.0);  // some cannot take one more
+      }
+      std::vector<VmId> candidates;
+      for (VmId vm = 10; vm < 22; ++vm) candidates.push_back(vm);
+      const ConstraintSet constraints = ConstraintSet::standard(0.8);
+      MinSlackOptions options;
+      options.step_budget = budget;
+      const std::vector<ServerId> order = servers_by_power_efficiency(snap);
+
+      WorkingPlacement gated(snap);
+      const PacResult r = power_aware_consolidation(gated, candidates, constraints, options, order);
+
+      WorkingPlacement walked(snap);
+      std::vector<VmId> remaining = candidates;
+      std::size_t steps = 0;
+      for (const ServerId server : order) {
+        if (remaining.empty()) break;
+        double smallest = 1e300;
+        for (const VmId vm : remaining) smallest = std::min(smallest, snap.vm(vm).cpu_demand_ghz);
+        if (walked.cpu_slack(server) + 1e-9 < smallest) continue;
+        const MinSlackResult fit = minimum_slack(walked, server, remaining, constraints, options);
+        steps += fit.steps;
+        for (const VmId vm : fit.selected) {
+          walked.place(vm, server);
+          std::erase(remaining, vm);
+        }
+      }
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", seed " + std::to_string(seed));
+      EXPECT_EQ(r.min_slack_steps, steps);
+      EXPECT_EQ(r.unplaced.size(), remaining.size());
+      for (VmId vm = 0; vm < snap.vms.size(); ++vm) {
+        EXPECT_EQ(gated.host_of(vm), walked.host_of(vm)) << "VM " << vm;
+      }
+    }
+  }
 }
 
 class PacRandomSweep : public ::testing::TestWithParam<int> {};

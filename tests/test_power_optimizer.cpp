@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "consolidate/naive.hpp"
@@ -215,6 +216,71 @@ TEST(PowerOptimizer, RejectsNegativeMigrationBackoff) {
   OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
   config.migration_backoff_s = -1.0;
   EXPECT_THROW(PowerOptimizer{config}, std::invalid_argument);
+}
+
+// One rejection test per validated consolidation sub-config field; the
+// message names the optimizer and the field.
+template <typename Mutate>
+void expect_optimizer_rejects(Mutate mutate, const std::string& field) {
+  OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
+  mutate(config);
+  try {
+    PowerOptimizer optimizer(config);
+    ADD_FAILURE() << "config accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("PowerOptimizer: " + field, 0), 0u) << e.what();
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadMinSlackEpsilon) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, 0.0, -0.05, kInf}) {
+    expect_optimizer_rejects([bad](OptimizerConfig& c) { c.ipac.min_slack.epsilon_ghz = bad; },
+                             "min_slack.epsilon_ghz");
+  }
+}
+
+TEST(PowerOptimizer, RejectsZeroMinSlackStepBudget) {
+  expect_optimizer_rejects([](OptimizerConfig& c) { c.ipac.min_slack.step_budget = 0; },
+                           "min_slack.step_budget");
+}
+
+TEST(PowerOptimizer, RejectsMinSlackEscalationNotAboveOne) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, 1.0, 0.5, kInf}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.ipac.min_slack.epsilon_escalation = bad; },
+        "min_slack.epsilon_escalation");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackBudget) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.rack.migration_energy_budget_j = bad; },
+        "rack.migration_energy_budget_j");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackBenefitHorizon) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects([bad](OptimizerConfig& c) { c.rack.benefit_horizon_s = bad; },
+                             "rack.benefit_horizon_s");
+  }
+}
+
+TEST(PowerOptimizer, AcceptsBoundarySubConfigs) {
+  OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
+  config.ipac.min_slack.step_budget = 1;
+  config.ipac.min_slack.epsilon_escalation = 1.0001;
+  config.rack.migration_energy_budget_j = 0.0;
+  config.rack.benefit_horizon_s = 0.0;
+  EXPECT_NO_THROW(PowerOptimizer{config});
+  config.rack.migration_energy_budget_j = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(PowerOptimizer{config});
 }
 
 TEST(PowerOptimizer, ZeroMigrationBackoffDisablesDeferral) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -47,7 +50,7 @@ TEST(TraceSim, ValidatesConfig) {
 // the simulator's entry check, not from a component that trips over the
 // value later (the CPU constraint, the RNG).
 template <typename Mutate>
-void expect_rejected(Mutate mutate) {
+void expect_rejected(Mutate mutate, const std::string& field = "") {
   const trace::UtilizationTrace t = small_trace();
   const TraceDrivenSimulator sim(t);
   TraceSimConfig config = small_config(ConsolidationAlgorithm::kIpac);
@@ -57,6 +60,7 @@ void expect_rejected(Mutate mutate) {
     ADD_FAILURE() << "config accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()).rfind("TraceDrivenSimulator:", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
   }
 }
 
@@ -98,6 +102,44 @@ TEST(TraceSim, RejectsNonPositiveForecastSafety) {
   expect_rejected([](TraceSimConfig& c) { c.forecast_safety = -1.05; });
 }
 
+// The consolidation sub-configs are checked at entry too: a NaN epsilon
+// would skip every Minimum Slack search, a NaN budget would lift the
+// migration-energy budget.
+TEST(TraceSim, RejectsBadMinSlackEpsilon) {
+  const std::string field = "min_slack.epsilon_ghz";
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_ghz = std::nan(""); }, field);
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_ghz = 0.0; }, field);
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_ghz = std::numeric_limits<double>::infinity(); }, field);
+}
+
+TEST(TraceSim, RejectsZeroMinSlackStepBudget) {
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.step_budget = 0; },
+                  "min_slack.step_budget");
+}
+
+TEST(TraceSim, RejectsMinSlackEscalationNotAboveOne) {
+  const std::string field = "min_slack.epsilon_escalation";
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_escalation = 1.0; }, field);
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_escalation = std::nan(""); },
+                  field);
+  expect_rejected([](TraceSimConfig& c) { c.ipac.min_slack.epsilon_escalation = std::numeric_limits<double>::infinity(); },
+                  field);
+}
+
+TEST(TraceSim, RejectsBadRackBudget) {
+  const std::string field = "rack.migration_energy_budget_j";
+  expect_rejected([](TraceSimConfig& c) { c.rack.migration_energy_budget_j = -1.0; }, field);
+  expect_rejected([](TraceSimConfig& c) { c.rack.migration_energy_budget_j = std::nan(""); },
+                  field);
+}
+
+TEST(TraceSim, RejectsBadRackBenefitHorizon) {
+  const std::string field = "rack.benefit_horizon_s";
+  expect_rejected([](TraceSimConfig& c) { c.rack.benefit_horizon_s = -1.0; }, field);
+  expect_rejected([](TraceSimConfig& c) { c.rack.benefit_horizon_s = std::numeric_limits<double>::infinity(); }, field);
+  expect_rejected([](TraceSimConfig& c) { c.rack.benefit_horizon_s = std::nan(""); }, field);
+}
+
 TEST(TraceSim, AcceptsBoundaryConfigs) {
   // The edges of each validated range stay legal.
   const trace::UtilizationTrace t = small_trace();
@@ -109,6 +151,10 @@ TEST(TraceSim, AcceptsBoundaryConfigs) {
   config.vm_peak_lo_ghz = 2.0;
   config.vm_peak_hi_ghz = 2.0;
   config.server_wake_energy_wh = 0.0;
+  config.ipac.min_slack.step_budget = 1;
+  config.ipac.min_slack.epsilon_escalation = 1.5;
+  config.rack.migration_energy_budget_j = 0.0;
+  config.rack.benefit_horizon_s = 0.0;
   EXPECT_NO_THROW((void)sim.run(config));
 }
 
@@ -186,6 +232,104 @@ TEST(TraceSim, NoConsolidationBaselineUsesMorePower) {
   const TraceSimResult consolidated = sim.run(ipac_config);
   const TraceSimResult fixed = sim.run(none);
   EXPECT_LE(consolidated.final_active_servers, fixed.final_active_servers);
+}
+
+// ---- plan identity ----------------------------------------------------------
+// Pins of reduced trace runs, recorded before the planning state became
+// persistent across plans: every plan must stay move-for-move what the
+// rebuild-per-plan engine produced, and the energy bit-identical.
+
+/// FNV-1a over every migration the run performs, tagged with the sample it
+/// happened at: optimizer plans and guard reliefs alike are logged by the
+/// cluster, so this hashes each plan's moves in order.
+struct PlanHasher {
+  std::uint64_t hash = 14695981039346656037ULL;
+  std::size_t seen = 0;
+
+  void mix(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+
+  void observe(const datacenter::Cluster& cluster, std::size_t k) {
+    const datacenter::MigrationLog& log = cluster.migration_log();
+    const std::size_t fresh = log.count() - seen;
+    if (fresh == 0) return;
+    ASSERT_LE(fresh, datacenter::MigrationLog::kRetainedRecords);
+    const std::vector<datacenter::MigrationRecord> records = log.records();
+    for (std::size_t i = records.size() - fresh; i < records.size(); ++i) {
+      mix(k);
+      mix(records[i].vm);
+      mix(records[i].from);
+      mix(records[i].to);
+    }
+    seen = log.count();
+  }
+};
+
+struct PlanPin {
+  std::uint64_t seed;
+  ConsolidationAlgorithm algorithm;
+  bool guard;
+  std::uint64_t plan_hash;
+  std::size_t migrations;
+  std::size_t guard_migrations;
+  std::size_t wakes;
+  std::uint64_t energy_bits;
+  std::uint64_t overload_bits;
+};
+
+TEST(TraceSim, PlansMatchTheirPins) {
+  const PlanPin pins[] = {
+      {1, ConsolidationAlgorithm::kIpac, false, 0xdd2d4f575d484791ULL, 1180, 0, 35,
+       0x4108d60f78fbdb9dULL, 0x0000000000000000ULL},
+      {2, ConsolidationAlgorithm::kIpac, false, 0x2c47b45616c1e479ULL, 1200, 0, 30,
+       0x41073bd4899174e7ULL, 0x0000000000000000ULL},
+      {3, ConsolidationAlgorithm::kIpac, false, 0xc72033d09d4dc104ULL, 1211, 0, 32,
+       0x4107866541976e0aULL, 0x0000000000000000ULL},
+      {1, ConsolidationAlgorithm::kIpac, true, 0x6fdb3ff05850adf0ULL, 89, 516, 8,
+       0x41091206f206fe33ULL, 0x3fb858d86b11f09fULL},
+      {2, ConsolidationAlgorithm::kIpac, true, 0x3e50432460ee8cd5ULL, 97, 516, 8,
+       0x41080214aa4100f9ULL, 0x3fb70a0d5a9dc0c1ULL},
+      {1, ConsolidationAlgorithm::kPMapper, false, 0xd693a1549c463730ULL, 1200, 0, 31,
+       0x410956f07d60846cULL, 0x3f471e95cb7fe12dULL},
+  };
+
+  for (const PlanPin& pin : pins) {
+    trace::SyntheticTraceOptions options;
+    options.servers = 300;
+    options.samples = 192;  // two days
+    options.seed = pin.seed;
+    const trace::UtilizationTrace t = generate_synthetic_trace(options);
+    const TraceDrivenSimulator sim(t);
+    TraceSimConfig config;
+    config.num_vms = 300;
+    config.pool_size = 450;
+    config.seed = pin.seed;
+    config.consolidation_period_s = 3600.0;  // hourly
+    if (pin.guard) {
+      // Plans every 8 h packed to full capacity leave overloads between
+      // them for the guard to relieve.
+      config.consolidation_period_s = 8.0 * 3600.0;
+      config.utilization_target = 1.0;
+    }
+    config.algorithm = pin.algorithm;
+    config.on_demand_overload_guard = pin.guard;
+    PlanHasher hasher;
+    config.sample_probe = [&hasher](const datacenter::Cluster& cluster, std::size_t k) {
+      hasher.observe(cluster, k);
+    };
+    const TraceSimResult r = sim.run(config);
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    EXPECT_EQ(hasher.hash, pin.plan_hash);
+    EXPECT_EQ(r.migrations, pin.migrations);
+    EXPECT_EQ(r.guard_migrations, pin.guard_migrations);
+    EXPECT_EQ(r.server_wakes, pin.wakes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_energy_wh), pin.energy_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.overload_fraction), pin.overload_bits);
+  }
 }
 
 }  // namespace
