@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,20 +120,17 @@ VariantMetrics analyze(const char* name, const ScenarioResult& result, double su
   }
 
   // Power proxy: total granted capacity = per-replica allocation x replica
-  // count, summed over tiers, averaged over the post-surge window. The
-  // replica series exists only when replication is active (1 otherwise).
+  // count, summed over tiers, averaged over the post-surge window. Both
+  // series gain one row per control period.
   const telemetry::Recorder::RowsView alloc = result.allocation_series(0);
-  const std::optional<telemetry::Recorder::RowsView> replicas =
-      result.recorder.has(replica_series_name(0))
-          ? std::optional(result.recorder.rows(replica_series_name(0)))
-          : std::nullopt;
+  const telemetry::Recorder::RowsView replicas = result.recorder.rows(replica_series_name(0));
   util::RunningStats alloc_stats;
   double peak = 0.0;
   for (std::size_t k = 0; k < alloc.size(); ++k) {
     double total_ghz = 0.0;
     double total_replicas = 0.0;
     for (std::size_t j = 0; j < alloc[k].size(); ++j) {
-      const double n = replicas && k < replicas->size() ? (*replicas)[k][j] : 1.0;
+      const double n = replicas[k][j];
       total_ghz += alloc[k][j] * n;
       total_replicas += n;
     }

@@ -56,8 +56,7 @@ int main() {
   stack.mpc = mpc;
   core::AppStack live(sim, identified.model, stack);
   telemetry::Recorder recorder;
-  live.bind_recorder(&recorder, core::response_series_name(0),
-                     core::allocation_series_name(0));
+  live.bind_recorder(&recorder, 0);
   live.start_control_loop();
   sim.run_until(240.0);  // 60 control periods
 

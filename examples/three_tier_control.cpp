@@ -69,8 +69,7 @@ int main() {
   stack.initial_allocation_ghz = 0.8;
   core::AppStack live(sim, identified.model, stack);
   telemetry::Recorder recorder;
-  live.bind_recorder(&recorder, core::response_series_name(0),
-                     core::allocation_series_name(0));
+  live.bind_recorder(&recorder, 0);
   live.start_control_loop();
   sim.run_until(800.0);  // 200 control periods
 

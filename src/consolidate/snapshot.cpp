@@ -71,11 +71,14 @@ DataCenterSnapshot snapshot_of(const datacenter::Cluster& cluster) {
 
 void apply_plan(datacenter::Cluster& cluster, const PlacementPlan& plan, double now_s) {
   for (const Move& move : plan.moves) {
-    // A failed target cannot be woken; the plan was made against a snapshot
-    // that may have gone stale, so skip the move instead of placing a VM
-    // onto a dead box (it keeps its current host, or stays unplaced).
-    if (!cluster.wake(move.to)) continue;
-    if (move.from == datacenter::kNoServer && cluster.host_of(move.vm) == datacenter::kNoServer) {
+    // The plan was made against a snapshot that may have gone stale. A VM
+    // retired since has nowhere to go. A failed target cannot be woken, so
+    // the move is skipped instead of placing a VM onto a dead box (it keeps
+    // its current host, or stays unplaced).
+    if (cluster.vm_retired(move.vm) || !cluster.wake(move.to)) continue;
+    // The VM's host now, not the plan's `from`: a source that crashed after
+    // planning left the VM homeless, and it is placed as a restart is.
+    if (cluster.host_of(move.vm) == datacenter::kNoServer) {
       cluster.place(move.vm, move.to);
     } else {
       cluster.migrate(move.vm, move.to, now_s);

@@ -93,7 +93,10 @@ struct PlacementPlan {
 };
 
 /// Applies a plan to the live cluster: wakes target servers, migrates /
-/// places the VMs, then puts emptied servers to sleep.
+/// places the VMs, then puts emptied servers to sleep. A stale plan is
+/// tolerated: moves of retired VMs and moves onto failed servers are
+/// skipped, and a VM whose source failed after planning is placed on its
+/// target.
 void apply_plan(datacenter::Cluster& cluster, const PlacementPlan& plan, double now_s = 0.0);
 
 }  // namespace vdc::consolidate

@@ -24,10 +24,6 @@ AppStack::AppStack(sim::Simulation& sim, AppStackConfig config)
       monitor_(config_.monitor_quantile, config_.metric),
       held_measurement_(config_.mpc.setpoint),
       sla_setpoint_(config_.mpc.setpoint) {
-  replication_active_ = config_.supervisor.enabled;
-  for (const app::TierConfig& tier : config_.app.tiers) {
-    if (tier.initial_replicas > 1) replication_active_ = true;
-  }
   app_->set_response_callback([this](double, double rt) {
     // Sensor fault hooks: a disabled injector (the default) early-outs on
     // both queries without touching its RNG, so the nominal path is
@@ -77,19 +73,12 @@ AppStack::AppStack(sim::Simulation& sim, AppStackConfig config, Policy policy)
   policy_ = std::move(policy);
 }
 
-void AppStack::bind_recorder(telemetry::Recorder* recorder, std::string response_series,
-                             std::string allocation_series) {
+void AppStack::bind_recorder(telemetry::Recorder* recorder, std::size_t app_index) {
   recorder_ = recorder;
-  replica_series_.reset();
-  if (recorder_ != nullptr) {
-    response_series_ = recorder_->declare_scalar(response_series);
-    allocation_series_ = recorder_->declare_vector(allocation_series);
-    if (replication_active_) {
-      // Gated so healthy single-replica telemetry stays byte-identical.
-      const std::size_t slash = response_series.rfind('/');
-      replica_series_ = recorder_->declare_vector(response_series.substr(0, slash) + "/replicas");
-    }
-  }
+  if (recorder_ == nullptr) return;
+  response_series_ = recorder_->declare_scalar(response_series_name(app_index));
+  allocation_series_ = recorder_->declare_vector(allocation_series_name(app_index));
+  replica_series_ = recorder_->declare_vector(replica_series_name(app_index));
 }
 
 void AppStack::set_fault_injector(fault::FaultInjector* injector, std::uint32_t app_index) {
@@ -162,13 +151,11 @@ std::vector<double> AppStack::decide_tick(const std::optional<app::PeriodStats>&
 void AppStack::record_decision(std::span<const double> demands) {
   if (recorder_ == nullptr) return;
   recorder_->append(allocation_series_, demands);
-  if (replica_series_) {
-    replica_row_.clear();
-    for (std::size_t j = 0; j < app_->tier_count(); ++j) {
-      replica_row_.push_back(static_cast<double>(app_->replica_status(j).target));
-    }
-    recorder_->append(*replica_series_, replica_row_);
+  replica_row_.clear();
+  for (std::size_t j = 0; j < app_->tier_count(); ++j) {
+    replica_row_.push_back(static_cast<double>(app_->replica_status(j).target));
   }
+  recorder_->append(replica_series_, replica_row_);
 }
 
 std::vector<ScaleDecision> AppStack::take_scale_decisions() {

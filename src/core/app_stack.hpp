@@ -41,22 +41,20 @@ struct AppStackConfig {
   control::MpcConfig mpc;
   double initial_allocation_ghz = 0.6;   ///< per-tier starting allocation
   /// Horizontal-scaling supervisor (outer discrete loop). Disabled by
-  /// default: replica counts stay at their configured initial values and
-  /// the stack behaves exactly as the pre-replication build. MPC mode only.
+  /// default: replica counts stay at their configured initial values. MPC
+  /// mode only.
   SupervisorConfig supervisor;
   /// Robust controller variant (Makridis-style gain derating, setpoint
   /// margin, spike filter, release rate limit). nullopt = nominal MPC.
   std::optional<control::RobustConfig> robust;
 };
 
-/// Canonical telemetry series names shared by AppStack, Testbed, and the
-/// ScenarioRunner: "app<i>/p90" (scalar) and "app<i>/alloc" (vector).
+/// Canonical names of the series every AppStack records once per control
+/// period: "app<i>/p90" (scalar), "app<i>/alloc" (vector, per-tier CPU
+/// demands) and "app<i>/replicas" (vector, per-tier committed replica
+/// counts).
 [[nodiscard]] std::string response_series_name(std::size_t app_index);
 [[nodiscard]] std::string allocation_series_name(std::size_t app_index);
-/// Per-tier committed replica counts, "app<i>/replicas" (vector) — only
-/// recorded when replication is active (supervisor enabled or any tier
-/// starting with more than one replica), so healthy single-replica
-/// telemetry stays byte-identical to the pre-replication build.
 [[nodiscard]] std::string replica_series_name(std::size_t app_index);
 
 class AppStack {
@@ -83,10 +81,10 @@ class AppStack {
   AppStack(const AppStack&) = delete;
   AppStack& operator=(const AppStack&) = delete;
 
-  /// Streams the per-period response/allocation samples into `recorder`
-  /// under the given series names. Call before the first tick.
-  void bind_recorder(telemetry::Recorder* recorder, std::string response_series,
-                     std::string allocation_series);
+  /// Streams the per-period response, allocation and replica samples into
+  /// `recorder` under app `app_index`'s canonical series names. Call before
+  /// the first tick.
+  void bind_recorder(telemetry::Recorder* recorder, std::size_t app_index);
 
   /// Routes this stack's sensor path through a fault injector: response
   /// samples may be dropped or spiked, and whole periods flagged stale
@@ -147,9 +145,6 @@ class AppStack {
   [[nodiscard]] std::vector<ScaleDecision> take_scale_decisions();
   /// Applies (and clears) the pending scale decisions directly to the app.
   void apply_scaling();
-  /// True when the supervisor is enabled or any tier starts with more than
-  /// one replica — gates the replica telemetry series.
-  [[nodiscard]] bool replication_active() const noexcept { return replication_active_; }
   [[nodiscard]] const ScalingSupervisor* supervisor() const noexcept {
     return supervisor_ ? &*supervisor_ : nullptr;
   }
@@ -188,8 +183,7 @@ class AppStack {
   telemetry::Recorder* recorder_ = nullptr;
   telemetry::Recorder::SeriesId response_series_{};
   telemetry::Recorder::SeriesId allocation_series_{};
-  /// Set only when replication is active (see replica_series_name).
-  std::optional<telemetry::Recorder::SeriesId> replica_series_;
+  telemetry::Recorder::SeriesId replica_series_{};
   /// Reused per-tick buffers: the supervisor's replica-set view and the
   /// replica telemetry row.
   std::vector<app::ReplicaSetStatus> replica_status_;
@@ -198,7 +192,6 @@ class AppStack {
   std::uint32_t fault_index_ = 0;
   double held_measurement_;  // policy mode's substitute for the controller's
   double sla_setpoint_;      // unscaled SLA (the robust MPC tracks a margin of it)
-  bool replication_active_ = false;
   bool loop_started_ = false;
 };
 

@@ -20,6 +20,9 @@ PowerOptimizer::PowerOptimizer(OptimizerConfig config,
       constraints_(consolidate::ConstraintSet::standard(config.utilization_target)),
       policy_(std::move(policy)),
       model_(std::make_unique<consolidate::PlanningModel>()) {
+  if (!(config_.utilization_target > 0.0) || config_.utilization_target > 1.0) {
+    throw std::invalid_argument("PowerOptimizer: utilization_target must be in (0, 1]");
+  }
   // NaN or negative would silently disable the backoff (see plan()).
   if (std::isnan(config_.migration_backoff_s) || config_.migration_backoff_s < 0.0) {
     throw std::invalid_argument("PowerOptimizer: migration_backoff_s must be >= 0");

@@ -64,8 +64,7 @@ ScenarioResult run_app_stack(const ScenarioSpec& spec) {
     }
     app_stack = std::make_unique<AppStack>(sim, model, stack);
   }
-  app_stack->bind_recorder(&result.recorder, response_series_name(0),
-                           allocation_series_name(0));
+  app_stack->bind_recorder(&result.recorder, 0);
 
   // Scenario-private injector: sensor fault kinds only (no cluster here).
   // Lives on this stack frame, which outlives the simulation drain below.

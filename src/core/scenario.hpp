@@ -104,7 +104,7 @@ struct ScenarioResult {
   /// sensor pipeline was stale (summed over apps).
   std::size_t stale_holds = 0;
 
-  // ---- horizontal scaling (zero unless replication is active) ------------
+  // ---- horizontal scaling (zero unless the supervisor is enabled) --------
   /// Replica scale-out / scale-in events, summed over apps and tiers.
   std::uint64_t scale_outs = 0;
   std::uint64_t scale_ins = 0;

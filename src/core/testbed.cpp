@@ -26,6 +26,11 @@ Testbed::Testbed(TestbedConfig config)
   if (config_.num_apps == 0 || config_.num_servers == 0) {
     throw std::invalid_argument("Testbed: need at least one app and one server");
   }
+  // A zero period would reschedule every control tick at the same instant,
+  // so run_until would never return.
+  if (!(std::isfinite(config_.control_period_s) && config_.control_period_s > 0.0)) {
+    throw std::invalid_argument("Testbed: control_period_s must be finite and > 0");
+  }
   if (!(std::isfinite(config_.setpoint_s) && config_.setpoint_s > 0.0)) {
     throw std::invalid_argument("Testbed: setpoint_s must be finite and > 0");
   }
@@ -77,7 +82,6 @@ Testbed::Testbed(TestbedConfig config)
   stack.mpc.setpoint = config_.setpoint_s;
   stack.supervisor = config_.supervisor;
   stack.robust = config_.robust;
-  replication_active_ = config_.supervisor.enabled || config_.initial_replicas > 1;
 
   // Initial placement: one VM per replica, spread round-robin over the
   // servers. With one replica per tier the cursor visits exactly the
@@ -106,8 +110,7 @@ Testbed::Testbed(TestbedConfig config)
     // touch the spine.
     auto app_stack =
         std::make_unique<AppStack>(engine_.shard(shard_of_app(i)), *controller, stack);
-    app_stack->bind_recorder(&recorder_for_app(i), response_series_name(i),
-                             allocation_series_name(i));
+    app_stack->bind_recorder(&recorder_for_app(i), i);
 
     const std::size_t tiers = app_stack->tier_count();
     std::vector<std::vector<datacenter::VmId>> ids(tiers);
@@ -157,15 +160,14 @@ Testbed::Testbed(TestbedConfig config)
               [this] { return static_cast<double>(migrations_in_flight_); });
   probes_.add(kMigrationsCompletedSeries,
               [this] { return static_cast<double>(completed_migrations_); });
-  if (replication_active_) {
-    probes_.add(kLiveVmsSeries,
-                [this] { return static_cast<double>(cluster_.live_vm_count()); });
-  }
+  probes_.add(kLiveVmsSeries, [this] { return static_cast<double>(cluster_.live_vm_count()); });
+  probes_.add(kFaultsInjectedSeries,
+              [this] { return static_cast<double>(injector_.counters().total()); });
+  probes_.add(kFailedMigrationsSeries,
+              [this] { return static_cast<double>(failed_migrations_); });
 
-  // Chaos wiring: sensor faults route through the app stacks, and the
-  // fault gauges exist only when a plan is loaded — a healthy run's
-  // telemetry (series names included) is byte-identical to a build that
-  // has never heard of fault injection.
+  // Chaos wiring: sensor faults route through the app stacks. Without a
+  // plan the stacks never query the injector.
   if (injector_.enabled()) {
     // Per-app sensor streams, derived via splitmix64, so drop/spike draws
     // from concurrently advancing shards are race-free and the fault
@@ -174,16 +176,10 @@ Testbed::Testbed(TestbedConfig config)
     for (std::size_t i = 0; i < stacks_.size(); ++i) {
       stacks_[i]->set_fault_injector(&injector_, static_cast<std::uint32_t>(i));
     }
-    probes_.add(kFaultsInjectedSeries,
-                [this] { return static_cast<double>(injector_.counters().total()); });
-    probes_.add(kFailedMigrationsSeries,
-                [this] { return static_cast<double>(failed_migrations_); });
   }
 }
 
-void Testbed::annotate(const std::string& label) {
-  if (injector_.enabled()) recorder_.annotate(sim_.now(), label);
-}
+void Testbed::annotate(const std::string& label) { recorder_.annotate(sim_.now(), label); }
 
 void Testbed::apply_tier_allocation(datacenter::VmId vm, double ghz) {
   // A VM retired between decision and grant (scale-in finishing mid-period,

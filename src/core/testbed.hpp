@@ -86,10 +86,8 @@ struct TestbedConfig {
   consolidate::RackAwareOptions optimizer_rack;
 
   // ---- horizontal scaling (replica sets) ---------------------------------
-  /// Replicas every tier of every application starts with. > 1 creates one
-  /// VM per replica and activates the replica telemetry even without the
-  /// supervisor. 1 (the default) is the pre-replication testbed, bit for
-  /// bit.
+  /// Replicas every tier of every application starts with; > 1 creates one
+  /// VM per replica.
   std::size_t initial_replicas = 1;
   /// Hard per-tier replica cap forwarded to the applications.
   std::size_t max_replicas = 8;
@@ -138,22 +136,19 @@ struct TestbedConfig {
   /// Deterministic fault schedule threaded through the co-simulation:
   /// migration aborts/slowdowns, wake failures, server crashes, sensor
   /// dropout/spikes/staleness, DVFS pinning. The default (empty) plan
-  /// disables every hook at zero cost — outputs are byte-identical to a
-  /// build without the fault layer.
+  /// disables every hook at zero cost: the simulation is bit-identical to a
+  /// build without the fault layer, and the fault series read 0.
   fault::FaultPlan faults;
 };
 
-/// Cluster-level telemetry series recorded once per control period.
+/// Cluster-level telemetry series recorded once per control period, on
+/// every run.
 inline constexpr const char* kPowerSeries = "cluster/power_w";
 inline constexpr const char* kFrequencySeries = "cluster/freq_ghz_mean";
 inline constexpr const char* kActiveServersSeries = "cluster/active_servers";
 inline constexpr const char* kMigrationsInFlightSeries = "cluster/migrations_in_flight";
 inline constexpr const char* kMigrationsCompletedSeries = "cluster/migrations_completed";
-/// Registered ONLY when replication is active (supervisor enabled or
-/// initial_replicas > 1) so single-replica telemetry stays byte-identical.
 inline constexpr const char* kLiveVmsSeries = "cluster/live_vms";
-/// Fault telemetry, registered ONLY when the fault plan is non-empty so
-/// healthy runs export byte-identical tables.
 inline constexpr const char* kFaultsInjectedSeries = "fault/injected_total";
 inline constexpr const char* kFailedMigrationsSeries = "fault/failed_migrations";
 
@@ -243,7 +238,8 @@ class Testbed {
   void repair_crashed_server(datacenter::ServerId id);
   void crash_rack(datacenter::RackId id);
   void repair_rack(datacenter::RackId id);
-  /// Recorded only while faults are enabled (healthy telemetry unchanged).
+  /// Every caller is a fault path (crash, rack failure, failed migration or
+  /// wake, restart), so a healthy run records no annotations.
   void annotate(const std::string& label);
   void apply_tier_allocation(datacenter::VmId vm, double ghz);
   void record_power(double now);
@@ -327,7 +323,6 @@ class Testbed {
   PowerOptimizer optimizer_;
   double last_power_time_s_ = 0.0;
   std::vector<double> last_work_done_;  // per VmId, Gcycles
-  bool replication_active_ = false;
   bool loop_started_ = false;
   std::size_t migrations_in_flight_ = 0;
   std::size_t completed_migrations_ = 0;

@@ -1,12 +1,64 @@
 #include "fault/injector.hpp"
 
-#include "check/fault_audit.hpp"
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace vdc::fault {
+namespace {
+
+// A chaos schedule is itself an input that must be well-formed, or a
+// "robustness" run silently tests nothing (a window with probability 0.0
+// typo'd from 1.0, a crash window that ends before it starts, a DVFS pin at
+// a negative frequency). Checked in every build, checks on or off.
+void require(bool ok, const auto&... message) {
+  if (ok) return;
+  std::ostringstream out;
+  out << "FaultInjector: ";
+  (out << ... << message);
+  throw std::invalid_argument(out.str());
+}
+
+void validate(const FaultWindow& w) {
+  const std::string kind = to_string(w.kind);
+  require(w.start_s >= 0.0, kind, " window starts at ", w.start_s);
+  require(w.end_s > w.start_s, kind, " window [", w.start_s, ", ", w.end_s,
+          ") is empty or inverted");
+  require(w.probability >= 0.0 && w.probability <= 1.0, kind, " probability ", w.probability,
+          " outside [0,1]");
+  switch (w.kind) {
+    case FaultKind::kMigrationSlowdown:
+      require(w.magnitude >= 1.0, "slowdown factor ", w.magnitude,
+              " would speed migrations up");
+      break;
+    case FaultKind::kSensorSpike:
+      require(w.magnitude > 0.0 && std::isfinite(w.magnitude), "spike factor ", w.magnitude,
+              " is not a positive finite multiplier");
+      break;
+    case FaultKind::kDvfsPin:
+      require(w.magnitude > 0.0 && std::isfinite(w.magnitude), "pinned frequency ",
+              w.magnitude, " GHz is not positive finite");
+      require(w.target != kAnyTarget, "DVFS pin requires an explicit server target");
+      break;
+    case FaultKind::kServerCrash:
+      require(w.target != kAnyTarget, "server crash requires an explicit server target");
+      require(std::isfinite(w.start_s), "crash start must be a concrete time");
+      break;
+    case FaultKind::kRackFailure:
+      require(w.target != kAnyTarget, "rack failure requires an explicit rack target");
+      require(std::isfinite(w.start_s), "rack failure start must be a concrete time");
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
 
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed), enabled_(plan_.enabled()) {
-  audit::plan(plan_);
+  for (const FaultWindow& w : plan_.windows) validate(w);
 }
 
 const FaultWindow* FaultInjector::roll(FaultKind kind, double now_s, std::uint32_t target,

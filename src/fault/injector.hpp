@@ -51,7 +51,10 @@ class FaultInjector {
  public:
   /// Disabled injector: every query is a no-fault early-out.
   FaultInjector() = default;
-  /// Validates the plan (fault auditors) and seeds the private RNG.
+  /// Validates the plan and seeds the private RNG. Throws
+  /// std::invalid_argument on a malformed window (empty or inverted
+  /// interval, probability outside [0,1], a kind-specific magnitude or
+  /// target that makes no sense), in every build.
   explicit FaultInjector(FaultPlan plan);
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }

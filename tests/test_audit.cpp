@@ -14,9 +14,7 @@
 #include "check/consolidate_audit.hpp"
 #include "check/control_audit.hpp"
 #include "check/dc_audit.hpp"
-#include "check/fault_audit.hpp"
 #include "check/sim_audit.hpp"
-#include "fault/plan.hpp"
 #include "consolidate/constraints.hpp"
 #include "consolidate/planning_model.hpp"
 #include "consolidate/snapshot.hpp"
@@ -352,70 +350,6 @@ TEST(AppAudit, RejectsMvaPopulationOverflow) {
   result.response_time_s = 0.5;
   result.stations = {app::MvaStation{0.5, 2.5, 0.9}};  // 2.5 queued + 3.0 thinking > 4
   EXPECT_THROW(app::audit::mva_result(result, 4, 1.0), CheckFailure);
-}
-
-// ---- fault::audit -----------------------------------------------------------
-
-TEST(FaultAudit, AcceptsWellFormedWindows) {
-  fault::FaultPlan plan;
-  plan.migration_aborts(0.0, 100.0, 0.5);
-  plan.server_crash(2, 10.0, 20.0);
-  plan.dvfs_pin(0, 1.2, 0.0, 50.0);
-  EXPECT_NO_THROW(fault::audit::plan(plan));
-}
-
-TEST(FaultAudit, RejectsInvertedOrEmptyWindows) {
-  fault::FaultWindow w;
-  w.start_s = 10.0;
-  w.end_s = 10.0;
-  EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  w.end_s = 5.0;
-  EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  w.start_s = -1.0;
-  w.end_s = 5.0;
-  EXPECT_THROW(fault::audit::window(w), CheckFailure);
-}
-
-TEST(FaultAudit, RejectsProbabilityOutsideUnitInterval) {
-  fault::FaultWindow w;
-  w.end_s = 10.0;
-  w.probability = -0.1;
-  EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  w.probability = 1.5;
-  EXPECT_THROW(fault::audit::window(w), CheckFailure);
-}
-
-TEST(FaultAudit, RejectsKindSpecificMagnitudeAbuse) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  {
-    fault::FaultWindow w;  // a slowdown that speeds migrations up
-    w.kind = fault::FaultKind::kMigrationSlowdown;
-    w.end_s = 10.0;
-    w.magnitude = 0.5;
-    EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  }
-  {
-    fault::FaultWindow w;  // NaN spike multiplier
-    w.kind = fault::FaultKind::kSensorSpike;
-    w.end_s = 10.0;
-    w.magnitude = nan;
-    EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  }
-  {
-    fault::FaultWindow w;  // DVFS pin without a concrete server
-    w.kind = fault::FaultKind::kDvfsPin;
-    w.end_s = 10.0;
-    w.magnitude = 1.0;
-    w.target = fault::kAnyTarget;
-    EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  }
-  {
-    fault::FaultWindow w;  // crashing "any server" is not a thing
-    w.kind = fault::FaultKind::kServerCrash;
-    w.end_s = 10.0;
-    w.target = fault::kAnyTarget;
-    EXPECT_THROW(fault::audit::window(w), CheckFailure);
-  }
 }
 
 #else

@@ -6,9 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
-#include "check/check.hpp"
 #include "fault/plan.hpp"
 
 namespace vdc::fault {
@@ -54,36 +55,105 @@ TEST(FaultWindow, CoversRespectsTimeSpanAndTarget) {
   EXPECT_TRUE(w.covers(15.0, 4));
 }
 
-#if VDC_CHECKS_ENABLED
 TEST(FaultPlan, InjectorRejectsMalformedWindows) {
-  using check::CheckFailure;
   {
     FaultPlan p;
     p.migration_aborts(50.0, 50.0, 1.0);  // empty interval
-    EXPECT_THROW(FaultInjector{p}, CheckFailure);
+    EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
   {
     FaultPlan p;
     p.migration_aborts(0.0, 10.0, 1.5);  // probability > 1
-    EXPECT_THROW(FaultInjector{p}, CheckFailure);
+    EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
   {
     FaultPlan p;
     p.migration_slowdown(0.0, 10.0, 0.5);  // would speed migrations up
-    EXPECT_THROW(FaultInjector{p}, CheckFailure);
+    EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
   {
     FaultPlan p;
     p.dvfs_pin(kAnyTarget, 1.0, 0.0, 10.0);  // pin needs a concrete server
-    EXPECT_THROW(FaultInjector{p}, CheckFailure);
+    EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
   {
     FaultPlan p;
     p.sensor_spikes(0.0, 10.0, -2.0, 1.0);  // negative multiplier
-    EXPECT_THROW(FaultInjector{p}, CheckFailure);
+    EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
 }
-#endif
+
+// ---- plan validation, window by window --------------------------------------
+// The injector validates every window at construction with
+// std::invalid_argument, in every build (checks on or off).
+
+FaultInjector injector_for(const FaultWindow& w) {
+  FaultPlan plan;
+  plan.windows.push_back(w);
+  return FaultInjector{plan};
+}
+
+TEST(FaultAudit, AcceptsWellFormedWindows) {
+  FaultPlan plan;
+  plan.migration_aborts(0.0, 100.0, 0.5);
+  plan.server_crash(2, 10.0, 20.0);
+  plan.dvfs_pin(0, 1.2, 0.0, 50.0);
+  EXPECT_NO_THROW(FaultInjector{plan});
+}
+
+TEST(FaultAudit, RejectsInvertedOrEmptyWindows) {
+  FaultWindow w;
+  w.start_s = 10.0;
+  w.end_s = 10.0;
+  EXPECT_THROW(injector_for(w), std::invalid_argument);
+  w.end_s = 5.0;
+  EXPECT_THROW(injector_for(w), std::invalid_argument);
+  w.start_s = -1.0;
+  w.end_s = 5.0;
+  EXPECT_THROW(injector_for(w), std::invalid_argument);
+}
+
+TEST(FaultAudit, RejectsProbabilityOutsideUnitInterval) {
+  FaultWindow w;
+  w.end_s = 10.0;
+  w.probability = -0.1;
+  EXPECT_THROW(injector_for(w), std::invalid_argument);
+  w.probability = 1.5;
+  EXPECT_THROW(injector_for(w), std::invalid_argument);
+}
+
+TEST(FaultAudit, RejectsKindSpecificMagnitudeAbuse) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    FaultWindow w;  // a slowdown that speeds migrations up
+    w.kind = FaultKind::kMigrationSlowdown;
+    w.end_s = 10.0;
+    w.magnitude = 0.5;
+    EXPECT_THROW(injector_for(w), std::invalid_argument);
+  }
+  {
+    FaultWindow w;  // NaN spike multiplier
+    w.kind = FaultKind::kSensorSpike;
+    w.end_s = 10.0;
+    w.magnitude = nan;
+    EXPECT_THROW(injector_for(w), std::invalid_argument);
+  }
+  {
+    FaultWindow w;  // DVFS pin without a concrete server
+    w.kind = FaultKind::kDvfsPin;
+    w.end_s = 10.0;
+    w.magnitude = 1.0;
+    w.target = kAnyTarget;
+    EXPECT_THROW(injector_for(w), std::invalid_argument);
+  }
+  {
+    FaultWindow w;  // crashing "any server" is not a thing
+    w.kind = FaultKind::kServerCrash;
+    w.end_s = 10.0;
+    w.target = kAnyTarget;
+    EXPECT_THROW(injector_for(w), std::invalid_argument);
+  }
+}
 
 // ---- the zero-cost idle guarantee ------------------------------------------
 

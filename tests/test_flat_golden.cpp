@@ -19,7 +19,7 @@
 //   the export format is a contract.
 //
 // Regenerating (only legitimate when a change intentionally moves default
-// behavior or, for the Testbed export, its arithmetic):
+// behavior or, for the Testbed export, its arithmetic or its schema):
 //   VDC_REGEN_GOLDEN=1 ./build/tests/test_flat_golden
 #include <gtest/gtest.h>
 
@@ -300,7 +300,9 @@ TEST(FlatGolden, TelemetryTestbedCsvMatchesGolden) {
   // A fig2-style testbed run. While tier-0 retention covers the run (the
   // default by a wide margin), the tiered store must hand every exporter
   // every appended sample — cmp-equal CSV, pinned by a committed golden
-  // that was generated from plain unbounded vectors.
+  // whose response, allocation and cluster columns were first generated
+  // from plain unbounded vectors. The replica, live-VM and fault columns
+  // read 1, 4 and 0 on this healthy run.
   core::ScenarioSpec spec;
   spec.name = "telemetry-golden";
   spec.engine = core::ScenarioSpec::Engine::kTestbed;

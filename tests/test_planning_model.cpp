@@ -128,15 +128,15 @@ void mutate(Cluster& c, core::PowerOptimizer& optimizer, util::Rng& rng, double 
       (void)optimizer.optimize(c, now);
       break;
     }
-    default: {  // a target fails after planning: apply_plan skips its moves
+    default: {  // a server of the plan fails after planning: a stale plan
       const PlacementPlan proposed = optimizer.plan(c, now);
       if (!proposed.moves.empty()) {
-        const datacenter::ServerId target = proposed.moves[rng.index(proposed.moves.size())].to;
-        // Only a pure receiver: a crashed source would leave moves of VMs
-        // that are no longer where the plan found them.
-        const bool is_source = std::any_of(proposed.moves.begin(), proposed.moves.end(),
-                                           [&](const Move& m) { return m.from == target; });
-        if (!is_source) (void)c.fail_server(target);
+        const Move& move = proposed.moves[rng.index(proposed.moves.size())];
+        // A failed target's moves are skipped; a failed source's VMs are
+        // placed on their targets.
+        const datacenter::ServerId victim =
+            move.from != datacenter::kNoServer && rng.uniform() < 0.5 ? move.from : move.to;
+        (void)c.fail_server(victim);
       }
       apply_plan(c, proposed, now);
       break;
@@ -201,6 +201,27 @@ INSTANTIATE_TEST_SUITE_P(Layouts, WarmModelDifferential, ::testing::Values(false
                          [](const ::testing::TestParamInfo<bool>& layout) {
                            return layout.param ? std::string("Racked") : std::string("Flat");
                          });
+
+TEST(PlanningModel, ApplyPlanPlacesTheVmOfASourceThatFailedAfterPlanning) {
+  // A stale plan: a server that is the source of a move crashes between
+  // planning and applying. Its VM is homeless, and is placed on the target
+  // as a restart is, instead of reaching Cluster::migrate.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Cluster c = make_cluster(seed, false);
+    core::PowerOptimizer optimizer(core::OptimizerConfig{});
+    const PlacementPlan plan = optimizer.plan(c, 0.0);
+    const auto from_live = std::find_if(plan.moves.begin(), plan.moves.end(), [](const Move& m) {
+      return m.from != datacenter::kNoServer;
+    });
+    ASSERT_NE(from_live, plan.moves.end());
+    const Move move = *from_live;
+    (void)c.fail_server(move.from);
+    ASSERT_EQ(c.host_of(move.vm), datacenter::kNoServer);
+    EXPECT_NO_THROW(apply_plan(c, plan, 0.0));
+    EXPECT_EQ(c.host_of(move.vm), move.to);
+  }
+}
 
 TEST(PlanningModel, ColdOptimizerFirstPlanEqualsWarmPlan) {
   // perfbench replays each plan on a freshly built optimizer: its first,

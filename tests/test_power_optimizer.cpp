@@ -206,6 +206,14 @@ TEST(PowerOptimizer, BackoffAndHomelessPlansIdenticalAcrossEngines) {
   ASSERT_FALSE(retried.moves.empty());
 }
 
+TEST(PowerOptimizer, RejectsUtilizationTargetOutsideUnitInterval) {
+  for (const double target : {0.0, -0.5, 1.01, std::numeric_limits<double>::quiet_NaN()}) {
+    OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
+    config.utilization_target = target;
+    EXPECT_THROW(PowerOptimizer{config}, std::invalid_argument) << "target " << target;
+  }
+}
+
 TEST(PowerOptimizer, RejectsNaNMigrationBackoff) {
   OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
   config.migration_backoff_s = std::numeric_limits<double>::quiet_NaN();

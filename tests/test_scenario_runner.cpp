@@ -186,7 +186,7 @@ TEST(ScenarioRunner, StackOnACopiedControllerMatchesTheScenarioRun) {
       std::vector<double>(stack.app.tiers.size(), stack.initial_allocation_ghz), stack.robust);
   sim::Simulation sim;
   AppStack copied(sim, prototype, stack);
-  copied.bind_recorder(&recorder, response_series_name(0), allocation_series_name(0));
+  copied.bind_recorder(&recorder, 0);
   copied.start_control_loop();
   sim.drain_until(spec.duration_s);
 

@@ -4,6 +4,7 @@
 
 #include "core/sysid_experiment.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -34,6 +35,17 @@ TEST(Testbed, RejectsNonPositiveOrNonFiniteOptimizerPeriod) {
     TestbedConfig config = fast_config();
     config.enable_optimizer = true;
     config.optimizer_period_s = period;
+    EXPECT_THROW(Testbed{config}, std::invalid_argument) << "period " << period;
+  }
+}
+
+TEST(Testbed, RejectsNonPositiveOrNonFiniteControlPeriod) {
+  // A zero period would reschedule the control tick at the same instant
+  // forever, so run_until would never return.
+  for (const double period : {0.0, -4.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    TestbedConfig config = fast_config();
+    config.control_period_s = period;
     EXPECT_THROW(Testbed{config}, std::invalid_argument) << "period " << period;
   }
 }
@@ -270,24 +282,55 @@ TEST(Testbed, SupervisorScalesOutUnderSurgeAndCreatesVms) {
   // The surge is re-attained: settled response time back near the setpoint.
   const util::RunningStats late = tb.response_stats_after(0, 700.0);
   EXPECT_LT(late.mean(), 1.3);
-  // Replica counts and live-VM totals are recorded when scaling is on.
+  // The replica and live-VM series record the scale-out.
   const telemetry::Recorder recorded = tb.take_recorder();
-  EXPECT_TRUE(recorded.has(replica_series_name(0)));
-  EXPECT_TRUE(recorded.has(kLiveVmsSeries));
+  double peak_replicas = 0.0;
+  const telemetry::Recorder::RowsView replicas = recorded.rows(replica_series_name(0));
+  for (std::size_t k = 0; k < replicas.size(); ++k) {
+    for (const double n : replicas[k]) peak_replicas = std::max(peak_replicas, n);
+  }
+  EXPECT_GT(peak_replicas, 1.0);
+  const std::vector<double>& live = recorded.values(kLiveVmsSeries);
+  EXPECT_GT(*std::max_element(live.begin(), live.end()), static_cast<double>(vms_before));
 }
 
-TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
-  // The replication machinery must be invisible when unused: no replica or
-  // live-VM series, so healthy single-replica telemetry stays byte-identical
-  // to the pre-replication format.
-  Testbed tb{fast_config()};
-  tb.run_until(100.0);
-  EXPECT_EQ(tb.scale_out_count(), 0u);
-  EXPECT_EQ(tb.scale_in_count(), 0u);
-  const telemetry::Recorder recorded = tb.take_recorder();
-  EXPECT_TRUE(recorded.has(response_series_name(0)));  // the merged view holds app series
-  EXPECT_FALSE(recorded.has(replica_series_name(0)));
-  EXPECT_FALSE(recorded.has(kLiveVmsSeries));
+TEST(Testbed, EveryRunRecordsTheSameSeries) {
+  // One telemetry schema: a healthy run, a scaling run and a faulted run
+  // export the same series, so the two time scales share one timeline
+  // whatever the configuration.
+  const auto recorded_after = [](const TestbedConfig& config) {
+    Testbed tb{config};
+    tb.run_until(100.0);
+    return tb.take_recorder();
+  };
+  TestbedConfig scaling = fast_config();
+  scaling.supervisor.enabled = true;
+  TestbedConfig faulted = fast_config();
+  faulted.faults.server_crash(1, 40.0, 60.0);
+
+  const telemetry::Recorder healthy = recorded_after(fast_config());
+  EXPECT_EQ(recorded_after(scaling).series_names(), healthy.series_names());
+  EXPECT_EQ(recorded_after(faulted).series_names(), healthy.series_names());
+
+  // In the healthy run the replica machinery reads its idle values.
+  const std::size_t apps = fast_config().num_apps;
+  for (std::size_t i = 0; i < apps; ++i) {
+    const telemetry::Recorder::RowsView replicas = healthy.rows(replica_series_name(i));
+    ASSERT_EQ(replicas.size(), healthy.rows(allocation_series_name(i)).size());
+    ASSERT_GT(replicas.size(), 0u);
+    for (std::size_t k = 0; k < replicas.size(); ++k) {
+      ASSERT_EQ(replicas[k].size(), 2u);
+      for (const double n : replicas[k]) EXPECT_EQ(n, 1.0) << "app " << i << " period " << k;
+    }
+  }
+  for (const double live : healthy.values(kLiveVmsSeries)) {
+    EXPECT_EQ(live, 2.0 * static_cast<double>(apps));
+  }
+  for (const char* series : {kFaultsInjectedSeries, kFailedMigrationsSeries}) {
+    ASSERT_FALSE(healthy.values(series).empty()) << series;
+    for (const double v : healthy.values(series)) EXPECT_EQ(v, 0.0) << series;
+  }
+  EXPECT_TRUE(healthy.annotations().empty());
 }
 
 TEST(Testbed, ClockKeepsMovingPastTwoToTheFifteenSeconds) {
