@@ -1,6 +1,7 @@
 // Workload schedules: scripted concurrency-level changes applied to an
 // application over simulated time — e.g. the paper's "breaking news" surge
 // that doubles App5's concurrency between t=600 s and t=1200 s.
+// vdc-lint: orphan-header-ok test-only, kept with its unit tests for now; ROADMAP lists its removal
 #pragma once
 
 #include <cstddef>

@@ -64,10 +64,6 @@ class FreeMigrationPolicy final : public MigrationCostPolicy {
   [[nodiscard]] std::string name() const override { return "free-migration"; }
 };
 
-/// Old name for FreeMigrationPolicy — "allow all" described the behavior,
-/// not the economics it assumes.
-using AllowAllPolicy [[deprecated("use FreeMigrationPolicy")]] = FreeMigrationPolicy;
-
 /// Caps the total bytes migrated per optimizer invocation — the paper's
 /// "network bandwidth is a bottleneck" example.
 class BandwidthBudgetPolicy final : public MigrationCostPolicy {

@@ -514,40 +514,18 @@ void Testbed::record_power(double now) {
       }
     }
   }
+  server_power_w_.resize(cluster_.server_count());
   for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
     const datacenter::Server& server = cluster_.server(s);
     const double capacity = server.capacity_ghz();
     const double utilization =
         (capacity > 0.0 && interval > 0.0) ? server_work_[s] / (capacity * interval) : 0.0;
-    total_power += server.power_w(utilization);
+    server_power_w_[s] = server.power_w(utilization);
+    total_power += server_power_w_[s];
   }
-  // Shared infrastructure draw: a rack's switch/fans burn while any member
-  // is awake, a pod's fabric while any member rack is lit. Flat testbeds
-  // (empty topology) skip both loops and record the historical series.
-  const datacenter::Topology& topo = cluster_.topology();
-  if (!topo.empty()) {
-    for (datacenter::RackId r = 0; r < topo.rack_count(); ++r) {
-      for (const datacenter::ServerId member : topo.servers_in(r)) {
-        if (member < cluster_.server_count() && cluster_.server(member).active()) {
-          total_power += topo.rack_shared_power_w(r);
-          break;
-        }
-      }
-    }
-    for (datacenter::PodId p = 0; p < topo.pod_count(); ++p) {
-      bool lit = false;
-      for (const datacenter::RackId r : topo.racks_in(p)) {
-        for (const datacenter::ServerId member : topo.servers_in(r)) {
-          if (member < cluster_.server_count() && cluster_.server(member).active()) {
-            lit = true;
-            break;
-          }
-        }
-        if (lit) break;
-      }
-      if (lit) total_power += topo.pod_shared_power_w(p);
-    }
-  }
+  // Shared infrastructure draw, by the cluster's live rule; a flat testbed
+  // adds nothing and records the historical series.
+  total_power = cluster_.add_shared_power_w(total_power, server_power_w_);
   if (interval > 0.0) recorder_.append_at(power_series_, now, total_power);
   last_power_time_s_ = now;
 }

@@ -301,11 +301,12 @@ class Testbed {
   telemetry::Recorder recorder_;
   telemetry::Recorder::SeriesId power_series_{};
   /// Control-tick buffers, reused across ticks: the per-app harvest and
-  /// decision, the per-server work of record_power, and one server's VM
-  /// demands and grants for arbitration.
+  /// decision, the per-server work and draw of record_power, and one
+  /// server's VM demands and grants for arbitration.
   std::vector<std::optional<app::PeriodStats>> harvested_;
   std::vector<std::vector<double>> decided_;
   std::vector<double> server_work_;
+  std::vector<double> server_power_w_;
   std::vector<double> server_demands_;
   datacenter::ArbitrationResult arbitration_;
   /// One recorder per shard for the per-app series, appended from that

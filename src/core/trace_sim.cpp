@@ -200,16 +200,17 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
 
     // One flat pass over the fleet: the awake count, the overload count
     // (an empty server is never overloaded, so only occupied ones are
-    // checked) and, with shut-down semantics, the sleeping servers' draw
-    // taken back out in server-id order, as the power sum added it.
+    // checked) and, for every server that is not active, the draw the
+    // power sum added for it (sleep power, 0 W when failed) taken back out
+    // in server-id order: the paper shuts unused servers down.
     double power = cluster.arbitrate_and_power_w(config.dvfs);
     const std::span<const datacenter::Server> servers = cluster.servers();
     std::size_t active = 0;
     for (datacenter::ServerId s = 0; s < servers.size(); ++s) {
       if (servers[s].active()) {
         ++active;
-      } else if (!config.count_sleep_power) {
-        power -= servers[s].power_model().sleep_w;
+      } else {
+        power -= servers[s].power_w(0.0);
       }
       if (!cluster.vms_on(s).empty() && cluster.overloaded(s)) ++overloaded_samples;
     }

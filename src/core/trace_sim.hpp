@@ -28,10 +28,6 @@ struct TraceSimConfig {
   std::size_t pool_size = 3000;
   double quad_3ghz_fraction = 0.05;   ///< most efficient class
   double dual_2ghz_fraction = 0.45;   ///< remainder is dual-1.5GHz
-  /// Count ACPI-sleep power of unused servers. Default false: the paper
-  /// shuts unused servers down ("put unused servers into the sleep mode"
-  /// / "shutting down unused servers"), so they draw nothing.
-  bool count_sleep_power = false;
   /// Long-time-scale optimizer invocation period (the paper: hours).
   double consolidation_period_s = 4.0 * 3600.0;
   ConsolidationAlgorithm algorithm = ConsolidationAlgorithm::kIpac;

@@ -164,38 +164,40 @@ double Cluster::arbitrate_and_power_w(bool dvfs) {
     total += power;
     if (racked) per_server[id] = power;
   }
-  if (racked) {
-    // Shared infrastructure: a rack's PDU/cooling/ToR draw is paid while
-    // any member is awake; a pod's aggregation draw likewise. A rack the
-    // consolidator fully evacuates therefore switches its share off.
-    for (RackId rack = 0; rack < topology_.rack_count(); ++rack) {
-      double members = 0.0;
-      bool awake = false;
-      for (const ServerId s : topology_.servers_in(rack)) {
-        if (s >= servers_.size()) continue;
-        members += per_server[s];
-        awake = awake || servers_[s].active();
-      }
-      const double shared = awake ? topology_.rack_shared_power_w(rack) : 0.0;
-      audit::rack_power(rack, awake, topology_.rack_shared_power_w(rack), members,
-                        members + shared);
-      total += shared;
+  return add_shared_power_w(total, per_server);
+}
+
+double Cluster::add_shared_power_w(double total_w, std::span<const double> server_power_w) const {
+  // Shared infrastructure: a rack's PDU/cooling/ToR draw is paid while any
+  // member is awake; a pod's aggregation draw likewise. A rack the
+  // consolidator fully evacuates therefore switches its share off.
+  for (RackId rack = 0; rack < topology_.rack_count(); ++rack) {
+    double members = 0.0;
+    bool awake = false;
+    for (const ServerId s : topology_.servers_in(rack)) {
+      if (s >= servers_.size()) continue;
+      members += server_power_w[s];
+      awake = awake || servers_[s].active();
     }
-    for (PodId pod = 0; pod < topology_.pod_count(); ++pod) {
-      bool awake = false;
-      for (const RackId rack : topology_.racks_in(pod)) {
-        for (const ServerId s : topology_.servers_in(rack)) {
-          if (s < servers_.size() && servers_[s].active()) {
-            awake = true;
-            break;
-          }
-        }
-        if (awake) break;
-      }
-      if (awake) total += topology_.pod_shared_power_w(pod);
-    }
+    const double shared = awake ? topology_.rack_shared_power_w(rack) : 0.0;
+    audit::rack_power(rack, awake, topology_.rack_shared_power_w(rack), members,
+                      members + shared);
+    total_w += shared;
   }
-  return total;
+  for (PodId pod = 0; pod < topology_.pod_count(); ++pod) {
+    bool awake = false;
+    for (const RackId rack : topology_.racks_in(pod)) {
+      for (const ServerId s : topology_.servers_in(rack)) {
+        if (s < servers_.size() && servers_[s].active()) {
+          awake = true;
+          break;
+        }
+      }
+      if (awake) break;
+    }
+    if (awake) total_w += topology_.pod_shared_power_w(pod);
+  }
+  return total_w;
 }
 
 std::size_t Cluster::sleep_idle_servers() {

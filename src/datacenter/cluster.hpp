@@ -67,6 +67,14 @@ class Cluster {
   /// for the current demands (when `dvfs` is true; max frequency otherwise)
   /// and returns total power. Sleeping servers contribute sleep power.
   double arbitrate_and_power_w(bool dvfs = true);
+  /// Adds the shared-infrastructure draw to `total_w` and returns the sum:
+  /// each rack with >= 1 awake member, then each pod with >= 1 awake
+  /// member, in id order. `server_power_w[s]` is server s's own draw; it
+  /// feeds the per-rack power conservation audit. A flat cluster returns
+  /// `total_w` unchanged. The one shared-draw rule for live power, used by
+  /// arbitrate_and_power_w and by the Testbed's work-based power series.
+  [[nodiscard]] double add_shared_power_w(double total_w,
+                                          std::span<const double> server_power_w) const;
 
   /// Puts every active server hosting no VMs to sleep; returns how many
   /// were transitioned.

@@ -4,20 +4,6 @@
 
 namespace vdc::datacenter {
 
-std::string to_string(NetworkDistance distance) {
-  switch (distance) {
-    case NetworkDistance::kSameHost:
-      return "same-host";
-    case NetworkDistance::kSameRack:
-      return "same-rack";
-    case NetworkDistance::kSamePod:
-      return "same-pod";
-    case NetworkDistance::kCrossPod:
-      return "cross-pod";
-  }
-  return "unknown";
-}
-
 PodId Topology::add_pod(double shared_power_w) {
   if (shared_power_w < 0.0) throw std::invalid_argument("Topology::add_pod: negative shared power");
   pods_.push_back(Pod{.shared_power_w = shared_power_w, .racks = {}});

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "datacenter/server.hpp"
@@ -42,8 +41,6 @@ enum class NetworkDistance {
   kSamePod = 2,   ///< cross-rack via the pod aggregation fabric
   kCrossPod = 3,  ///< via the data-center core
 };
-
-[[nodiscard]] std::string to_string(NetworkDistance distance);
 
 class Topology {
  public:

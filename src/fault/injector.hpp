@@ -90,9 +90,6 @@ class FaultInjector {
   /// Crash windows (kServerCrash) in plan order; owners schedule the
   /// fail/recover transitions on their simulation clock.
   [[nodiscard]] std::vector<FaultWindow> crash_windows() const;
-  /// Is `server` inside one of its crash windows at `now`? Constraint
-  /// filters use this to keep the optimizer from planning onto a dead box.
-  [[nodiscard]] bool server_down(double now_s, std::uint32_t server) const noexcept;
   /// Owners call this when they execute a scheduled crash (counter + log).
   void note_crash(double now_s, std::uint32_t server);
   /// Rack-failure windows (kRackFailure) in plan order; the target is a

@@ -11,10 +11,6 @@ void ProbeSet::add(std::string series, std::function<double()> read) {
   probes_.push_back(Probe{std::move(series), std::move(read)});
 }
 
-void ProbeSet::sample(Recorder& recorder) const {
-  for (const Probe& probe : probes_) recorder.append(probe.series, probe.read());
-}
-
 void ProbeSet::sample(Recorder& recorder, double time_s) const {
   for (const Probe& probe : probes_) recorder.append_at(probe.series, time_s, probe.read());
 }

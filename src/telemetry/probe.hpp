@@ -27,10 +27,9 @@ class ProbeSet {
   /// Registers a gauge; `read` must stay valid for the set's lifetime.
   void add(std::string series, std::function<double()> read);
 
-  /// Reads every probe once, appending into its series of `recorder`.
-  void sample(Recorder& recorder) const;
-  /// Same, stamping each sample with an explicit time (simulation now()) —
-  /// the tsdb backend files it under real time instead of a sample index.
+  /// Reads every probe once, appending into its series of `recorder`
+  /// stamped with `time_s` (simulation now()), so the tsdb files each
+  /// sample under simulated time.
   void sample(Recorder& recorder, double time_s) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return probes_.size(); }

@@ -34,12 +34,6 @@ std::span<const double> UtilizationTrace::series(std::size_t server) const {
   return {data_.data() + server * samples_, samples_};
 }
 
-util::RunningStats UtilizationTrace::server_stats(std::size_t server) const {
-  util::RunningStats stats;
-  for (const double u : series(server)) stats.add(u);
-  return stats;
-}
-
 double UtilizationTrace::mean_at(std::size_t k) const {
   if (k >= samples_) throw std::out_of_range("UtilizationTrace::mean_at");
   double sum = 0.0;

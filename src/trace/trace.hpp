@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/statistics.hpp"
-
 namespace vdc::trace {
 
 inline constexpr std::size_t kPaperServerCount = 5415;
@@ -38,7 +36,6 @@ class UtilizationTrace {
   /// Contiguous series of one server.
   [[nodiscard]] std::span<const double> series(std::size_t server) const;
 
-  [[nodiscard]] util::RunningStats server_stats(std::size_t server) const;
   /// Mean utilization across all servers at sample k.
   [[nodiscard]] double mean_at(std::size_t k) const;
   /// Mean over everything.

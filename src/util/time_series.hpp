@@ -1,6 +1,7 @@
 // Uniformly-sampled time series: the currency of the trace library (CPU
 // utilization every 15 minutes) and of benchmark outputs (response time /
 // power per control period).
+// vdc-lint: orphan-header-ok test-only, kept with its unit tests for now; ROADMAP lists its removal
 #pragma once
 
 #include <cstddef>

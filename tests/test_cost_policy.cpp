@@ -26,18 +26,6 @@ TEST(FreeMigration, AlwaysTrue) {
   EXPECT_EQ(policy.name(), "free-migration");
 }
 
-TEST(FreeMigration, DeprecatedAliasStillCompiles) {
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const AllowAllPolicy policy;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  EXPECT_EQ(policy.name(), "free-migration");
-}
-
 TEST(MigrationEnergyBudget, EnforcesCumulativeEnergyCap) {
   const MigrationEnergyBudgetPolicy policy(500.0);
   const DataCenterSnapshot snap = one_vm_snapshot(1024.0);

@@ -81,6 +81,22 @@ TEST(FaultPlan, InjectorRejectsMalformedWindows) {
     p.sensor_spikes(0.0, 10.0, -2.0, 1.0);  // negative multiplier
     EXPECT_THROW(FaultInjector{p}, std::invalid_argument);
   }
+  // A crash or rack failure must start at a concrete time: a NaN start fails
+  // `start >= 0`, a +inf start leaves the window empty.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double start : {kNaN, kInf}) {
+    {
+      FaultPlan p;
+      p.server_crash(1, start, kInf);
+      EXPECT_THROW(FaultInjector{p}, std::invalid_argument) << "crash start " << start;
+    }
+    {
+      FaultPlan p;
+      p.rack_failure(0, start, kInf);
+      EXPECT_THROW(FaultInjector{p}, std::invalid_argument) << "rack failure start " << start;
+    }
+  }
 }
 
 // ---- plan validation, window by window --------------------------------------
@@ -167,7 +183,6 @@ TEST(FaultInjector, DisabledInjectorNeverDrawsAndNeverFires) {
     EXPECT_FALSE(injector.sensor_drops(t, 0));
     EXPECT_DOUBLE_EQ(injector.sensor_spike(t, 0), 1.0);
     EXPECT_FALSE(injector.sensor_stale(t, 0));
-    EXPECT_FALSE(injector.server_down(t, 0));
   }
   EXPECT_EQ(injector.rng_draws(), 0u);
   EXPECT_EQ(injector.counters().total(), 0u);
@@ -279,11 +294,11 @@ TEST(FaultInjector, CrashWindowsAreExposedAndTracked) {
   EXPECT_EQ(crashes[0].target, 1u);
   EXPECT_EQ(crashes[1].target, 0u);
 
-  EXPECT_FALSE(injector.server_down(99.0, 1));
-  EXPECT_TRUE(injector.server_down(100.0, 1));
-  EXPECT_TRUE(injector.server_down(299.0, 1));
-  EXPECT_FALSE(injector.server_down(300.0, 1));
-  EXPECT_FALSE(injector.server_down(150.0, 0));  // other server's window
+  EXPECT_FALSE(crashes[0].covers(99.0, 1));
+  EXPECT_TRUE(crashes[0].covers(100.0, 1));
+  EXPECT_TRUE(crashes[0].covers(299.0, 1));
+  EXPECT_FALSE(crashes[0].covers(300.0, 1));
+  EXPECT_FALSE(crashes[0].covers(150.0, 0));  // other server's window
 
   injector.note_crash(100.0, 1);
   EXPECT_EQ(injector.counters().server_crashes, 1u);

@@ -460,10 +460,10 @@ TEST(Probe, SetSamplesEveryGaugeIntoItsSeries) {
   ProbeSet probes;
   probes.add("power", [&] { return power; });
   probes.add("servers", [&] { return double(servers); });
-  probes.sample(rec);
+  probes.sample(rec, 4.0);
   power = 80.0;
   servers = 3;
-  probes.sample(rec);
+  probes.sample(rec, 8.0);
   EXPECT_EQ(rec.values("power"), (std::vector<double>{100.0, 80.0}));
   EXPECT_EQ(rec.values("servers"), (std::vector<double>{4.0, 3.0}));
 }

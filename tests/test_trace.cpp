@@ -51,7 +51,6 @@ TEST(Trace, Aggregates) {
   EXPECT_DOUBLE_EQ(t.mean_at(0), 0.4);
   EXPECT_DOUBLE_EQ(t.mean_at(1), 0.6);
   EXPECT_DOUBLE_EQ(t.global_mean(), 0.5);
-  EXPECT_DOUBLE_EQ(t.server_stats(0).mean(), 0.3);
   EXPECT_DOUBLE_EQ(t.duration_s(), 1800.0);
 }
 

@@ -198,17 +198,6 @@ TEST(TraceSim, DvfsSavesEnergy) {
   EXPECT_LT(sim.run(with).energy_wh_per_vm, sim.run(without).energy_wh_per_vm);
 }
 
-TEST(TraceSim, SleepPowerAccountingToggle) {
-  const trace::UtilizationTrace t = small_trace();
-  const TraceDrivenSimulator sim(t);
-  TraceSimConfig off = small_config(ConsolidationAlgorithm::kIpac);
-  TraceSimConfig on = small_config(ConsolidationAlgorithm::kIpac);
-  on.count_sleep_power = true;
-  // Counting ACPI sleep power of the mostly-unused 100-server pool must
-  // strictly increase energy.
-  EXPECT_GT(sim.run(on).total_energy_wh, sim.run(off).total_energy_wh);
-}
-
 TEST(TraceSim, ProbeObservesEverySample) {
   const trace::UtilizationTrace t = small_trace();
   const TraceDrivenSimulator sim(t);

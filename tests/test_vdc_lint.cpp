@@ -46,6 +46,7 @@ std::vector<Finding> lint_all(std::vector<SourceFile>& files) {
   std::vector<Finding> findings;
   for (SourceFile& f : files) run_file_rules(f, all_rules_config(), unordered_names, findings);
   run_include_cycles(files, findings);
+  run_orphan_headers(files, findings);
   for (SourceFile& f : files) run_suppression_hygiene(f, all_rules_config(), findings);
   sort_findings(findings);
   return findings;
@@ -80,6 +81,36 @@ TEST(VdcLint, EveryRuleFiresOnItsFixture) {
                                   [&](const Finding& f) { return f.rule == rule; });
     EXPECT_TRUE(seen) << "no fixture exercises rule '" << rule << "'";
   }
+}
+
+TEST(VdcLint, OrphanHeaderFlagsLibraryHeadersOnlyTestsInclude) {
+  // fixtures/orphan/ is a miniature repository, loaded with paths relative
+  // to its root so the rule sees src/, tools/ and tests/ as it would.
+  const fs::path root = fs::path(kFixtureDir) / "orphan";
+  std::vector<SourceFile> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    SourceFile f;
+    ASSERT_TRUE(load_source_file(entry.path().string(),
+                                 fs::relative(entry.path(), root).generic_string(), f));
+    files.push_back(std::move(f));
+  }
+  std::vector<Finding> findings;
+  run_orphan_headers(files, findings);
+  for (SourceFile& f : files) run_suppression_hygiene(f, all_rules_config(), findings);
+  sort_findings(findings);
+
+  // used.hpp has a tool, detail.hpp a library header; orphan.hpp only its
+  // own .cpp, the umbrella header and a test; kept.hpp is suppressed.
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].file, "src/lib/kept.hpp");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_TRUE(findings[0].suppressed);
+  EXPECT_EQ(findings[1].file, "src/lib/orphan.hpp");
+  EXPECT_EQ(findings[1].line, 2);
+  EXPECT_EQ(findings[1].rule, "orphan-header");
+  EXPECT_FALSE(findings[1].suppressed);
+  EXPECT_EQ(unsuppressed_count(findings), 1u);
 }
 
 TEST(VdcLint, SuppressionRoundTripIsClean) {

@@ -2,6 +2,7 @@
 // rules and reports findings.
 //
 //   vdc_lint --root <repo>             scan src/ tools/ tests/ bench/ examples/
+//                                      (and perfbench/, for the include graph)
 //   vdc_lint --root <repo> a.cpp b.hpp scan specific files (repo-relative rules)
 //   --json                             JSON report on stdout instead of text
 //   --out <file>                       additionally write the JSON report here
@@ -27,6 +28,7 @@ namespace {
 const char* const kRuleIds[] = {
     "units", "determinism", "unordered-iter", "float-eq",
     "check-side-effect", "pragma-once", "include-cycle", "shard-safety",
+    "orphan-header",
 };
 
 bool has_source_extension(const fs::path& p) {
@@ -46,6 +48,10 @@ bool excluded(const std::string& rel) {
   }
   return false;
 }
+
+/// perfbench/ belongs to the benchmark: its sources are read for the
+/// include graph (orphan-header counts its includes) and checked by no rule.
+bool graph_only(const std::string& rel) { return rel.rfind("perfbench/", 0) == 0; }
 
 std::string rel_path(const fs::path& root, const fs::path& p) {
   std::error_code ec;
@@ -89,7 +95,7 @@ int main(int argc, char** argv) {
 
   std::vector<fs::path> inputs;
   if (explicit_paths.empty()) {
-    for (const char* dir : {"src", "tools", "tests", "bench", "examples"}) {
+    for (const char* dir : {"src", "tools", "tests", "bench", "examples", "perfbench"}) {
       const fs::path base = root / dir;
       if (!fs::exists(base)) continue;
       for (const auto& entry : fs::recursive_directory_iterator(base)) {
@@ -131,16 +137,22 @@ int main(int argc, char** argv) {
             [](const SourceFile& a, const SourceFile& b) { return a.rel < b.rel; });
 
   std::set<std::string> unordered_names;
-  for (const SourceFile& f : files) collect_unordered_names(f, unordered_names);
+  for (const SourceFile& f : files) {
+    if (!graph_only(f.rel)) collect_unordered_names(f, unordered_names);
+  }
 
   std::vector<Finding> findings;
   for (SourceFile& f : files) {
+    if (graph_only(f.rel)) continue;
     const RuleConfig cfg = all_scopes ? all_rules_config() : config_for(f.rel);
     run_file_rules(f, cfg, unordered_names, findings);
   }
   run_include_cycles(files, findings);
-  // Hygiene last: include-cycle suppressions are consumed above.
+  // Only the whole tree shows whether a header has a user.
+  if (explicit_paths.empty()) run_orphan_headers(files, findings);
+  // Hygiene last: the whole-tree rules' suppressions are consumed above.
   for (SourceFile& f : files) {
+    if (graph_only(f.rel)) continue;
     const RuleConfig cfg = all_scopes ? all_rules_config() : config_for(f.rel);
     run_suppression_hygiene(f, cfg, findings);
   }

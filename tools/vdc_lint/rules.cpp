@@ -806,15 +806,19 @@ void collect_includes(const SourceFile& file, const std::set<std::string>& known
   }
 }
 
-void run_include_cycles_impl(std::vector<SourceFile>& files, std::vector<Finding>& out) {
+/// The quoted-include graph of `files`: each file's resolved include edges.
+std::map<std::string, std::vector<IncludeEdge>> include_graph(const std::vector<SourceFile>& files) {
   std::set<std::string> known;
   for (const SourceFile& f : files) known.insert(f.rel);
   std::map<std::string, std::vector<IncludeEdge>> graph;
+  for (const SourceFile& f : files) collect_includes(f, known, graph[f.rel]);
+  return graph;
+}
+
+void run_include_cycles_impl(std::vector<SourceFile>& files, std::vector<Finding>& out) {
+  std::map<std::string, std::vector<IncludeEdge>> graph = include_graph(files);
   std::map<std::string, SourceFile*> by_rel;
-  for (SourceFile& f : files) {
-    collect_includes(f, known, graph[f.rel]);
-    by_rel[f.rel] = &f;
-  }
+  for (SourceFile& f : files) by_rel[f.rel] = &f;
   // Iterative DFS, reporting each back edge as one cycle.
   std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
   std::vector<std::string> path;
@@ -859,6 +863,36 @@ void run_include_cycles_impl(std::vector<SourceFile>& files, std::vector<Finding
   }
 }
 
+// ---------------------------------------------------------------------------
+// rule: orphan-header (whole tree)
+
+/// Files whose includes keep a library header alive: the library itself and
+/// every program built on it. Tests do not count.
+bool is_program_file(std::string_view rel) {
+  return starts_with(rel, "src/") || starts_with(rel, "bench/") || starts_with(rel, "tools/") ||
+         starts_with(rel, "examples/") || starts_with(rel, "perfbench/");
+}
+
+constexpr std::string_view kUmbrellaHeader = "src/vdc.hpp";
+
+/// "src/a/b.hpp" -> "src/a/b.cpp".
+std::string own_source(std::string_view header) {
+  return std::string(header.substr(0, header.size() - 4)) + ".cpp";
+}
+
+/// The `#pragma once` line, where the finding (and its suppression) sits;
+/// line 1 when the header has none.
+int pragma_once_line(const SourceFile& file) {
+  const std::vector<Token>& code = file.code;
+  for (std::size_t i = 0; i + 2 < code.size(); ++i) {
+    if (is_punct(code[i], "#") && code[i].at_line_start && is_ident(code[i + 1], "pragma") &&
+        is_ident(code[i + 2], "once")) {
+      return code[i].line;
+    }
+  }
+  return 1;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -884,6 +918,7 @@ bool known_rule(std::string_view name) {
   static const std::set<std::string_view> kRules = {
       "units",       "determinism",       "unordered-iter", "float-eq",
       "check-side-effect", "pragma-once", "include-cycle",  "shard-safety",
+      "orphan-header",
   };
   return kRules.count(name) > 0;
 }
@@ -956,6 +991,25 @@ void run_suppression_hygiene(const SourceFile& file, const RuleConfig& cfg,
 
 void run_include_cycles(std::vector<SourceFile>& files, std::vector<Finding>& out) {
   run_include_cycles_impl(files, out);
+}
+
+void run_orphan_headers(std::vector<SourceFile>& files, std::vector<Finding>& out) {
+  std::set<std::string> included;
+  for (const auto& [from, edges] : include_graph(files)) {
+    if (!is_program_file(from) || from == kUmbrellaHeader) continue;
+    for (const IncludeEdge& e : edges) {
+      if (from != own_source(e.to)) included.insert(e.to);
+    }
+  }
+  for (SourceFile& f : files) {
+    if (!starts_with(f.rel, "src/") || !f.is_header() || f.rel == kUmbrellaHeader ||
+        included.count(f.rel) > 0) {
+      continue;
+    }
+    emit(f, out, "orphan-header", pragma_once_line(f), 1,
+         "no file in src/, bench/, tools/, examples/ or perfbench/ includes this header apart "
+         "from its own .cpp and src/vdc.hpp: only its tests use it; delete it with them");
+  }
 }
 
 }  // namespace vdc::lint

@@ -1,6 +1,6 @@
 // vdc-lint rule catalog. Each rule is a token-level pass over one file
-// (plus one whole-tree pass for include cycles); see DESIGN.md "Domain lint"
-// for the catalog rationale and the suppression syntax.
+// (plus two whole-tree passes over the include graph); see DESIGN.md
+// "Domain lint" for the catalog rationale and the suppression syntax.
 //
 //   units             floating-point parameters / members / double-returning
 //                     functions whose names carry a physical-quantity stem
@@ -31,6 +31,10 @@
 //                     an annotation stating why it is safe.
 //   pragma-once       every .hpp carries #pragma once.
 //   include-cycle     the quoted-include graph is acyclic.
+//   orphan-header     every header under src/ (bar src/vdc.hpp) is included
+//                     by some file in src/, bench/, tools/, examples/ or
+//                     perfbench/ other than its own .cpp and src/vdc.hpp:
+//                     library surface that only its tests reach is dead.
 //
 // Suppression hygiene (rule id `suppression`, never suppressible itself):
 // a suppression must name a known rule, carry a reason, and match a finding.
@@ -87,6 +91,11 @@ void run_suppression_hygiene(const SourceFile& file, const RuleConfig& cfg,
 
 /// Whole-tree pass: cycles in the quoted-include graph of `files`.
 void run_include_cycles(std::vector<SourceFile>& files, std::vector<Finding>& out);
+
+/// Whole-tree pass: headers under src/ that no program file includes (see
+/// orphan-header above). Meaningful only when `files` is the whole tree,
+/// perfbench/ included; each finding sits on the header's #pragma once line.
+void run_orphan_headers(std::vector<SourceFile>& files, std::vector<Finding>& out);
 
 bool known_rule(std::string_view name);
 
