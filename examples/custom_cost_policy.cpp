@@ -61,10 +61,10 @@ int main() {
   // two efficient quads asleep.
   datacenter::Cluster cluster;
   for (int i = 0; i < 2; ++i) {
-    const auto id = cluster.add_server(datacenter::Server(
-        datacenter::quad_core_3ghz(), datacenter::power_model_quad_3ghz(), 32768.0));
-    cluster.server(id).set_state(datacenter::ServerState::kSleeping);
+    cluster.add_server(datacenter::Server(datacenter::quad_core_3ghz(),
+                                          datacenter::power_model_quad_3ghz(), 32768.0));
   }
+  cluster.sleep_idle_servers();  // the two quads, empty so far
   for (int i = 0; i < 6; ++i) {
     cluster.add_server(datacenter::Server(datacenter::dual_core_1_5ghz(),
                                           datacenter::power_model_dual_1_5ghz(), 12288.0));
@@ -77,7 +77,7 @@ int main() {
     cluster.add_vm(vm, 2 + v % 6);
   }
   std::printf("before: %zu active servers, %.1f W\n", cluster.active_server_count(),
-              cluster.arbitrate_and_power_w(true));
+              cluster.step().awake_power_w);
 
   core::OptimizerConfig opt_config;
   opt_config.algorithm = core::ConsolidationAlgorithm::kIpac;
@@ -88,7 +88,7 @@ int main() {
   std::printf("optimizing (cost policy decisions below):\n");
   const core::OptimizationOutcome outcome = optimizer.optimize(cluster, 0.0);
   std::printf("after: %zu active servers, %.1f W, %zu migrations\n",
-              cluster.active_server_count(), cluster.arbitrate_and_power_w(true),
+              cluster.active_server_count(), cluster.step().awake_power_w,
               outcome.migrations);
 
   // Show the anti-affinity held.

@@ -15,7 +15,6 @@
 #include "check/check.hpp"
 #include "datacenter/arbitrator.hpp"
 #include "datacenter/server.hpp"
-#include "datacenter/topology.hpp"
 
 namespace vdc::datacenter::audit {
 
@@ -86,23 +85,6 @@ inline void server_power(const Server& server, double power_w) {
                 "active power " << power_w << " W below sleep floor " << model.sleep_w);
   VDC_INVARIANT(power_w <= model.max_power_w() + 1e-9,
                 "active power " << power_w << " W above peak " << model.max_power_w());
-}
-
-/// Rack power conservation: a rack's total draw is exactly the sum of its
-/// member servers' draws, plus the shared-infrastructure draw if and only
-/// if at least one member is awake (a fully sleeping rack switches its
-/// PDU/cooling/ToR draw off).
-inline void rack_power([[maybe_unused]] RackId rack, bool awake, double shared_power_w,
-                       double member_power_w, double rack_total_w) {
-  VDC_INVARIANT(std::isfinite(shared_power_w) && shared_power_w >= 0.0,
-                "rack " << rack << " shared power " << shared_power_w << " W invalid");
-  VDC_INVARIANT(std::isfinite(member_power_w) && member_power_w >= 0.0,
-                "rack " << rack << " member power " << member_power_w << " W invalid");
-  const double expected = member_power_w + (awake ? shared_power_w : 0.0);
-  VDC_INVARIANT(std::abs(rack_total_w - expected) <= 1e-9 * std::max(1.0, expected),
-                "rack " << rack << " power " << rack_total_w << " W != shared("
-                        << (awake ? shared_power_w : 0.0) << ") + members(" << member_power_w
-                        << ")");
 }
 
 }  // namespace vdc::datacenter::audit

@@ -15,6 +15,7 @@ Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)),
       engine_(std::max<std::size_t>(config_.shards, 1), config_.shard_threads),
       sim_(engine_.spine()),
+      cluster_({}, datacenter::CpuResourceArbitrator(1.1), config_.dvfs),
       injector_(config_.faults),
       optimizer_(OptimizerConfig{
           .algorithm = config_.optimizer_algorithm,
@@ -193,8 +194,7 @@ datacenter::ServerId Testbed::pick_replica_host() {
   // Least-loaded active server; a fully asleep cluster wakes one box.
   datacenter::ServerId best = datacenter::kNoServer;
   double best_demand_ghz = 0.0;
-  for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
-    if (!cluster_.server(s).active()) continue;
+  for (const datacenter::ServerId s : cluster_.awake_servers()) {
     const double demand = cluster_.server_cpu_demand_ghz(s);
     if (best == datacenter::kNoServer || demand < best_demand_ghz) {
       best = s;
@@ -514,18 +514,17 @@ void Testbed::record_power(double now) {
       }
     }
   }
-  server_power_w_.resize(cluster_.server_count());
+  // Every server is charged, a sleeping one its sleep draw.
   for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
     const datacenter::Server& server = cluster_.server(s);
     const double capacity = server.capacity_ghz();
     const double utilization =
         (capacity > 0.0 && interval > 0.0) ? server_work_[s] / (capacity * interval) : 0.0;
-    server_power_w_[s] = server.power_w(utilization);
-    total_power += server_power_w_[s];
+    total_power += server.power_w(utilization);
   }
   // Shared infrastructure draw, by the cluster's live rule; a flat testbed
   // adds nothing and records the historical series.
-  total_power = cluster_.add_shared_power_w(total_power, server_power_w_);
+  total_power = cluster_.add_shared_power_w(total_power);
   if (interval > 0.0) recorder_.append_at(power_series_, now, total_power);
   last_power_time_s_ = now;
 }
@@ -572,38 +571,12 @@ void Testbed::control_tick() {
   apply_scale_decisions();
 
   // ---- server-level arbitration: DVFS + grants -----------------------------
-  for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
-    const auto hosted = cluster_.vms_on(s);
-    server_demands_.clear();
-    for (const datacenter::VmId vm : hosted) {
-      server_demands_.push_back(cluster_.vm(vm).cpu_demand_ghz);
-    }
-    datacenter::ArbitrationResult& arb = arbitration_;
-    datacenter::CpuResourceArbitrator(1.1).arbitrate_into(cluster_.server(s).cpu(),
-                                                          server_demands_, arb);
-    if (!config_.dvfs) {
-      arb.frequency_ghz = cluster_.server(s).cpu().max_freq_ghz;
-    }
-    // Actuator fault: DVFS stuck at a fixed step. The arbitrator's grants
-    // assumed its chosen frequency, so rescale them to fit the pinned
-    // capacity — the hypervisor cannot grant cycles the CPU won't deliver.
-    const std::optional<double> pin = injector_.dvfs_pin_ghz(now, static_cast<std::uint32_t>(s));
-    if (pin) arb.frequency_ghz = *pin;
-    cluster_.server(s).set_frequency(arb.frequency_ghz);
-    if (pin) {
-      const double cap = cluster_.server(s).capacity_ghz();
-      double granted = 0.0;
-      for (const double g : arb.allocations_ghz) granted += g;
-      if (granted > cap && granted > 0.0) {
-        const double scale = cap / granted;
-        for (double& g : arb.allocations_ghz) g *= scale;
-      }
-    }
-    // Apply the granted allocations to the tier queues.
-    for (std::size_t h = 0; h < hosted.size(); ++h) {
-      apply_tier_allocation(hosted[h], arb.allocations_ghz[h]);
-    }
-  }
+  // Actuator fault: a server's DVFS can be stuck at a fixed step; the step
+  // rescales that server's grants to the pinned capacity.
+  cluster_.step({
+      .dvfs_pin = [&](datacenter::ServerId s) { return injector_.dvfs_pin_ghz(now, s); },
+      .grant = [this](datacenter::VmId vm, double ghz) { apply_tier_allocation(vm, ghz); },
+  });
 
   probes_.sample(recorder_, now);
   sim_.schedule(now + config_.control_period_s, [this] { control_tick(); });

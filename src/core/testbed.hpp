@@ -19,7 +19,6 @@
 #include "core/app_stack.hpp"
 #include "core/power_optimizer.hpp"
 #include "core/sysid_experiment.hpp"
-#include "datacenter/arbitrator.hpp"
 #include "datacenter/cluster.hpp"
 #include "fault/injector.hpp"
 #include "sim/sharded_engine.hpp"
@@ -301,14 +300,10 @@ class Testbed {
   telemetry::Recorder recorder_;
   telemetry::Recorder::SeriesId power_series_{};
   /// Control-tick buffers, reused across ticks: the per-app harvest and
-  /// decision, the per-server work and draw of record_power, and one
-  /// server's VM demands and grants for arbitration.
+  /// decision, and the per-server work of record_power.
   std::vector<std::optional<app::PeriodStats>> harvested_;
   std::vector<std::vector<double>> decided_;
   std::vector<double> server_work_;
-  std::vector<double> server_power_w_;
-  std::vector<double> server_demands_;
-  datacenter::ArbitrationResult arbitration_;
   /// One recorder per shard for the per-app series, appended from that
   /// shard's harvest/record phase without any cross-shard synchronization;
   /// merged into canonical order by take_recorder(). unique_ptr for stable

@@ -70,8 +70,9 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
 
   // Rack-aware runs execute migrations with the same distance-dependent
   // transfer model the planner prices them with.
-  datacenter::Cluster cluster(config.rack.enabled ? config.rack.cost.transfer
-                                                  : datacenter::MigrationModel{});
+  datacenter::Cluster cluster(
+      config.rack.enabled ? config.rack.cost.transfer : datacenter::MigrationModel{},
+      datacenter::CpuResourceArbitrator(1.0), config.dvfs);
   for (const int type : types) {
     switch (type) {
       case 0:
@@ -198,29 +199,17 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
       result.guard_migrations += relief.migrations;
     }
 
-    // One flat pass over the fleet: the awake count, the overload count
-    // (an empty server is never overloaded, so only occupied ones are
-    // checked) and, for every server that is not active, the draw the
-    // power sum added for it (sleep power, 0 W when failed) taken back out
-    // in server-id order: the paper shuts unused servers down.
-    double power = cluster.arbitrate_and_power_w(config.dvfs);
-    const std::span<const datacenter::Server> servers = cluster.servers();
-    std::size_t active = 0;
-    for (datacenter::ServerId s = 0; s < servers.size(); ++s) {
-      if (servers[s].active()) {
-        ++active;
-      } else {
-        power -= servers[s].power_w(0.0);
-      }
-      if (!cluster.vms_on(s).empty() && cluster.overloaded(s)) ++overloaded_samples;
-    }
-    result.power_series_w.push_back(power);
-    result.total_energy_wh += power * dt / 3600.0;
+    // The data-center step over the awake servers. The paper shuts unused
+    // servers down, so only awake ones draw power.
+    const datacenter::Cluster::StepResult step = cluster.step();
+    overloaded_samples += step.overloaded_servers;
+    result.power_series_w.push_back(step.awake_power_w);
+    result.total_energy_wh += step.awake_power_w * dt / 3600.0;
 
     if (config.sample_probe) config.sample_probe(cluster, k);
 
-    result.peak_active_servers = std::max(result.peak_active_servers, active);
-    active_samples += active;
+    result.peak_active_servers = std::max(result.peak_active_servers, step.awake_servers);
+    active_samples += step.awake_servers;
   }
 
   result.server_wakes = cluster.wake_count();

@@ -1,19 +1,27 @@
 #include "datacenter/cluster.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "check/dc_audit.hpp"
 
 namespace vdc::datacenter {
 
-Cluster::Cluster(MigrationModel migration_model, CpuResourceArbitrator arbitrator)
-    : migration_model_(migration_model), arbitrator_(arbitrator) {}
+Cluster::Cluster(MigrationModel migration_model, CpuResourceArbitrator arbitrator, bool dvfs)
+    : migration_model_(migration_model), arbitrator_(arbitrator), dvfs_(dvfs) {}
 
 ServerId Cluster::add_server(Server server) {
   const auto id = static_cast<ServerId>(servers_.size());
+  const ServerState state = server.state();
   servers_.push_back(std::move(server));
   hosted_.emplace_back();
+  if (state == ServerState::kActive) {
+    awake_.push_back(id);
+  } else {
+    power_down(id, state);
+  }
   return id;
 }
 
@@ -27,11 +35,6 @@ VmId Cluster::add_vm(Vm vm, std::optional<ServerId> host) {
 }
 
 const Server& Cluster::server(ServerId id) const {
-  check_server(id);
-  return servers_[id];
-}
-
-Server& Cluster::server(ServerId id) {
   check_server(id);
   return servers_[id];
 }
@@ -120,102 +123,101 @@ std::vector<ServerId> Cluster::overloaded_servers() const {
   return out;
 }
 
-std::size_t Cluster::active_server_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(servers_.begin(), servers_.end(),
-                    [](const Server& s) { return s.active(); }));
-}
-
-double Cluster::arbitrate_and_power_w(bool dvfs) {
+Cluster::StepResult Cluster::step(const StepHooks& hooks) {
+  StepResult result;
   double total = 0.0;
-  std::vector<double> demands;
-  // Per-server draws are only materialized when a topology is installed
-  // (for the rack conservation audit); the flat accumulation below is
-  // untouched either way so flat-mode totals stay bit-identical.
-  const bool racked = !topology_.empty();
-  std::vector<double> per_server;
-  if (racked) per_server.assign(servers_.size(), 0.0);
-  for (ServerId id = 0; id < servers_.size(); ++id) {
+  for (const ServerId id : awake_) {
     Server& srv = servers_[id];
-    if (!srv.active()) {
-      audit::server_state(srv);
-      const double sleep_power = srv.power_w(0.0);
-      audit::server_power(srv, sleep_power);
-      total += sleep_power;
-      if (racked) per_server[id] = sleep_power;
-      continue;
+    const std::span<const VmId> hosted = hosted_[id];
+    demands_.clear();
+    double memory_mb = 0.0;
+    for (const VmId vm : hosted) {
+      demands_.push_back(vms_[vm].cpu_demand_ghz);
+      memory_mb += vms_[vm].memory_mb;
     }
-    demands.clear();
-    for (const VmId vm : hosted_[id]) demands.push_back(vms_[vm].cpu_demand_ghz);
-    double power = 0.0;
-    if (dvfs) {
-      const ArbitrationResult arb = arbitrator_.arbitrate(srv.cpu(), demands);
-      audit::arbitration(srv.cpu(), demands, arb);
-      srv.set_frequency(arb.frequency_ghz);
-      power = srv.power_w(arb.utilization());
-    } else {
-      srv.set_frequency(srv.cpu().max_freq_ghz);
-      const double demand = server_cpu_demand_ghz(id);
-      const double cap = srv.capacity_ghz();
-      power = srv.power_w(cap > 0.0 ? std::min(1.0, demand / cap) : 0.0);
+    ArbitrationResult& arb = arbitration_;
+    arbitrator_.arbitrate_into(srv.cpu(), demands_, arb);
+    audit::arbitration(srv.cpu(), demands_, arb);
+    if (!dvfs_) arb.frequency_ghz = srv.cpu().max_freq_ghz;
+    const std::optional<double> pin = hooks.dvfs_pin ? hooks.dvfs_pin(id) : std::nullopt;
+    if (pin) arb.frequency_ghz = *pin;
+    srv.set_frequency(arb.frequency_ghz);
+    const double capacity = srv.capacity_ghz();
+    if (pin) {
+      // The arbitrator's grants assumed its own frequency; the hypervisor
+      // cannot grant cycles a stuck CPU will not deliver.
+      double granted = 0.0;
+      for (const double g : arb.allocations_ghz) granted += g;
+      if (granted > capacity && granted > 0.0) {
+        const double scale = capacity / granted;
+        for (double& g : arb.allocations_ghz) g *= scale;
+      }
     }
+    if (hooks.grant) {
+      for (std::size_t h = 0; h < hosted.size(); ++h) {
+        hooks.grant(hosted[h], arb.allocations_ghz[h]);
+      }
+    }
+    const double utilization =
+        capacity > 0.0 ? std::min(1.0, arb.total_demand_ghz / capacity) : 0.0;
+    const double power = srv.power_w(utilization);
     audit::server_state(srv);
     audit::server_power(srv, power);
     total += power;
-    if (racked) per_server[id] = power;
+    // overloaded(id), from the sums already in hand.
+    if (arb.total_demand_ghz > srv.max_capacity_ghz() + 1e-9 ||
+        memory_mb > srv.memory_mb() + 1e-9) {
+      ++result.overloaded_servers;
+    }
   }
-  return add_shared_power_w(total, per_server);
+  result.awake_servers = awake_.size();
+  result.awake_power_w = add_shared_power_w(total);
+  return result;
 }
 
-double Cluster::add_shared_power_w(double total_w, std::span<const double> server_power_w) const {
+double Cluster::add_shared_power_w(double total_w) {
   // Shared infrastructure: a rack's PDU/cooling/ToR draw is paid while any
   // member is awake; a pod's aggregation draw likewise. A rack the
   // consolidator fully evacuates therefore switches its share off.
+  if (topology_.empty()) return total_w;
+  lit_racks_.assign(topology_.rack_count(), 0);
+  for (const ServerId s : awake_) {
+    const RackId rack = topology_.rack_of(s);
+    if (rack != kNoRack) lit_racks_[rack] = 1;
+  }
   for (RackId rack = 0; rack < topology_.rack_count(); ++rack) {
-    double members = 0.0;
-    bool awake = false;
-    for (const ServerId s : topology_.servers_in(rack)) {
-      if (s >= servers_.size()) continue;
-      members += server_power_w[s];
-      awake = awake || servers_[s].active();
-    }
-    const double shared = awake ? topology_.rack_shared_power_w(rack) : 0.0;
-    audit::rack_power(rack, awake, topology_.rack_shared_power_w(rack), members,
-                      members + shared);
-    total_w += shared;
+    if (lit_racks_[rack] != 0) total_w += topology_.rack_shared_power_w(rack);
   }
   for (PodId pod = 0; pod < topology_.pod_count(); ++pod) {
-    bool awake = false;
-    for (const RackId rack : topology_.racks_in(pod)) {
-      for (const ServerId s : topology_.servers_in(rack)) {
-        if (s < servers_.size() && servers_[s].active()) {
-          awake = true;
-          break;
-        }
-      }
-      if (awake) break;
+    const std::span<const RackId> racks = topology_.racks_in(pod);
+    if (std::any_of(racks.begin(), racks.end(),
+                    [this](RackId rack) { return lit_racks_[rack] != 0; })) {
+      total_w += topology_.pod_shared_power_w(pod);
     }
-    if (awake) total_w += topology_.pod_shared_power_w(pod);
   }
   return total_w;
 }
 
 std::size_t Cluster::sleep_idle_servers() {
   std::size_t transitioned = 0;
-  for (ServerId id = 0; id < servers_.size(); ++id) {
-    if (servers_[id].active() && hosted_[id].empty()) {
-      servers_[id].set_state(ServerState::kSleeping);
+  for (const ServerId id : awake_) {
+    if (hosted_[id].empty()) {
+      power_down(id, ServerState::kSleeping);
       ++transitioned;
     }
   }
+  std::erase_if(awake_, [this](ServerId id) { return !servers_[id].active(); });
   return transitioned;
 }
 
 bool Cluster::wake(ServerId id) {
   check_server(id);
   if (servers_[id].failed()) return false;
-  if (!servers_[id].active()) ++wake_count_;
-  servers_[id].set_state(ServerState::kActive);
+  if (!servers_[id].active()) {
+    ++wake_count_;
+    servers_[id].set_state(ServerState::kActive);
+    awake_.insert(std::lower_bound(awake_.begin(), awake_.end(), id), id);
+  }
   return true;
 }
 
@@ -223,7 +225,8 @@ std::vector<VmId> Cluster::fail_server(ServerId id) {
   check_server(id);
   std::vector<VmId> evicted = hosted_[id];
   for (const VmId vm : evicted) detach(vm);
-  servers_[id].set_state(ServerState::kFailed);
+  if (servers_[id].active()) awake_.erase(std::lower_bound(awake_.begin(), awake_.end(), id));
+  power_down(id, ServerState::kFailed);
   return evicted;
 }
 
@@ -283,6 +286,13 @@ void Cluster::check_server(ServerId id) const {
 
 void Cluster::check_vm(VmId id) const {
   if (id >= vms_.size()) throw std::out_of_range("Cluster: bad VM id");
+}
+
+void Cluster::power_down(ServerId id, ServerState state) {
+  Server& srv = servers_[id];
+  srv.set_state(state);
+  // Where an empty arbitration leaves a server; it wakes at this frequency.
+  srv.set_frequency(dvfs_ ? srv.cpu().frequency_for_demand_ghz(0.0) : srv.cpu().max_freq_ghz);
 }
 
 void Cluster::detach(VmId vm) {

@@ -1,8 +1,10 @@
 // The data center: servers, VMs, and the VM->server mapping (single source
 // of truth). Provides the demand/capacity/overload queries the consolidators
-// need and the power/energy accounting the benchmarks report.
+// need, and the one data-center step both simulators run: per-server
+// arbitration, DVFS and the awake servers' power (Section IV-B).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,8 +18,12 @@ namespace vdc::datacenter {
 
 class Cluster {
  public:
+  /// `dvfs` lets the step throttle each awake server to the lowest ladder
+  /// point that meets its demand; off, every awake server runs at its max
+  /// frequency.
   explicit Cluster(MigrationModel migration_model = {},
-                   CpuResourceArbitrator arbitrator = CpuResourceArbitrator(1.0));
+                   CpuResourceArbitrator arbitrator = CpuResourceArbitrator(1.0),
+                   bool dvfs = true);
 
   // ---- topology -----------------------------------------------------------
   ServerId add_server(Server server);
@@ -27,7 +33,7 @@ class Cluster {
 
   /// Installs the physical rack/pod layout. Shared-infrastructure power is
   /// then charged per rack/pod with >= 1 awake member by
-  /// arbitrate_and_power_w, and migrations pay the network tier the
+  /// add_shared_power_w, and migrations pay the network tier the
   /// topology says they cross. An empty topology (the default) is the flat
   /// pre-topology world and changes nothing.
   void set_topology(Topology topology) { topology_ = std::move(topology); }
@@ -37,8 +43,11 @@ class Cluster {
   [[nodiscard]] std::size_t vm_count() const noexcept { return vms_.size(); }
   /// Every server in id order, for flat passes over the fleet.
   [[nodiscard]] std::span<const Server> servers() const noexcept { return servers_; }
+  /// Read-only: server state changes go through wake, sleep_idle_servers,
+  /// fail and repair, which keep the awake index current.
   [[nodiscard]] const Server& server(ServerId id) const;
-  [[nodiscard]] Server& server(ServerId id);
+  /// The awake (kActive) servers, in id order.
+  [[nodiscard]] std::span<const ServerId> awake_servers() const noexcept { return awake_; }
   [[nodiscard]] const Vm& vm(VmId id) const;
   [[nodiscard]] Vm& vm(VmId id);
   [[nodiscard]] ServerId host_of(VmId id) const;
@@ -60,24 +69,46 @@ class Cluster {
   /// sleeps while hosting VMs).
   [[nodiscard]] bool overloaded(ServerId id) const;
   [[nodiscard]] std::vector<ServerId> overloaded_servers() const;
-  [[nodiscard]] std::size_t active_server_count() const;
+  [[nodiscard]] std::size_t active_server_count() const noexcept { return awake_.size(); }
 
-  // ---- power --------------------------------------------------------------
-  /// Applies the arbitrator to every active server: sets the DVFS frequency
-  /// for the current demands (when `dvfs` is true; max frequency otherwise)
-  /// and returns total power. Sleeping servers contribute sleep power.
-  double arbitrate_and_power_w(bool dvfs = true);
+  // ---- the data-center step -----------------------------------------------
+  /// What one step saw.
+  struct StepResult {
+    /// Each awake server's model power at its arbitrated utilization, plus
+    /// the shared draw (add_shared_power_w). Sleeping and failed servers
+    /// add nothing: the paper shuts unused servers down.
+    double awake_power_w = 0.0;
+    std::size_t awake_servers = 0;
+    /// Awake servers whose demand exceeds their capacity at max frequency
+    /// or whose VMs exceed their memory (overloaded()).
+    std::size_t overloaded_servers = 0;
+  };
+  /// Optional callbacks into the step, each called in server-id order.
+  struct StepHooks {
+    /// Actuator fault: the frequency a server's DVFS is stuck at this step,
+    /// or nullopt. The grants are rescaled to fit the pinned capacity.
+    std::function<std::optional<double>(ServerId)> dvfs_pin;
+    /// Receives each hosted VM's grant (GHz).
+    std::function<void(VmId, double)> grant;
+  };
+  /// The lower level of the paper (Section IV-B), and the only code that
+  /// arbitrates servers. Visits the awake servers in id order; for each it
+  /// arbitrates the hosted demands, sets the DVFS frequency (max when the
+  /// cluster was built without DVFS, the pin when `hooks.dvfs_pin` gives
+  /// one), grants the allocations, and prices the draw at utilization =
+  /// demand / the capacity the server was finally set to. Costs O(awake
+  /// servers + their VMs).
+  StepResult step(const StepHooks& hooks = {});
   /// Adds the shared-infrastructure draw to `total_w` and returns the sum:
   /// each rack with >= 1 awake member, then each pod with >= 1 awake
-  /// member, in id order. `server_power_w[s]` is server s's own draw; it
-  /// feeds the per-rack power conservation audit. A flat cluster returns
-  /// `total_w` unchanged. The one shared-draw rule for live power, used by
-  /// arbitrate_and_power_w and by the Testbed's work-based power series.
-  [[nodiscard]] double add_shared_power_w(double total_w,
-                                          std::span<const double> server_power_w) const;
+  /// member, in id order. A flat cluster returns `total_w` unchanged. The
+  /// one shared-draw rule for live power, used by step() and by the
+  /// Testbed's work-based power series.
+  [[nodiscard]] double add_shared_power_w(double total_w);
 
   /// Puts every active server hosting no VMs to sleep; returns how many
-  /// were transitioned.
+  /// were transitioned. A server leaving kActive (here or in fail_server)
+  /// is set to the frequency an empty arbitration gives, and wakes there.
   std::size_t sleep_idle_servers();
   /// Wakes a sleeping server (consolidators call this before placing VMs).
   /// Counted in wake_count() when the server was actually asleep — waking
@@ -120,8 +151,12 @@ class Cluster {
   void check_server(ServerId id) const;
   void check_vm(VmId id) const;
   void detach(VmId vm);
+  /// Puts a server into a state other than kActive at the frequency an
+  /// empty arbitration gives (the awake index is the caller's to update).
+  void power_down(ServerId id, ServerState state);
 
   std::vector<Server> servers_;
+  std::vector<ServerId> awake_;              // kActive servers, ascending id
   std::vector<Vm> vms_;
   std::vector<bool> retired_;                // per VM; scale-in tombstones
   std::vector<ServerId> host_;               // per VM; kNoServer when unplaced
@@ -129,8 +164,14 @@ class Cluster {
   MigrationModel migration_model_;
   Topology topology_;
   CpuResourceArbitrator arbitrator_;
+  bool dvfs_;
   MigrationLog migrations_;
   std::size_t wake_count_ = 0;
+  // Step scratch, reused across steps: one server's demands and grants, and
+  // the racks with an awake member.
+  std::vector<double> demands_;
+  ArbitrationResult arbitration_;
+  std::vector<char> lit_racks_;
 };
 
 }  // namespace vdc::datacenter

@@ -13,7 +13,6 @@
 #include "util/rng.hpp"          // IWYU pragma: export
 #include "util/statistics.hpp"   // IWYU pragma: export
 #include "util/thread_pool.hpp"  // IWYU pragma: export
-#include "util/time_series.hpp"  // IWYU pragma: export
 
 // Linear algebra / optimization.
 #include "linalg/cholesky.hpp"  // IWYU pragma: export

@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "check/dc_audit.hpp"
 #include "check/sim_audit.hpp"
@@ -63,9 +64,18 @@ TEST(CheckDisabled, SimulationStillRejectsNanRunUntil) {
 }
 
 TEST(CheckDisabled, DataCenterAuditorsAreSilentOnViolatingInputs) {
-  // Rack draw that matches neither shared+members nor members alone.
-  EXPECT_NO_THROW(vdc::datacenter::audit::rack_power(0, true, 10.0, 20.0, 0.0));
-  EXPECT_NO_THROW(vdc::datacenter::audit::rack_power(1, false, -5.0, 20.0, 20.0));
+  namespace dc = vdc::datacenter;
+  // A sleeping server drawing more than its sleep power.
+  dc::Server server(dc::dual_core_2ghz(), dc::power_model_dual_2ghz(), 4096.0);
+  server.set_state(dc::ServerState::kSleeping);
+  EXPECT_NO_THROW(dc::audit::server_power(server, server.power_model().sleep_w + 5.0));
+  // Grants that overcommit the capacity at a frequency above f_max.
+  const std::vector<double> demands = {1.0};
+  dc::ArbitrationResult result;
+  result.frequency_ghz = 3.5;
+  result.capacity_ghz = 1.0;
+  result.allocations_ghz = {2.0};
+  EXPECT_NO_THROW(dc::audit::arbitration(server.cpu(), demands, result));
 }
 
 TEST(CheckDisabled, IsExactlyZeroIsIndependentOfChecksMode) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace vdc::datacenter {
 namespace {
@@ -91,8 +96,8 @@ TEST(Cluster, MemoryOverloadDetected) {
 
 TEST(Cluster, SleepingHostWithVmsIsOverloaded) {
   Cluster c = two_server_cluster();
-  (void)c.add_vm(make_vm(0.1), 0);
-  c.server(0).set_state(ServerState::kSleeping);
+  c.sleep_idle_servers();
+  (void)c.add_vm(make_vm(0.1), 0);  // placed onto the sleeping box
   EXPECT_TRUE(c.overloaded(0));
 }
 
@@ -108,17 +113,78 @@ TEST(Cluster, SleepIdleServersOnlyAffectsEmptyOnes) {
 }
 
 TEST(Cluster, ArbitrateAndPowerWithDvfs) {
-  Cluster c = two_server_cluster();
-  (void)c.add_vm(make_vm(1.0), 0);
-  c.sleep_idle_servers();
-  const double with_dvfs = c.arbitrate_and_power_w(true);
-  // Server 0 runs at 1.0 GHz (capacity 2.0 >= demand 1.0); server 1 sleeps.
-  EXPECT_DOUBLE_EQ(c.server(0).frequency_ghz(), 1.0);
-  const double without_dvfs = c.arbitrate_and_power_w(false);
-  EXPECT_DOUBLE_EQ(c.server(0).frequency_ghz(), 2.0);
+  const auto stepped = [](bool dvfs) {
+    Cluster c({}, CpuResourceArbitrator(1.0), dvfs);
+    c.add_server(Server(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0));
+    c.add_server(Server(dual_core_1_5ghz(), power_model_dual_1_5ghz(), 4096.0));
+    (void)c.add_vm(make_vm(1.0), 0);
+    c.sleep_idle_servers();
+    const Cluster::StepResult step = c.step();
+    EXPECT_EQ(step.awake_servers, 1u);
+    EXPECT_EQ(step.overloaded_servers, 0u);
+    return std::make_pair(c.server(0).frequency_ghz(), step.awake_power_w);
+  };
+  const auto [dvfs_ghz, with_dvfs] = stepped(true);
+  const auto [fixed_ghz, without_dvfs] = stepped(false);
+  // Server 0 runs at 1.0 GHz with DVFS (capacity 2.0 >= demand 1.0), at its
+  // 2.0 GHz max without; server 1 sleeps.
+  EXPECT_DOUBLE_EQ(dvfs_ghz, 1.0);
+  EXPECT_DOUBLE_EQ(fixed_ghz, 2.0);
   EXPECT_LT(with_dvfs, without_dvfs);
-  // Both include the sleeping server's sleep power.
-  EXPECT_GT(with_dvfs, power_model_dual_1_5ghz().sleep_w);
+  // The sleeping server adds nothing: the draw is server 0's alone, at
+  // utilization 1.0 GHz / 2.0 GHz.
+  Server alone(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0);
+  alone.set_frequency(1.0);
+  EXPECT_DOUBLE_EQ(with_dvfs, alone.power_w(0.5));
+}
+
+TEST(Cluster, StepCountsAwakeOverloads) {
+  Cluster c = two_server_cluster();
+  const VmId v = c.add_vm(make_vm(3.0), 0);
+  (void)c.add_vm(make_vm(0.1, 5000.0), 1);  // 5 GB on a 4 GB server
+  EXPECT_EQ(c.step().overloaded_servers, 1u);
+  c.vm(v).cpu_demand_ghz = 4.5;  // above server 0's 4 GHz at max frequency
+  EXPECT_EQ(c.step().overloaded_servers, 2u);
+  EXPECT_EQ(c.overloaded_servers(), (std::vector<ServerId>{0, 1}));
+}
+
+TEST(Cluster, StepGrantsEveryHostedVmInServerOrder) {
+  Cluster c = two_server_cluster();
+  const VmId a = c.add_vm(make_vm(0.5), 1);
+  const VmId b = c.add_vm(make_vm(1.0), 0);
+  const VmId d = c.add_vm(make_vm(0.25), 0);
+  std::vector<std::pair<VmId, double>> grants;
+  c.step({.dvfs_pin = {},
+          .grant = [&grants](VmId vm, double ghz) { grants.emplace_back(vm, ghz); }});
+  const std::vector<std::pair<VmId, double>> expected = {{b, 1.0}, {d, 0.25}, {a, 0.5}};
+  EXPECT_EQ(grants, expected);  // unsaturated: every demand is met in full
+}
+
+TEST(Cluster, PinnedServerGrantsFitThePinnedCapacity) {
+  // DVFS off: both servers would run at max and meet every demand. Server 0
+  // is stuck at its 1 GHz floor (2 GHz of capacity) under 3 GHz of demand.
+  Cluster c({}, CpuResourceArbitrator(1.1), /*dvfs=*/false);
+  c.add_server(Server(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0));
+  c.add_server(Server(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0));
+  const VmId a = c.add_vm(make_vm(1.0), 0);
+  const VmId b = c.add_vm(make_vm(2.0), 0);
+  const VmId d = c.add_vm(make_vm(1.5), 1);
+  std::vector<double> granted(3, 0.0);
+  const Cluster::StepHooks hooks{
+      .dvfs_pin = [](ServerId s) { return s == 0 ? std::optional<double>(1.0) : std::nullopt; },
+      .grant = [&granted](VmId vm, double ghz) { granted[vm] = ghz; },
+  };
+  const Cluster::StepResult step = c.step(hooks);
+  EXPECT_DOUBLE_EQ(c.server(0).frequency_ghz(), 1.0);
+  EXPECT_DOUBLE_EQ(c.server(1).frequency_ghz(), 2.0);
+  EXPECT_LE(granted[a] + granted[b], c.server(0).capacity_ghz() + 1e-12);
+  EXPECT_DOUBLE_EQ(granted[b], 2.0 * granted[a]);  // rescaled in proportion
+  EXPECT_DOUBLE_EQ(granted[d], 1.5);               // the unpinned server is untouched
+  // Priced at the pinned capacity: saturated.
+  Server pinned(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0);
+  pinned.set_frequency(1.0);
+  Server free_running(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0);
+  EXPECT_DOUBLE_EQ(step.awake_power_w, pinned.power_w(1.0) + free_running.power_w(1.5 / 4.0));
 }
 
 TEST(MigrationModel, DurationAndBytes) {
@@ -219,6 +285,108 @@ TEST(Cluster, WakeSucceedsOnHealthyServers) {
   EXPECT_TRUE(c.wake(1));
   EXPECT_TRUE(c.server(1).active());
   EXPECT_TRUE(c.wake(1));  // waking an active server is a harmless no-op
+}
+
+TEST(Cluster, PoweredDownServerWakesAtTheEmptyArbitrationFrequency) {
+  for (const bool dvfs : {true, false}) {
+    SCOPED_TRACE(dvfs ? "dvfs" : "fixed frequency");
+    Cluster c({}, CpuResourceArbitrator(1.1), dvfs);
+    c.add_server(Server(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0));
+    c.add_server(Server(dual_core_2ghz(), power_model_dual_2ghz(), 4096.0));
+    const VmId v = c.add_vm(make_vm(3.5), 0);
+    const double idle_ghz = dvfs ? dual_core_2ghz().min_freq_ghz() : 2.0;
+    // Sleep: the loaded server runs at max; emptied and slept, it wakes at
+    // the frequency an empty arbitration gives.
+    c.step();
+    EXPECT_DOUBLE_EQ(c.server(0).frequency_ghz(), 2.0);
+    c.migrate(v, 1);
+    EXPECT_EQ(c.sleep_idle_servers(), 1u);
+    ASSERT_TRUE(c.wake(0));
+    EXPECT_DOUBLE_EQ(c.server(0).frequency_ghz(), idle_ghz);
+    // Fail and repair: the same.
+    c.step();
+    EXPECT_DOUBLE_EQ(c.server(1).frequency_ghz(), 2.0);
+    (void)c.fail_server(1);
+    c.repair_server(1);
+    ASSERT_TRUE(c.wake(1));
+    EXPECT_DOUBLE_EQ(c.server(1).frequency_ghz(), idle_ghz);
+  }
+}
+
+TEST(Cluster, AwakeIndexMatchesABruteForceRecount) {
+  // 3 racks x 4 servers plus two servers outside the topology, under a
+  // seeded sequence of wake, sleep, fail, repair, rack failure and rack
+  // repair. After every call the index, the count and the step's visiting
+  // order equal a recount in id order, and every powered-down server sits
+  // at the empty-arbitration frequency.
+  Cluster c;
+  for (int i = 0; i < 14; ++i) {
+    c.add_server(Server(i % 3 == 0 ? quad_core_3ghz() : dual_core_2ghz(),
+                        i % 3 == 0 ? power_model_quad_3ghz() : power_model_dual_2ghz(), 8192.0));
+  }
+  c.set_topology(Topology::uniform(1, 3, 4, 30.0, 80.0));
+  for (ServerId s = 0; s < 12; s += 2) (void)c.add_vm(make_vm(0.5), s);
+  util::Rng rng(11);
+  const auto check = [&c](int call) {
+    std::vector<ServerId> recount;
+    for (ServerId s = 0; s < c.server_count(); ++s) {
+      if (c.server(s).active()) {
+        recount.push_back(s);
+      } else {
+        EXPECT_DOUBLE_EQ(c.server(s).frequency_ghz(), c.server(s).cpu().min_freq_ghz())
+            << "call " << call << " server " << s;
+      }
+    }
+    const std::span<const ServerId> index = c.awake_servers();
+    EXPECT_EQ(std::vector<ServerId>(index.begin(), index.end()), recount) << "call " << call;
+    EXPECT_EQ(c.active_server_count(), recount.size()) << "call " << call;
+    std::vector<ServerId> visited;
+    const Cluster::StepResult step = c.step({.dvfs_pin = [&visited](ServerId s) {
+                                               visited.push_back(s);
+                                               return std::optional<double>();
+                                             },
+                                             .grant = {}});
+    EXPECT_EQ(visited, recount) << "call " << call;
+    EXPECT_EQ(step.awake_servers, recount.size()) << "call " << call;
+  };
+  check(-1);
+  for (int call = 0; call < 400; ++call) {
+    const auto server = static_cast<ServerId>(rng.index(c.server_count()));
+    const auto rack = static_cast<RackId>(rng.index(3));
+    switch (rng.index(7)) {
+      case 0:
+      case 1: {
+        const bool was_down = !c.server(server).active();
+        if (c.wake(server) && was_down) {
+          EXPECT_DOUBLE_EQ(c.server(server).frequency_ghz(),
+                           c.server(server).cpu().min_freq_ghz());
+        }
+        break;
+      }
+      case 2:
+        c.sleep_idle_servers();
+        break;
+      case 3:
+        (void)c.fail_server(server);
+        break;
+      case 4:
+        c.repair_server(server);
+        break;
+      case 5:
+        (void)c.fail_rack(rack);
+        break;
+      default:
+        c.repair_rack(rack);
+        break;
+    }
+    // Re-home evicted VMs on an awake server, so sleeping keeps mattering.
+    for (const VmId vm : c.unplaced_vms()) {
+      if (c.active_server_count() > 0) {
+        c.place(vm, c.awake_servers()[rng.index(c.active_server_count())]);
+      }
+    }
+    check(call);
+  }
 }
 
 TEST(Cluster, RepairOnHealthyServerIsNoop) {

@@ -135,10 +135,12 @@ TEST(Ipac, IncrementalSecondInvocationIsQuiescent) {
 
 TEST(Ipac, WakesSleepingEfficientServerWhenNeeded) {
   Cluster c = heterogeneous_cluster();
-  c.server(0).set_state(datacenter::ServerState::kSleeping);
-  // Overload an inefficient server; relief must be able to wake the quad.
+  // Overload an inefficient server while the quad sleeps; relief must be
+  // able to wake the quad.
   (void)c.add_vm(make_vm(2.0), 1);
   (void)c.add_vm(make_vm(2.0), 1);
+  c.sleep_idle_servers();
+  ASSERT_TRUE(c.wake(2));
   const DataCenterSnapshot snap = snapshot_of(c);
   const ConstraintSet constraints = ConstraintSet::standard(1.0);
   const IpacReport report = ipac(snap, constraints);

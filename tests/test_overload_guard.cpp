@@ -113,10 +113,9 @@ TEST(OverloadGuard, MovesSmallestVmsToRelieve) {
 
 TEST(OverloadGuard, WakesSleepingServerWhenActiveOnesAreFull) {
   Cluster c = guarded_cluster();
-  c.server(1).set_state(datacenter::ServerState::kSleeping);
-  c.server(2).set_state(datacenter::ServerState::kSleeping);
   (void)c.add_vm(make_vm(2.0), 0);
   (void)c.add_vm(make_vm(2.0), 0);  // 4 > 3 GHz, no active alternative
+  c.sleep_idle_servers();           // servers 1 and 2
   OverloadGuard guard(trigger_after(1));
   const OverloadGuardReport report = guard.check(c, 0.0);
   EXPECT_GE(report.migrations, 1u);

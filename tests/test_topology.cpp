@@ -9,6 +9,7 @@
 
 #include "consolidate/topology_cost.hpp"
 #include "datacenter/cluster.hpp"
+#include "util/rng.hpp"
 
 namespace vdc::datacenter {
 namespace {
@@ -166,35 +167,90 @@ TEST(Topology, SharedPowerPaidOnlyWhileRackIsLit) {
   c.add_vm(make_vm(1.0), 2);
 
   // All four servers awake: both rack draws + the pod draw are on.
-  const double all_awake = c.arbitrate_and_power_w(false);
+  const double all_awake = c.step().awake_power_w;
 
   // Sleep rack 1 entirely (servers 2,3): its 40 W switch off, pod stays
-  // lit because rack 0 still is. Move the VM off first.
+  // lit because rack 0 still is. Move the VM off first; server 1 stays up.
   c.migrate(c.vms_on(2).front(), 0, 10.0);
-  c.server(2).set_state(ServerState::kSleeping);
-  c.server(3).set_state(ServerState::kSleeping);
-  const double rack1_dark = c.arbitrate_and_power_w(false);
+  c.sleep_idle_servers();
+  ASSERT_TRUE(c.wake(1));
+  const double rack1_dark = c.step().awake_power_w;
 
-  // The delta is the two members' active-vs-sleep swing plus exactly the
-  // 40 W rack share. Verify the share by comparing against a flat twin of
-  // the same cluster state.
+  // The delta is the two members' active draw plus exactly the 40 W rack
+  // share. Verify the share by comparing against a flat twin of the same
+  // cluster state.
   Cluster flat = racked_cluster();
   flat.set_topology(Topology{});
   flat.add_vm(make_vm(1.0), 0);
   flat.add_vm(make_vm(1.0), 0);  // both VMs on server 0, like after the move
-  flat.server(2).set_state(ServerState::kSleeping);
-  flat.server(3).set_state(ServerState::kSleeping);
-  const double flat_power = flat.arbitrate_and_power_w(false);
+  flat.sleep_idle_servers();
+  ASSERT_TRUE(flat.wake(1));
+  const double flat_power = flat.step().awake_power_w;
   EXPECT_NEAR(rack1_dark - flat_power, 40.0 + 100.0, 1e-9);
   EXPECT_GT(all_awake, rack1_dark);
 }
 
 TEST(Topology, FullyDarkPodSwitchesOffEveryShare) {
   Cluster c = racked_cluster();
-  for (ServerId s = 0; s < 4; ++s) c.server(s).set_state(ServerState::kSleeping);
-  const double dark = c.arbitrate_and_power_w(false);
-  // 4 servers x 6 W sleep, zero shared draw anywhere.
-  EXPECT_NEAR(dark, 4 * 6.0, 1e-9);
+  EXPECT_EQ(c.sleep_idle_servers(), 4u);
+  // No server is awake: no member draw and no shared draw anywhere.
+  EXPECT_EQ(c.step().awake_power_w, 0.0);
+}
+
+TEST(Topology, StepSharedDrawMatchesABruteForceRecount) {
+  // 2 pods x 3 racks x 3 servers, every rack and pod with its own share,
+  // plus two servers outside the topology. Each pattern puts every server
+  // awake, asleep or failed at random; the step's draw must equal the
+  // awake members' draw plus the shares recomputed from the topology's
+  // membership lists and each server's state.
+  Topology topo;
+  for (PodId pod = 0; pod < 2; ++pod) {
+    topo.add_pod(100.0 + 10.0 * pod);
+    for (int r = 0; r < 3; ++r) {
+      const RackId rack = topo.add_rack(pod, 20.0 + 3.0 * static_cast<double>(r + 3 * pod));
+      for (ServerId k = 0; k < 3; ++k) topo.assign(rack * 3 + k, rack);
+    }
+  }
+  util::Rng rng(2024);
+  for (int pattern = 0; pattern < 200; ++pattern) {
+    Cluster c;
+    for (int i = 0; i < 20; ++i) {
+      c.add_server(Server(i % 2 == 0 ? dual_core_2ghz() : dual_core_1_5ghz(),
+                          i % 2 == 0 ? power_model_dual_2ghz() : power_model_dual_1_5ghz(),
+                          4096.0));
+    }
+    c.set_topology(topo);
+    c.sleep_idle_servers();
+    for (ServerId s = 0; s < c.server_count(); ++s) {
+      const double u = rng.uniform();
+      if (u < 0.3) {
+        ASSERT_TRUE(c.wake(s));
+      } else if (u < 0.45) {
+        (void)c.fail_server(s);
+      }
+    }
+    const double stepped = c.step().awake_power_w;
+
+    double expected = 0.0;
+    for (ServerId s = 0; s < c.server_count(); ++s) {
+      if (c.server(s).active()) expected += c.server(s).power_w(0.0);
+    }
+    const auto lit = [&c, &topo](RackId rack) {
+      for (const ServerId s : topo.servers_in(rack)) {
+        if (c.server(s).active()) return true;
+      }
+      return false;
+    };
+    for (RackId rack = 0; rack < topo.rack_count(); ++rack) {
+      if (lit(rack)) expected += topo.rack_shared_power_w(rack);
+    }
+    for (PodId pod = 0; pod < topo.pod_count(); ++pod) {
+      bool pod_lit = false;
+      for (const RackId rack : topo.racks_in(pod)) pod_lit = pod_lit || lit(rack);
+      if (pod_lit) expected += topo.pod_shared_power_w(pod);
+    }
+    EXPECT_DOUBLE_EQ(stepped, expected) << "pattern " << pattern;
+  }
 }
 
 TEST(Topology, MigrationLogRecordsTheDistanceTier) {

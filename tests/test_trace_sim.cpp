@@ -273,17 +273,17 @@ struct PlanPin {
 TEST(TraceSim, PlansMatchTheirPins) {
   const PlanPin pins[] = {
       {1, ConsolidationAlgorithm::kIpac, false, 0xdd2d4f575d484791ULL, 1180, 0, 35,
-       0x4108d60f78fbdb9dULL, 0x0000000000000000ULL},
+       0x4108d60f78fbdb9cULL, 0x0000000000000000ULL},
       {2, ConsolidationAlgorithm::kIpac, false, 0x2c47b45616c1e479ULL, 1200, 0, 30,
-       0x41073bd4899174e7ULL, 0x0000000000000000ULL},
+       0x41073bd4899174e5ULL, 0x0000000000000000ULL},
       {3, ConsolidationAlgorithm::kIpac, false, 0xc72033d09d4dc104ULL, 1211, 0, 32,
        0x4107866541976e0aULL, 0x0000000000000000ULL},
       {1, ConsolidationAlgorithm::kIpac, true, 0x6fdb3ff05850adf0ULL, 89, 516, 8,
-       0x41091206f206fe33ULL, 0x3fb858d86b11f09fULL},
+       0x41091206f206fe32ULL, 0x3fb858d86b11f09fULL},
       {2, ConsolidationAlgorithm::kIpac, true, 0x3e50432460ee8cd5ULL, 97, 516, 8,
        0x41080214aa4100f9ULL, 0x3fb70a0d5a9dc0c1ULL},
       {1, ConsolidationAlgorithm::kPMapper, false, 0xd693a1549c463730ULL, 1200, 0, 31,
-       0x410956f07d60846cULL, 0x3f471e95cb7fe12dULL},
+       0x410956f07d60846bULL, 0x3f471e95cb7fe12dULL},
   };
 
   for (const PlanPin& pin : pins) {
