@@ -429,14 +429,16 @@ void Testbed::start_migration(datacenter::VmId vm, datacenter::ServerId to) {
   sim_.schedule_after(copy_s, [this, vm, to] {
     // End of copy: this is where a live migration can die. The source may
     // have crashed under the copy (the VM is gone — nothing to hand over),
-    // the destination may have failed, or the hypervisor aborts and rolls
-    // back (the VM keeps running on the source as if nothing happened).
+    // the destination may have failed (a repair since leaves it asleep, and
+    // a VM cannot land on a sleeping box either), or the hypervisor aborts
+    // and rolls back (the VM keeps running on the source as if nothing
+    // happened).
     const datacenter::ServerId source = cluster_.host_of(vm);
     if (source == datacenter::kNoServer) {
       fail_migration(vm, "migration-lost vm" + std::to_string(vm) + " (source crashed)");
       return;
     }
-    if (cluster_.server(to).failed()) {
+    if (!cluster_.server(to).active()) {
       fail_migration(vm, "migration-abort vm" + std::to_string(vm) + " (target srv" +
                              std::to_string(to) + " crashed)");
       return;
@@ -449,7 +451,7 @@ void Testbed::start_migration(datacenter::VmId vm, datacenter::ServerId to) {
     // Stop-and-copy: the tier stops processing for the downtime window.
     apply_tier_allocation(vm, 0.0);
     sim_.schedule_after(cluster_.migration_model().downtime_s, [this, vm, to] {
-      if (cluster_.host_of(vm) == datacenter::kNoServer || cluster_.server(to).failed()) {
+      if (cluster_.host_of(vm) == datacenter::kNoServer || !cluster_.server(to).active()) {
         // A crash landed inside the downtime window; the hand-over target
         // (or the VM itself) is gone.
         fail_migration(vm, "migration-lost vm" + std::to_string(vm) + " (crash in downtime)");
@@ -478,7 +480,7 @@ void Testbed::start_restart(datacenter::VmId vm, datacenter::ServerId to) {
   }
   ++migrations_in_flight_;
   sim_.schedule_after(cluster_.migration_model().downtime_s, [this, vm, to] {
-    if (cluster_.server(to).failed() || cluster_.host_of(vm) != datacenter::kNoServer) {
+    if (!cluster_.server(to).active() || cluster_.host_of(vm) != datacenter::kNoServer) {
       --migrations_in_flight_;
       if (migrations_in_flight_ == 0) cluster_.sleep_idle_servers();
       return;

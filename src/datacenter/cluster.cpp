@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "check/dc_audit.hpp"
 
@@ -26,6 +27,7 @@ ServerId Cluster::add_server(Server server) {
 }
 
 VmId Cluster::add_vm(Vm vm, std::optional<ServerId> host) {
+  if (host) check_target(*host, "Cluster::add_vm");
   const auto id = static_cast<VmId>(vms_.size());
   vms_.push_back(std::move(vm));
   retired_.push_back(false);
@@ -61,7 +63,7 @@ std::span<const VmId> Cluster::vms_on(ServerId id) const {
 
 void Cluster::place(VmId vm, ServerId host) {
   check_vm(vm);
-  check_server(host);
+  check_target(host, "Cluster::place");
   if (retired_[vm]) throw std::logic_error("Cluster::place: VM is retired");
   if (host_[vm] != kNoServer) {
     throw std::logic_error("Cluster::place: VM already placed (use migrate)");
@@ -72,7 +74,7 @@ void Cluster::place(VmId vm, ServerId host) {
 
 void Cluster::migrate(VmId vm, ServerId host, double now_s) {
   check_vm(vm);
-  check_server(host);
+  check_target(host, "Cluster::migrate");
   if (retired_[vm]) throw std::logic_error("Cluster::migrate: VM is retired");
   const ServerId from = host_[vm];
   if (from == kNoServer) throw std::logic_error("Cluster::migrate: VM is not placed");
@@ -109,9 +111,7 @@ double Cluster::server_memory_used_mb(ServerId id) const {
 
 bool Cluster::overloaded(ServerId id) const {
   check_server(id);
-  const double demand = server_cpu_demand_ghz(id);
-  if (!servers_[id].active()) return demand > 0.0;
-  return demand > servers_[id].max_capacity_ghz() + 1e-9 ||
+  return server_cpu_demand_ghz(id) > servers_[id].max_capacity_ghz() + 1e-9 ||
          server_memory_used_mb(id) > servers_[id].memory_mb() + 1e-9;
 }
 
@@ -286,6 +286,13 @@ void Cluster::check_server(ServerId id) const {
 
 void Cluster::check_vm(VmId id) const {
   if (id >= vms_.size()) throw std::out_of_range("Cluster: bad VM id");
+}
+
+void Cluster::check_target(ServerId id, const char* caller) const {
+  check_server(id);
+  if (!servers_[id].active()) {
+    throw std::logic_error(std::string(caller) + ": target server is not active (wake it first)");
+  }
 }
 
 void Cluster::power_down(ServerId id, ServerState state) {

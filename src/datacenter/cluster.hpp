@@ -27,8 +27,8 @@ class Cluster {
 
   // ---- topology -----------------------------------------------------------
   ServerId add_server(Server server);
-  /// Adds a VM, optionally placing it immediately. Unplaced VMs must be
-  /// placed before power accounting.
+  /// Adds a VM, optionally placing it immediately (on an active server, as
+  /// place() requires). Unplaced VMs must be placed before power accounting.
   VmId add_vm(Vm vm, std::optional<ServerId> host = std::nullopt);
 
   /// Installs the physical rack/pod layout. Shared-infrastructure power is
@@ -54,10 +54,13 @@ class Cluster {
   [[nodiscard]] std::span<const VmId> vms_on(ServerId id) const;
 
   // ---- placement ----------------------------------------------------------
-  /// Places an unplaced VM (no migration cost).
+  /// Places an unplaced VM (no migration cost). The host must be active:
+  /// placing onto a sleeping or failed server throws std::logic_error (wake
+  /// it first), because step() grants and powers awake servers only.
   void place(VmId vm, ServerId host);
   /// Re-maps a placed VM, logging the migration at simulated time `now_s`.
-  /// A no-op (not logged) when the VM is already on `host`.
+  /// A no-op (not logged) when the VM is already on `host`. The target must
+  /// be active, as for place().
   void migrate(VmId vm, ServerId host, double now_s = 0.0);
   [[nodiscard]] const MigrationLog& migration_log() const noexcept { return migrations_; }
   [[nodiscard]] const MigrationModel& migration_model() const noexcept { return migration_model_; }
@@ -65,8 +68,8 @@ class Cluster {
   // ---- aggregate queries --------------------------------------------------
   [[nodiscard]] double server_cpu_demand_ghz(ServerId id) const;
   [[nodiscard]] double server_memory_used_mb(ServerId id) const;
-  /// Demand exceeds the server's capacity at max frequency (or the server
-  /// sleeps while hosting VMs).
+  /// Demand exceeds the server's capacity at max frequency, or its VMs
+  /// exceed its memory. Only an active server can host VMs.
   [[nodiscard]] bool overloaded(ServerId id) const;
   [[nodiscard]] std::vector<ServerId> overloaded_servers() const;
   [[nodiscard]] std::size_t active_server_count() const noexcept { return awake_.size(); }
@@ -150,6 +153,8 @@ class Cluster {
  private:
   void check_server(ServerId id) const;
   void check_vm(VmId id) const;
+  /// check_server, and the server must be active to receive a VM.
+  void check_target(ServerId id, const char* caller) const;
   void detach(VmId vm);
   /// Puts a server into a state other than kActive at the frequency an
   /// empty arbitration gives (the awake index is the caller's to update).

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -83,6 +86,86 @@ double gaussian_bump(double hour, double center, double width) {
   return std::exp(-0.5 * (d / width) * (d / width));
 }
 
+[[noreturn]] void reject(const std::string& field, const std::string& requirement) {
+  throw std::invalid_argument("generate_synthetic_trace: " + field + " " + requirement);
+}
+
+void validate(const SectorProfile& sector) {
+  const std::string prefix = "sector '" + sector.name + "' ";
+  const std::pair<const char*, double> finite_fields[] = {
+      {"base_mean", sector.base_mean},
+      {"base_spread", sector.base_spread},
+      {"diurnal_amplitude", sector.diurnal_amplitude},
+      {"peak_hour", sector.peak_hour},
+      {"peak_width_h", sector.peak_width_h},
+      {"second_peak_hour", sector.second_peak_hour},
+      {"weekend_factor", sector.weekend_factor},
+      {"noise_sigma", sector.noise_sigma},
+      {"noise_phi", sector.noise_phi},
+      {"burst_probability", sector.burst_probability},
+      {"burst_amplitude", sector.burst_amplitude},
+      {"burst_decay", sector.burst_decay},
+  };
+  for (const auto& [field, value] : finite_fields) {
+    if (!std::isfinite(value)) reject(prefix + field, "must be finite");
+  }
+  // The spreads of normal draws must be positive (std::normal_distribution's
+  // precondition). A zero diurnal amplitude is a flat sector, which takes
+  // its amplitude draw with a unit spread instead.
+  if (!(sector.base_spread > 0.0)) reject(prefix + "base_spread", "must be positive");
+  if (!(sector.noise_sigma > 0.0)) reject(prefix + "noise_sigma", "must be positive");
+  if (sector.diurnal_amplitude < 0.0 ||
+      (sector.diurnal_amplitude > 0.0 && !(sector.diurnal_amplitude * 0.2 > 0.0))) {
+    reject(prefix + "diurnal_amplitude", "must be zero or positive with a positive 0.2x spread");
+  }
+  if (!(sector.peak_width_h > 0.0)) reject(prefix + "peak_width_h", "must be positive");
+  // Outside these ranges the AR(1) noise or the burst can overflow, and
+  // their sum become NaN.
+  if (!(std::abs(sector.noise_phi) <= 1.0)) reject(prefix + "noise_phi", "must lie in [-1, 1]");
+  if (!(sector.burst_decay >= 0.0 && sector.burst_decay <= 1.0)) {
+    reject(prefix + "burst_decay", "must lie in [0, 1]");
+  }
+  if (!(sector.burst_probability >= 0.0 && sector.burst_probability <= 1.0)) {
+    reject(prefix + "burst_probability", "must lie in [0, 1]");
+  }
+}
+
+/// The per-trace calendar: each sample's hour-of-day and weekend flag, and
+/// the sample's slot among the distinct hours-of-day a daily shape is
+/// evaluated at. A sample reuses the slot of the sample one day earlier
+/// only where their hours are equal bit for bit; otherwise it opens a slot
+/// of its own.
+struct Calendar {
+  std::vector<double> slot_hour;      // hour-of-day of each slot
+  std::vector<std::size_t> slot;      // per sample
+  std::vector<std::uint8_t> weekend;  // per sample
+};
+
+Calendar make_calendar(std::size_t samples, double sample_period_s) {
+  Calendar calendar;
+  calendar.slot.resize(samples);
+  calendar.weekend.resize(samples);
+  const double per_day = 86400.0 / sample_period_s;
+  const std::size_t lag = per_day < static_cast<double>(samples)
+                              ? static_cast<std::size_t>(std::round(per_day))
+                              : 0;
+  for (std::size_t k = 0; k < samples; ++k) {
+    const double t_s = static_cast<double>(k) * sample_period_s;
+    const double hour = std::fmod(t_s / 3600.0, 24.0);
+    const auto day = static_cast<int>(t_s / 86400.0);  // 0 = Monday
+    calendar.weekend[k] = (day % 7) >= 5 ? 1 : 0;
+    // A slot's hour is bit-equal to the hour of every sample in it.
+    // vdc-lint: float-eq-ok the shape is reused only for a bit-identical hour; that is the contract
+    if (lag > 0 && k >= lag && hour == calendar.slot_hour[calendar.slot[k - lag]]) {
+      calendar.slot[k] = calendar.slot[k - lag];
+    } else {
+      calendar.slot[k] = calendar.slot_hour.size();
+      calendar.slot_hour.push_back(hour);
+    }
+  }
+  return calendar;
+}
+
 }  // namespace
 
 UtilizationTrace generate_synthetic_trace(const SyntheticTraceOptions& options) {
@@ -90,17 +173,24 @@ UtilizationTrace generate_synthetic_trace(const SyntheticTraceOptions& options) 
       options.sectors.empty() ? default_sector_profiles() : options.sectors;
   std::vector<double> weights = options.sector_weights;
   if (weights.empty()) weights.assign(sectors.size(), 1.0);
-  if (weights.size() != sectors.size()) {
-    throw std::invalid_argument("generate_synthetic_trace: weight/sector count mismatch");
+  if (weights.size() != sectors.size()) reject("sector_weights", "must hold one weight per sector");
+  for (const double w : weights) {
+    if (!std::isfinite(w) || w < 0.0) reject("sector_weights", "must be finite and non-negative");
   }
   const double weight_sum = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (!(weight_sum > 0.0)) {
-    throw std::invalid_argument("generate_synthetic_trace: weights must be positive");
+  if (!(weight_sum > 0.0) || !std::isfinite(weight_sum)) {
+    reject("sector_weights", "must have a positive, finite sum");
   }
+  if (!(options.sample_period_s > 0.0) || !std::isfinite(options.sample_period_s)) {
+    reject("sample_period_s", "must be positive and finite");
+  }
+  for (const SectorProfile& sector : sectors) validate(sector);
 
   UtilizationTrace trace(options.servers, options.samples, options.sample_period_s);
   trace.labels.resize(options.servers);
   util::Rng rng(options.seed);
+  const Calendar calendar = make_calendar(options.samples, options.sample_period_s);
+  std::vector<double> shape(calendar.slot_hour.size());
 
   for (std::size_t server = 0; server < options.servers; ++server) {
     // Sector assignment by weight.
@@ -115,18 +205,20 @@ UtilizationTrace generate_synthetic_trace(const SyntheticTraceOptions& options) 
 
     const double base =
         std::max(0.02, rng.normal(sector.base_mean, sector.base_spread));
-    const double amplitude =
-        std::max(0.0, rng.normal(sector.diurnal_amplitude, sector.diurnal_amplitude * 0.2));
+    double amplitude = 0.0;
+    if (sector.diurnal_amplitude > 0.0) {
+      amplitude =
+          std::max(0.0, rng.normal(sector.diurnal_amplitude, sector.diurnal_amplitude * 0.2));
+    } else {
+      // A flat sector still takes the amplitude's draw (with a unit spread:
+      // it is discarded), so each server consumes the same variates.
+      (void)rng.normal(0.0, 1.0);
+    }
     const double phase_jitter_h = rng.normal(0.0, 0.7);
 
-    double ar_noise = 0.0;
-    double burst = 0.0;
-    for (std::size_t k = 0; k < options.samples; ++k) {
-      const double t_s = static_cast<double>(k) * options.sample_period_s;
-      const double hour = std::fmod(t_s / 3600.0, 24.0);
-      const auto day = static_cast<int>(t_s / 86400.0);  // 0 = Monday
-      const bool weekend = (day % 7) >= 5;
-
+    // The server's daily shape at each distinct hour-of-day.
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+      const double hour = calendar.slot_hour[d];
       double diurnal = gaussian_bump(hour, sector.peak_hour + phase_jitter_h,
                                      sector.peak_width_h);
       if (sector.second_peak_hour >= 0.0) {
@@ -134,7 +226,15 @@ UtilizationTrace generate_synthetic_trace(const SyntheticTraceOptions& options) 
                                                                   phase_jitter_h,
                                                         sector.peak_width_h));
       }
-      double level = base + amplitude * diurnal * (weekend ? sector.weekend_factor : 1.0);
+      shape[d] = diurnal;
+    }
+
+    double ar_noise = 0.0;
+    double burst = 0.0;
+    for (std::size_t k = 0; k < options.samples; ++k) {
+      const double diurnal = shape[calendar.slot[k]];
+      const double level = base + amplitude * diurnal *
+                                      (calendar.weekend[k] != 0 ? sector.weekend_factor : 1.0);
 
       ar_noise = sector.noise_phi * ar_noise +
                  rng.normal(0.0, sector.noise_sigma);

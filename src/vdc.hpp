@@ -30,7 +30,6 @@
 #include "app/monitor.hpp"         // IWYU pragma: export
 #include "app/multi_tier_app.hpp"  // IWYU pragma: export
 #include "app/queueing.hpp"        // IWYU pragma: export
-#include "app/workload.hpp"        // IWYU pragma: export
 
 // Virtualized data center.
 #include "datacenter/arbitrator.hpp"   // IWYU pragma: export

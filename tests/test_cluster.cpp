@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -94,11 +95,28 @@ TEST(Cluster, MemoryOverloadDetected) {
   EXPECT_TRUE(c.overloaded(0));
 }
 
-TEST(Cluster, SleepingHostWithVmsIsOverloaded) {
+TEST(Cluster, RejectsAnInactiveTarget) {
+  // The step grants and powers awake servers only, so a VM may land only on
+  // an active one: the caller wakes the target first.
   Cluster c = two_server_cluster();
   c.sleep_idle_servers();
-  (void)c.add_vm(make_vm(0.1), 0);  // placed onto the sleeping box
-  EXPECT_TRUE(c.overloaded(0));
+  EXPECT_THROW((void)c.add_vm(make_vm(0.1), 0), std::logic_error);
+  EXPECT_EQ(c.vm_count(), 0u);  // nothing half-added
+  const VmId vm = c.add_vm(make_vm(0.1));
+  EXPECT_THROW(c.place(vm, 0), std::logic_error);
+  EXPECT_EQ(c.host_of(vm), kNoServer);
+  ASSERT_TRUE(c.wake(0));
+  c.place(vm, 0);
+
+  EXPECT_THROW(c.migrate(vm, 1), std::logic_error);  // asleep
+  (void)c.fail_server(1);
+  EXPECT_THROW(c.migrate(vm, 1), std::logic_error);  // failed
+  EXPECT_EQ(c.host_of(vm), 0u);
+  EXPECT_EQ(c.migration_log().count(), 0u);
+  c.repair_server(1);
+  ASSERT_TRUE(c.wake(1));
+  c.migrate(vm, 1);
+  EXPECT_EQ(c.host_of(vm), 1u);
 }
 
 TEST(Cluster, SleepIdleServersOnlyAffectsEmptyOnes) {

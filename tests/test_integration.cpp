@@ -5,7 +5,6 @@
 
 #include "app/monitor.hpp"
 #include "app/multi_tier_app.hpp"
-#include "app/workload.hpp"
 #include "control/stability.hpp"
 #include "core/power_optimizer.hpp"
 #include "core/response_time_controller.hpp"
@@ -84,7 +83,9 @@ TEST(Integration, ControllerSurvivesSurgeSchedule) {
   const std::vector<double> initial(live.tier_count(), 0.6);
   live.set_allocations(initial);
   live.start();
-  apply_schedule(sim, live, app::surge_schedule(40, 400.0, 800.0));
+  // The surge: concurrency doubles from 40 to 80 between 400 s and 800 s.
+  sim.schedule(400.0, [&live] { live.set_concurrency(80); });
+  sim.schedule(800.0, [&live] { live.set_concurrency(40); });
   core::ResponseTimeController controller(identified.model, mpc, initial);
 
   util::RunningStats surge_tail;  // late surge: controller has adapted
