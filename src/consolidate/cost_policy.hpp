@@ -2,22 +2,21 @@
 // "can be highly different for different data centers", so the paper
 // "provide[s] an interface for data center administrators to define their
 // own cost functions based on their various policies". This is that
-// interface, with the obvious built-in policies.
+// interface: IPAC submits each consolidation move to a MigrationCostPolicy
+// and rolls the round back on the first veto. FreeMigrationPolicy (every
+// move allowed) is the paper's simulation default;
+// examples/custom_cost_policy.cpp writes one of its own.
 //
-// UNITS. Every energy quantity crossing this boundary is joules (J), and
-// 1 J = 1 W·s exactly: `estimated_benefit_j` is the stationary power
-// saving in watts times the optimizer's benefit horizon in seconds, and
-// `cost_j` is migration power times transfer duration. `estimated_benefit_w`
-// stays in watts for policies (like MinBenefitPolicy) that reason about
-// steady-state power rather than energy. Mixing the two is the bug this
-// comment exists to prevent.
+// UNITS. `estimated_benefit_w` is steady-state POWER in watts, not energy.
+// The distance-dependent migration ENERGY (J) and the per-plan energy
+// budget are not the policy's business: RackAwareOptions
+// (topology_cost.hpp) gates whole IPAC rounds and single pMapper moves on
+// them before any proposal reaches a policy.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "consolidate/snapshot.hpp"
-#include "datacenter/migration.hpp"
 
 namespace vdc::consolidate {
 
@@ -29,21 +28,6 @@ struct MigrationProposal {
   /// evacuation round that lets a server sleep, the donor's idle power is
   /// split across the round's moves.
   double estimated_benefit_w = 0.0;
-  /// Bytes the migration moves over the network.
-  double bytes = 0.0;
-  /// Bytes of migrations already approved in this optimizer invocation.
-  double bytes_already_approved = 0.0;
-  /// Network tier the move crosses (kSameRack when the fleet is flat).
-  NetworkDistance distance = NetworkDistance::kSameRack;
-  /// Migration energy this move burns (J = W·s). 0 when the engine runs
-  /// without a cost model.
-  double cost_j = 0.0;
-  /// Migration energy of moves already approved in this invocation (J).
-  double cost_already_approved_j = 0.0;
-  /// The benefit converted to energy over the optimizer's horizon
-  /// (J = estimated_benefit_w × benefit_horizon_s). 0 when the engine runs
-  /// without a cost model.
-  double estimated_benefit_j = 0.0;
 };
 
 class MigrationCostPolicy {
@@ -62,49 +46,6 @@ class FreeMigrationPolicy final : public MigrationCostPolicy {
     return true;
   }
   [[nodiscard]] std::string name() const override { return "free-migration"; }
-};
-
-/// Caps the total bytes migrated per optimizer invocation — the paper's
-/// "network bandwidth is a bottleneck" example.
-class BandwidthBudgetPolicy final : public MigrationCostPolicy {
- public:
-  explicit BandwidthBudgetPolicy(double max_bytes_per_invocation);
-  [[nodiscard]] bool allow(const DataCenterSnapshot& snapshot,
-                           const MigrationProposal& proposal) const override;
-  [[nodiscard]] std::string name() const override { return "bandwidth-budget"; }
-
- private:
-  double max_bytes_;
-};
-
-/// Requires a minimum expected power saving per migration; large-memory
-/// VMs (expensive to move) can demand a higher payoff via `w_per_gb`.
-class MinBenefitPolicy final : public MigrationCostPolicy {
- public:
-  explicit MinBenefitPolicy(double min_benefit_w, double w_per_gb = 0.0);
-  [[nodiscard]] bool allow(const DataCenterSnapshot& snapshot,
-                           const MigrationProposal& proposal) const override;
-  [[nodiscard]] std::string name() const override { return "min-benefit"; }
-
- private:
-  double min_benefit_w_;
-  double w_per_gb_;
-};
-
-/// Caps the total migration ENERGY (J) spent per optimizer invocation, and
-/// rejects same-host proposals outright — a zero-distance move transfers
-/// nothing, saves nothing, and only pollutes the plan. Requires the engine
-/// to fill the energy fields (i.e. a rack-aware run); throws on proposals
-/// with invalid cost.
-class MigrationEnergyBudgetPolicy final : public MigrationCostPolicy {
- public:
-  explicit MigrationEnergyBudgetPolicy(double budget_j);
-  [[nodiscard]] bool allow(const DataCenterSnapshot& snapshot,
-                           const MigrationProposal& proposal) const override;
-  [[nodiscard]] std::string name() const override { return "migration-energy-budget"; }
-
- private:
-  double budget_j_;
 };
 
 }  // namespace vdc::consolidate

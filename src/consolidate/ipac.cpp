@@ -58,8 +58,6 @@ IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
   PlanningModel::Scratch& scratch = model.scratch();
   IpacReport report;
   report.occupied_before = wp.occupied_server_count();
-  double bytes_approved = 0.0;
-  datacenter::MigrationModel migration_model;  // for byte estimates in proposals
 
   // Every rack-aware branch below hangs off this flag; with it false (the
   // default, and always on flat snapshots) the pass is statement-for-
@@ -136,12 +134,11 @@ IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
         power_aware_consolidation(wp, migration_list, constraints, options.min_slack, index);
     report.min_slack_steps += pac.min_slack_steps;
     report.overload_moves = pac.placed.size();
-    for (const VmId vm : pac.placed) {
-      bytes_approved += migration_model.bytes_moved(snapshot.vm(vm).memory_mb);
-      if (rack_on) {
-        // Relief moves bypass the gates (they protect SLAs) but their energy
-        // still counts against the plan budget: a plan that spends its whole
-        // allowance on relief has nothing left for consolidation rounds.
+    if (rack_on) {
+      // Relief moves bypass the gates (they protect SLAs) but their energy
+      // still counts against the plan budget: a plan that spends its whole
+      // allowance on relief has nothing left for consolidation rounds.
+      for (const VmId vm : pac.placed) {
         const ServerId origin = wp.original_host(vm);
         if (origin != datacenter::kNoServer) {
           report.migration_energy_j += rack.cost.energy_j(
@@ -204,7 +201,6 @@ IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
   }
 
   for (const ServerId donor : donors) {
-    if (report.rounds_attempted >= options.max_rounds) break;
     if (!wp.occupied(donor)) continue;  // already emptied by an earlier round
     ++report.rounds_attempted;
 
@@ -260,36 +256,18 @@ IpacReport ipac(PlanningModel& model, const ConstraintSet& constraints,
       const double benefit_per_move =
           std::max(0.0, power_before_round - wp.estimated_power_w()) /
           static_cast<double>(evacuated.size());
-      double round_bytes = 0.0;
-      double round_cost_so_far_j = 0.0;
       for (const VmId vm : evacuated) {
-        MigrationProposal proposal;
-        proposal.vm = vm;
-        proposal.from = donor;
-        proposal.to = wp.host_of(vm);
-        proposal.estimated_benefit_w = benefit_per_move;
-        proposal.bytes = migration_model.bytes_moved(snapshot.vm(vm).memory_mb);
-        proposal.bytes_already_approved = bytes_approved + round_bytes;
-        if (rack_on) {
-          proposal.distance = snapshot.distance(donor, proposal.to);
-          proposal.cost_j =
-              rack.cost.energy_j(snapshot.vm(vm).memory_mb, proposal.distance);
-          proposal.cost_already_approved_j =
-              report.migration_energy_j + round_cost_so_far_j;
-          proposal.estimated_benefit_j = benefit_per_move * rack.benefit_horizon_s;
-        }
+        const MigrationProposal proposal{.vm = vm,
+                                         .from = donor,
+                                         .to = wp.host_of(vm),
+                                         .estimated_benefit_w = benefit_per_move};
         if (!policy.allow(snapshot, proposal)) {
           accept = false;
           ++report.rounds_rejected_by_policy;
           break;
         }
-        round_bytes += proposal.bytes;
-        round_cost_so_far_j += proposal.cost_j;
       }
-      if (accept) {
-        bytes_approved += round_bytes;
-        report.migration_energy_j += round_cost_j;
-      }
+      if (accept) report.migration_energy_j += round_cost_j;
     }
 
     if (accept) {

@@ -28,9 +28,6 @@ class PlanningModel;
 
 struct IpacOptions {
   MinSlackOptions min_slack;
-  /// Upper bound on consolidation rounds per invocation (each round can
-  /// empty one server); the default lets the loop run to quiescence.
-  std::size_t max_rounds = static_cast<std::size_t>(-1);
 };
 
 struct IpacReport {

@@ -509,145 +509,7 @@ struct GenericSearch {
   }
 };
 
-/// Budgeted Algorithm 1: plain recursive DFS (same visit order, step
-/// accounting and epsilon ladder as the reference engines) with one extra
-/// prune — a candidate whose migration energy would blow the budget is
-/// skipped like a capacity-infeasible one. Costs are non-negative, so the
-/// prune is exact: no improving subset is ever abandoned. The elaborate
-/// collapse machinery above is deliberately not reused; budgeted searches
-/// run over IPAC-sized candidate lists where this shape is already cheap.
-struct BudgetedSearch {
-  const WorkingPlacement* placement;
-  ServerId server;
-  const ConstraintSet* constraints;
-  std::vector<VmId> order;        // candidates, largest demand first
-  std::vector<double> cost_of;    // aligned to order (J)
-  std::vector<double> demand_of;  // aligned to order
-  std::vector<double> memory_of;  // aligned to order
-  std::vector<VmId> selected;
-  double selected_demand_ghz = 0.0;
-  double selected_cost = 0.0;
-  double budget_j = 0.0;
-  double base_slack = 0.0;  // capacity - resident demand
-
-  MinSlackResult best;
-  double best_cost = 0.0;
-  double epsilon = 0.0;
-  std::size_t step_budget = 0;
-  const MinSlackOptions* options = nullptr;
-  bool done = false;
-
-  [[nodiscard]] double slack() const noexcept { return base_slack - selected_demand_ghz; }
-
-  void consider_current() {
-    const double sl = slack();
-    if (sl < best.slack_ghz - 1e-12) {
-      best.slack_ghz = sl;
-      best.selected = selected;
-      best_cost = selected_cost;
-    }
-    if (best.slack_ghz < epsilon) done = true;
-  }
-
-  void dfs(std::size_t start) {
-    if (done) return;
-    for (std::size_t i = start; i < order.size(); ++i) {
-      if (done) return;
-      ++best.steps;
-      if (best.steps >= step_budget) {
-        if (best.escalations >= options->max_escalations) {
-          done = true;
-          return;
-        }
-        ++best.escalations;
-        epsilon *= options->epsilon_escalation;
-        step_budget += options->step_budget;
-        if (best.slack_ghz < epsilon) {
-          done = true;
-          return;
-        }
-      }
-      // vdc-lint: float-eq-ok identical VMs are grouped by bitwise equality of their stored demand/memory; the values are copies, never recomputed
-      if (i > start && demand_of[i - 1] == demand_of[i] && memory_of[i - 1] == memory_of[i] &&
-          cost_of[i - 1] == cost_of[i]) {
-        continue;  // symmetry pruning (cost must match too)
-      }
-      if (demand_of[i] > slack() + 1e-9) continue;               // CPU-slack bound
-      if (selected_cost + cost_of[i] > budget_j + 1e-9) continue;  // budget prune
-      selected.push_back(order[i]);
-      if (placement->admits_with(server, selected, *constraints)) {
-        selected_demand_ghz += demand_of[i];
-        selected_cost += cost_of[i];
-        consider_current();
-        if (!done) dfs(i + 1);
-        selected_demand_ghz -= demand_of[i];
-        selected_cost -= cost_of[i];
-      }
-      selected.pop_back();
-    }
-  }
-};
-
 }  // namespace
-
-BudgetedMinSlackResult minimum_slack_budgeted(const WorkingPlacement& placement, ServerId server,
-                                              std::span<const VmId> candidates,
-                                              std::span<const double> candidate_cost_j,
-                                              double budget_j, const ConstraintSet& constraints,
-                                              const MinSlackOptions& options) {
-  const DataCenterSnapshot& snapshot = placement.snapshot();
-  if (server >= snapshot.servers.size()) {
-    throw std::out_of_range("minimum_slack_budgeted: server id");
-  }
-  if (candidate_cost_j.size() != candidates.size()) {
-    throw std::invalid_argument("minimum_slack_budgeted: one cost per candidate required");
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (placement.host_of(candidates[i]) != datacenter::kNoServer) {
-      throw std::invalid_argument("minimum_slack_budgeted: candidate VM is already placed");
-    }
-    if (!(candidate_cost_j[i] >= 0.0)) {
-      throw std::invalid_argument("minimum_slack_budgeted: negative candidate cost");
-    }
-  }
-  const ServerSnapshot& target = snapshot.server(server);
-
-  BudgetedSearch state;
-  state.placement = &placement;
-  state.server = server;
-  state.constraints = &constraints;
-  state.options = &options;
-  state.epsilon = options.epsilon_ghz;
-  state.step_budget = options.step_budget;
-  state.budget_j = budget_j;
-  state.base_slack = target.max_capacity_ghz - placement.cpu_demand_ghz(server);
-  state.best.slack_ghz = state.base_slack;
-
-  std::vector<std::size_t> perm(candidates.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    const double da = snapshot.vm(candidates[a]).cpu_demand_ghz;
-    const double db = snapshot.vm(candidates[b]).cpu_demand_ghz;
-    // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
-    if (da != db) return da > db;
-    return candidates[a] < candidates[b];
-  });
-  state.order.reserve(perm.size());
-  state.cost_of.reserve(perm.size());
-  state.demand_of.reserve(perm.size());
-  state.memory_of.reserve(perm.size());
-  for (const std::size_t i : perm) {
-    const VmSnapshot& info = snapshot.vm(candidates[i]);
-    state.order.push_back(candidates[i]);
-    state.cost_of.push_back(candidate_cost_j[i]);
-    state.demand_of.push_back(info.cpu_demand_ghz);
-    state.memory_of.push_back(info.memory_mb);
-  }
-
-  if (state.best.slack_ghz >= options.epsilon_ghz && !target.failed) state.dfs(0);
-  audit::min_slack_selection(placement, server, candidates, constraints, state.best.selected);
-  return BudgetedMinSlackResult{std::move(state.best), state.best_cost};
-}
 
 void validate(const MinSlackOptions& options, std::string_view owner) {
   const auto reject = [&](const char* what) {

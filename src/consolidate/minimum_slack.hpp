@@ -50,22 +50,4 @@ struct MinSlackResult {
                                            const ConstraintSet& constraints,
                                            const MinSlackOptions& options = {});
 
-struct BudgetedMinSlackResult {
-  MinSlackResult result;
-  /// Migration energy (J) the selected subset costs.
-  double cost_j = 0.0;
-};
-
-/// Budgeted, rack-aware Algorithm 1: candidate i additionally carries the
-/// migration energy `candidate_cost_j[i]` (J) of moving it onto `server`
-/// (distance-dependent — see MigrationCostModel), and only subsets whose
-/// total cost stays within `budget_j` are explored. Cost-infeasible
-/// candidates are pruned exactly like capacity-infeasible ones, so with an
-/// infinite budget (or all-zero costs) the selection is identical to
-/// minimum_slack's. Reference mirror: naive::minimum_slack_budgeted.
-[[nodiscard]] BudgetedMinSlackResult minimum_slack_budgeted(
-    const WorkingPlacement& placement, ServerId server, std::span<const VmId> candidates,
-    std::span<const double> candidate_cost_j, double budget_j, const ConstraintSet& constraints,
-    const MinSlackOptions& options = {});
-
 }  // namespace vdc::consolidate

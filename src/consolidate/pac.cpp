@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "consolidate/ffd.hpp"
 
@@ -123,66 +122,6 @@ PacResult power_aware_consolidation(WorkingPlacement& placement, std::span<const
                                     const ConstraintSet& constraints,
                                     const MinSlackOptions& options, const SlackIndex& index) {
   return consolidate(placement, vms, constraints, options, {}, &index);
-}
-
-PacResult power_aware_consolidation_budgeted(WorkingPlacement& placement,
-                                             std::span<const VmId> vms,
-                                             const ConstraintSet& constraints,
-                                             const MinSlackOptions& options,
-                                             std::span<const ServerId> server_order,
-                                             const MigrationCostContext& cost) {
-  if (cost.model == nullptr) {
-    throw std::invalid_argument("power_aware_consolidation_budgeted: cost model required");
-  }
-  PacResult result;
-  std::vector<VmId> remaining(vms.begin(), vms.end());
-  if (remaining.empty()) return result;
-  const DataCenterSnapshot& snapshot = placement.snapshot();
-
-  const auto cost_to = [&](VmId vm, ServerId server) {
-    const ServerId from =
-        vm < cost.origin.size() ? cost.origin[vm] : datacenter::kNoServer;
-    if (from == datacenter::kNoServer) return 0.0;
-    return cost.model->energy_j(snapshot.vm(vm).memory_mb, snapshot.distance(from, server));
-  };
-
-  double smallest = 0.0;
-  const auto refresh_smallest = [&] {
-    smallest = std::numeric_limits<double>::infinity();
-    for (const VmId vm : remaining) {
-      smallest = std::min(smallest, snapshot.vm(vm).cpu_demand_ghz);
-    }
-  };
-  refresh_smallest();
-
-  double spent_j = 0.0;
-  std::vector<double> costs;
-  std::vector<VmId> sorted_selected;
-  for (const ServerId server : server_order) {
-    if (remaining.empty()) break;
-    if (placement.cpu_slack(server) + 1e-9 < smallest) continue;
-    costs.clear();
-    for (const VmId vm : remaining) costs.push_back(cost_to(vm, server));
-    const BudgetedMinSlackResult fit = minimum_slack_budgeted(
-        placement, server, remaining, costs, cost.budget_j - spent_j, constraints, options);
-    result.min_slack_steps += fit.result.steps;
-    if (fit.result.selected.empty()) continue;
-    spent_j += fit.cost_j;
-    for (const VmId vm : fit.result.selected) {
-      placement.place(vm, server);
-      result.placed.push_back(vm);
-    }
-    sorted_selected.assign(fit.result.selected.begin(), fit.result.selected.end());
-    std::sort(sorted_selected.begin(), sorted_selected.end());
-    std::erase_if(remaining, [&](VmId vm) {
-      return std::binary_search(sorted_selected.begin(), sorted_selected.end(), vm);
-    });
-    refresh_smallest();
-    ++result.servers_used;
-  }
-  result.migration_energy_j = spent_j;
-  result.unplaced = std::move(remaining);
-  return result;
 }
 
 }  // namespace vdc::consolidate

@@ -8,7 +8,6 @@
 
 #include "consolidate/minimum_slack.hpp"
 #include "consolidate/slack_index.hpp"
-#include "consolidate/topology_cost.hpp"
 #include "consolidate/working_placement.hpp"
 
 namespace vdc::consolidate {
@@ -18,8 +17,6 @@ struct PacResult {
   std::vector<VmId> unplaced;  ///< no server could take them
   std::size_t servers_used = 0;  ///< servers that received at least one VM
   std::size_t min_slack_steps = 0;  ///< total DFS work across servers
-  /// Migration energy (J) of the placements made; 0 for unbudgeted runs.
-  double migration_energy_j = 0.0;
 };
 
 /// Consolidates `vms` (currently unplaced in `placement`) onto the servers.
@@ -47,27 +44,5 @@ PacResult power_aware_consolidation(WorkingPlacement& placement, std::span<const
 PacResult power_aware_consolidation(WorkingPlacement& placement, std::span<const VmId> vms,
                                     const ConstraintSet& constraints,
                                     const MinSlackOptions& options, const SlackIndex& index);
-
-/// What a budgeted PAC run needs to price a move: where each VM comes from,
-/// the distance-dependent energy model, and how much energy the plan may
-/// still spend. Placing a VM with no origin (kNoServer — crash-evicted or
-/// brand new) copies nothing and costs 0 J.
-struct MigrationCostContext {
-  const MigrationCostModel* model = nullptr;
-  /// Indexed by VmId: the host each VM migrates away from.
-  std::span<const ServerId> origin;
-  double budget_j = 0.0;
-};
-
-/// Budgeted, rack-aware PAC: the per-server Minimum Slack runs are the
-/// budgeted variant, each seeing the energy left after earlier selections,
-/// so a plan never spends past the budget. Reference mirror:
-/// naive::power_aware_consolidation_budgeted.
-PacResult power_aware_consolidation_budgeted(WorkingPlacement& placement,
-                                             std::span<const VmId> vms,
-                                             const ConstraintSet& constraints,
-                                             const MinSlackOptions& options,
-                                             std::span<const ServerId> server_order,
-                                             const MigrationCostContext& cost);
 
 }  // namespace vdc::consolidate

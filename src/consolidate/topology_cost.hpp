@@ -46,12 +46,13 @@ struct MigrationCostModel {
   }
 };
 
-/// Opt-in knobs for the budgeted, rack-aware consolidation variants.
+/// Opt-in knobs for budgeted, rack-aware consolidation: the one place the
+/// per-plan migration-energy budget lives.
 ///
 /// The defaults are the provable no-op: disabled, infinite budget, zero
 /// effect on any engine — flat plans stay move-for-move identical. Enabling
-/// makes every engine (IPAC, PAC, pMapper, Minimum Slack) score candidate
-/// moves on NET energy — server dynamic + shared-infrastructure delta minus
+/// makes IPAC gate whole consolidation rounds, and pMapper single moves, on
+/// NET energy — server dynamic + shared-infrastructure delta minus
 /// migration energy — and refuse to spend past the per-plan energy budget.
 struct RackAwareOptions {
   /// Master switch. Off = today's benefit-always-wins behavior.
@@ -67,18 +68,42 @@ struct RackAwareOptions {
   double benefit_horizon_s = 3600.0;
 };
 
-/// Throws std::invalid_argument, naming `owner`, unless the budget is >= 0
-/// (infinity is the unbudgeted default) and the benefit horizon is finite
-/// and >= 0. A NaN budget fails every "cost > budget" test, so it would
-/// silently lift the budget.
+/// Throws std::invalid_argument, naming `owner` and the field, unless the
+/// budget is >= 0 (infinity is the unbudgeted default), the benefit horizon
+/// is finite and >= 0, and the cost model prices every move at a finite,
+/// non-negative energy: migration power finite and >= 0, bandwidth and
+/// overhead finite and > 0, both tier factors in (0, 1], downtime finite
+/// and >= 0. A NaN budget or cost fails every "cost > budget" and
+/// "benefit < cost" test, so it would silently lift both gates.
 inline void validate(const RackAwareOptions& rack, std::string_view owner) {
-  if (!(rack.migration_energy_budget_j >= 0.0)) {
-    throw std::invalid_argument(std::string(owner) +
-                                ": rack.migration_energy_budget_j must be >= 0");
+  const auto reject = [&](const char* what) {
+    throw std::invalid_argument(std::string(owner) + ": rack." + what);
+  };
+  const auto finite_non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto unit_fraction = [](double v) { return v > 0.0 && v <= 1.0; };
+  const datacenter::MigrationModel& transfer = rack.cost.transfer;
+  if (!(rack.migration_energy_budget_j >= 0.0)) reject("migration_energy_budget_j must be >= 0");
+  if (!finite_non_negative(rack.benefit_horizon_s)) {
+    reject("benefit_horizon_s must be finite and >= 0");
   }
-  if (!std::isfinite(rack.benefit_horizon_s) || !(rack.benefit_horizon_s >= 0.0)) {
-    throw std::invalid_argument(std::string(owner) +
-                                ": rack.benefit_horizon_s must be finite and >= 0");
+  if (!finite_non_negative(rack.cost.migration_power_w)) {
+    reject("cost.migration_power_w must be finite and >= 0");
+  }
+  if (!finite_positive(transfer.network_bandwidth_mbps)) {
+    reject("cost.transfer.network_bandwidth_mbps must be finite and > 0");
+  }
+  if (!finite_positive(transfer.overhead_factor)) {
+    reject("cost.transfer.overhead_factor must be finite and > 0");
+  }
+  if (!unit_fraction(transfer.cross_rack_bandwidth_factor)) {
+    reject("cost.transfer.cross_rack_bandwidth_factor must be in (0, 1]");
+  }
+  if (!unit_fraction(transfer.cross_pod_bandwidth_factor)) {
+    reject("cost.transfer.cross_pod_bandwidth_factor must be in (0, 1]");
+  }
+  if (!finite_non_negative(transfer.downtime_s)) {
+    reject("cost.transfer.downtime_s must be finite and >= 0");
   }
 }
 

@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace vdc::trace {
@@ -11,8 +12,8 @@ UtilizationTrace::UtilizationTrace(std::size_t servers, std::size_t samples,
   if (servers == 0 || samples == 0) {
     throw std::invalid_argument("UtilizationTrace: empty dimensions");
   }
-  if (!(sample_period_s > 0.0)) {
-    throw std::invalid_argument("UtilizationTrace: sample period must be positive");
+  if (!std::isfinite(sample_period_s) || !(sample_period_s > 0.0)) {
+    throw std::invalid_argument("UtilizationTrace: sample period must be finite and positive");
   }
 }
 
@@ -23,7 +24,7 @@ double UtilizationTrace::at(std::size_t server, std::size_t k) const {
 
 void UtilizationTrace::set(std::size_t server, std::size_t k, double utilization) {
   if (server >= servers_ || k >= samples_) throw std::out_of_range("UtilizationTrace::set");
-  if (utilization < 0.0 || utilization > 1.0) {
+  if (!(utilization >= 0.0 && utilization <= 1.0)) {  // a NaN fails both comparisons
     throw std::invalid_argument("UtilizationTrace::set: utilization outside [0,1]");
   }
   data_[server * samples_ + k] = utilization;

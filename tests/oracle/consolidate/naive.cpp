@@ -1,7 +1,6 @@
 #include "consolidate/naive.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -103,92 +102,6 @@ struct SearchState {
         selected.pop_back();
       }
       resident.pop_back();  // line 9: remove VM from S
-    }
-  }
-};
-
-/// Budgeted Minimum Slack, naive flavor: the plain recursive search of
-/// SearchState plus the migration-cost prune, still materializing the
-/// resident pointer list per admits call. Mirrors the fast BudgetedSearch
-/// (minimum_slack.cpp) decision for decision: same symmetry prune (cost
-/// must match too), same CPU-slack bound, same budget prune, same step
-/// accounting — so selections AND step counts agree.
-struct BudgetedSearchState {
-  const DataCenterSnapshot* snapshot;
-  const ServerSnapshot* server;
-  const ConstraintSet* constraints;
-  std::vector<VmId> order;      // candidates, largest demand first
-  std::vector<double> cost_of;  // aligned to order (J)
-  std::vector<const VmSnapshot*> resident;
-  std::vector<VmId> selected;
-  double selected_demand_ghz = 0.0;
-  double selected_cost = 0.0;
-  double budget_j = 0.0;
-  double base_demand_ghz = 0.0;
-
-  MinSlackResult best;
-  double best_cost = 0.0;
-  double epsilon;
-  std::size_t budget;
-  const MinSlackOptions* options;
-  bool done = false;
-
-  [[nodiscard]] double slack() const noexcept {
-    return server->max_capacity_ghz - base_demand_ghz - selected_demand_ghz;
-  }
-
-  void consider_current() {
-    const double slack_ghz = slack();
-    if (slack_ghz < best.slack_ghz - 1e-12) {
-      best.slack_ghz = slack_ghz;
-      best.selected = selected;
-      best_cost = selected_cost;
-    }
-    if (best.slack_ghz < epsilon) done = true;
-  }
-
-  void dfs(std::size_t start) {
-    if (done) return;
-    for (std::size_t i = start; i < order.size(); ++i) {
-      if (done) return;
-      ++best.steps;
-      if (best.steps >= budget) {
-        if (best.escalations >= options->max_escalations) {
-          done = true;
-          return;
-        }
-        ++best.escalations;
-        epsilon *= options->epsilon_escalation;
-        budget += options->step_budget;
-        if (best.slack_ghz < epsilon) {
-          done = true;
-          return;
-        }
-      }
-      const VmId vm = order[i];
-      const VmSnapshot& info = snapshot->vm(vm);
-      if (i > start) {
-        const VmSnapshot& prev = snapshot->vm(order[i - 1]);
-        // vdc-lint: float-eq-ok identical VMs are grouped by bitwise equality of their stored demand/memory; the values are copies, never recomputed
-        if (prev.cpu_demand_ghz == info.cpu_demand_ghz && prev.memory_mb == info.memory_mb &&
-            cost_of[i - 1] == cost_of[i]) {
-          continue;  // symmetry pruning (cost must match too)
-        }
-      }
-      if (info.cpu_demand_ghz > slack() + 1e-9) continue;           // CPU-slack bound
-      if (selected_cost + cost_of[i] > budget_j + 1e-9) continue;   // budget prune
-      resident.push_back(&info);
-      if (constraints->admits(*server, resident)) {
-        selected.push_back(vm);
-        selected_demand_ghz += info.cpu_demand_ghz;
-        selected_cost += cost_of[i];
-        consider_current();
-        if (!done) dfs(i + 1);
-        selected_demand_ghz -= info.cpu_demand_ghz;
-        selected_cost -= cost_of[i];
-        selected.pop_back();
-      }
-      resident.pop_back();
     }
   }
 };
@@ -322,112 +235,6 @@ PacResult power_aware_consolidation(WorkingPlacement& placement, std::span<const
   return result;
 }
 
-BudgetedMinSlackResult minimum_slack_budgeted(const WorkingPlacement& placement, ServerId server,
-                                              std::span<const VmId> candidates,
-                                              std::span<const double> candidate_cost_j,
-                                              double budget_j, const ConstraintSet& constraints,
-                                              const MinSlackOptions& options) {
-  const DataCenterSnapshot& snapshot = placement.snapshot();
-  if (server >= snapshot.servers.size()) {
-    throw std::out_of_range("minimum_slack_budgeted: server id");
-  }
-  if (candidate_cost_j.size() != candidates.size()) {
-    throw std::invalid_argument("minimum_slack_budgeted: one cost per candidate required");
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (placement.host_of(candidates[i]) != datacenter::kNoServer) {
-      throw std::invalid_argument("minimum_slack_budgeted: candidate VM is already placed");
-    }
-    if (!(candidate_cost_j[i] >= 0.0)) {
-      throw std::invalid_argument("minimum_slack_budgeted: negative candidate cost");
-    }
-  }
-  const ServerSnapshot& target = snapshot.server(server);
-
-  BudgetedSearchState state;
-  state.snapshot = &snapshot;
-  state.server = &target;
-  state.constraints = &constraints;
-  state.options = &options;
-  state.epsilon = options.epsilon_ghz;
-  state.budget = options.step_budget;
-  state.budget_j = budget_j;
-
-  std::vector<std::size_t> perm(candidates.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    const double da = snapshot.vm(candidates[a]).cpu_demand_ghz;
-    const double db = snapshot.vm(candidates[b]).cpu_demand_ghz;
-    // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
-    if (da != db) return da > db;
-    return candidates[a] < candidates[b];
-  });
-  for (const std::size_t i : perm) {
-    state.order.push_back(candidates[i]);
-    state.cost_of.push_back(candidate_cost_j[i]);
-  }
-
-  for (const VmId vm : placement.hosted(server)) {
-    state.resident.push_back(&snapshot.vm(vm));
-    state.base_demand_ghz += snapshot.vm(vm).cpu_demand_ghz;
-  }
-  state.best.slack_ghz = state.slack();
-
-  if (state.best.slack_ghz >= options.epsilon_ghz && !target.failed) state.dfs(0);
-  audit::min_slack_selection(placement, server, candidates, constraints, state.best.selected);
-  return BudgetedMinSlackResult{std::move(state.best), state.best_cost};
-}
-
-PacResult power_aware_consolidation_budgeted(WorkingPlacement& placement,
-                                             std::span<const VmId> vms,
-                                             const ConstraintSet& constraints,
-                                             const MinSlackOptions& options,
-                                             std::span<const ServerId> server_order,
-                                             const MigrationCostContext& cost) {
-  if (cost.model == nullptr) {
-    throw std::invalid_argument("power_aware_consolidation_budgeted: cost model required");
-  }
-  PacResult result;
-  std::vector<VmId> remaining(vms.begin(), vms.end());
-  if (remaining.empty()) return result;
-  const DataCenterSnapshot& snapshot = placement.snapshot();
-
-  const auto cost_to = [&](VmId vm, ServerId server) {
-    const ServerId from = vm < cost.origin.size() ? cost.origin[vm] : datacenter::kNoServer;
-    if (from == datacenter::kNoServer) return 0.0;
-    return cost.model->energy_j(snapshot.vm(vm).memory_mb, snapshot.distance(from, server));
-  };
-
-  double spent_j = 0.0;
-  for (const ServerId server : server_order) {
-    if (remaining.empty()) break;
-    // Full rescan for the smallest remaining demand (the fast engine caches
-    // it); the skip decision itself is identical.
-    double smallest = std::numeric_limits<double>::infinity();
-    for (const VmId vm : remaining) {
-      smallest = std::min(smallest, snapshot.vm(vm).cpu_demand_ghz);
-    }
-    if (placement.cpu_slack(server) + 1e-9 < smallest) continue;
-    std::vector<double> costs;
-    costs.reserve(remaining.size());
-    for (const VmId vm : remaining) costs.push_back(cost_to(vm, server));
-    const BudgetedMinSlackResult fit = naive::minimum_slack_budgeted(
-        placement, server, remaining, costs, cost.budget_j - spent_j, constraints, options);
-    result.min_slack_steps += fit.result.steps;
-    if (fit.result.selected.empty()) continue;
-    spent_j += fit.cost_j;
-    for (const VmId vm : fit.result.selected) {
-      placement.place(vm, server);
-      result.placed.push_back(vm);
-      remaining.erase(std::remove(remaining.begin(), remaining.end(), vm), remaining.end());
-    }
-    ++result.servers_used;
-  }
-  result.migration_energy_j = spent_j;
-  result.unplaced = std::move(remaining);
-  return result;
-}
-
 FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
                                std::span<const VmId> vms, const ConstraintSet& constraints) {
   const DataCenterSnapshot& snapshot = placement.snapshot();
@@ -466,8 +273,6 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
   WorkingPlacement wp(snapshot);
   IpacReport report;
   report.occupied_before = wp.occupied_server_count();
-  double bytes_approved = 0.0;
-  datacenter::MigrationModel migration_model;  // for byte estimates in proposals
 
   const bool rack_on = rack.enabled && !snapshot.racks.empty();
   std::vector<char> rack_lit(snapshot.racks.size(), 0);
@@ -531,10 +336,9 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
                                                            options.min_slack, active_first);
     report.min_slack_steps += pac.min_slack_steps;
     report.overload_moves = pac.placed.size();
-    for (const VmId vm : pac.placed) {
-      bytes_approved += migration_model.bytes_moved(snapshot.vm(vm).memory_mb);
-      if (rack_on) {
-        // Relief bypasses the gates but still draws down the plan budget.
+    if (rack_on) {
+      // Relief bypasses the gates but still draws down the plan budget.
+      for (const VmId vm : pac.placed) {
         const ServerId relief_origin = wp.original_host(vm);
         if (relief_origin != datacenter::kNoServer) {
           report.migration_energy_j += rack.cost.energy_j(
@@ -593,7 +397,6 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
   }
 
   for (const ServerId donor : donors) {
-    if (report.rounds_attempted >= options.max_rounds) break;
     if (!wp.occupied(donor)) continue;  // already emptied by an earlier round
     ++report.rounds_attempted;
 
@@ -645,36 +448,18 @@ IpacReport ipac(const DataCenterSnapshot& snapshot, const ConstraintSet& constra
       const double benefit_per_move =
           std::max(0.0, power_before_round - naive::estimated_power_w(wp)) /
           static_cast<double>(evacuated.size());
-      double round_bytes = 0.0;
-      double round_cost_so_far_j = 0.0;
       for (const VmId vm : evacuated) {
-        MigrationProposal proposal;
-        proposal.vm = vm;
-        proposal.from = donor;
-        proposal.to = wp.host_of(vm);
-        proposal.estimated_benefit_w = benefit_per_move;
-        proposal.bytes = migration_model.bytes_moved(snapshot.vm(vm).memory_mb);
-        proposal.bytes_already_approved = bytes_approved + round_bytes;
-        if (rack_on) {
-          proposal.distance = snapshot.distance(donor, proposal.to);
-          proposal.cost_j =
-              rack.cost.energy_j(snapshot.vm(vm).memory_mb, proposal.distance);
-          proposal.cost_already_approved_j =
-              report.migration_energy_j + round_cost_so_far_j;
-          proposal.estimated_benefit_j = benefit_per_move * rack.benefit_horizon_s;
-        }
+        const MigrationProposal proposal{.vm = vm,
+                                         .from = donor,
+                                         .to = wp.host_of(vm),
+                                         .estimated_benefit_w = benefit_per_move};
         if (!policy.allow(snapshot, proposal)) {
           accept = false;
           ++report.rounds_rejected_by_policy;
           break;
         }
-        round_bytes += proposal.bytes;
-        round_cost_so_far_j += proposal.cost_j;
       }
-      if (accept) {
-        bytes_approved += round_bytes;
-        report.migration_energy_j += round_cost_j;
-      }
+      if (accept) report.migration_energy_j += round_cost_j;
     }
 
     if (accept) {

@@ -46,21 +46,6 @@ PacResult power_aware_consolidation(WorkingPlacement& placement, std::span<const
                                     const MinSlackOptions& options,
                                     std::span<const ServerId> server_order);
 
-/// Budgeted Minimum Slack without the branch-and-bound machinery: the plain
-/// recursive search with the migration-cost prune bolted on.
-[[nodiscard]] BudgetedMinSlackResult minimum_slack_budgeted(
-    const WorkingPlacement& placement, ServerId server, std::span<const VmId> candidates,
-    std::span<const double> candidate_cost_j, double budget_j, const ConstraintSet& constraints,
-    const MinSlackOptions& options = {});
-
-/// Budgeted PAC over the naive budgeted Minimum Slack.
-PacResult power_aware_consolidation_budgeted(WorkingPlacement& placement,
-                                             std::span<const VmId> vms,
-                                             const ConstraintSet& constraints,
-                                             const MinSlackOptions& options,
-                                             std::span<const ServerId> server_order,
-                                             const MigrationCostContext& cost);
-
 /// FFD with the original linear first-fit scan and allocating admits.
 FfdResult first_fit_decreasing(WorkingPlacement& placement, std::span<const ServerId> servers,
                                std::span<const VmId> vms, const ConstraintSet& constraints);

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "consolidate/ipac.hpp"
@@ -333,64 +332,6 @@ TEST(ConsolidationEquivalence, IpacStepAccountingPinnedAtTarget08) {
     EXPECT_TRUE(report.plan.unplaced.empty()) << "seed " << p.seed;
     EXPECT_EQ(report.rounds_accepted, p.rounds_accepted) << "seed " << p.seed;
     EXPECT_EQ(report.min_slack_steps, p.min_slack_steps) << "seed " << p.seed;
-  }
-}
-
-// Budgeted Minimum Slack head-to-head: binding *energy* budget, non-binding
-// step budget (the budgeted DFS has no branch-and-bound arming, so a binding
-// step budget would count steps differently from the plain engine). Fast and
-// reference must agree on everything; with an infinite energy budget the
-// selection must collapse to plain minimum_slack's.
-TEST(ConsolidationEquivalence, BudgetedMinimumSlackMatchesReferenceAndCollapses) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    util::Rng rng(seed);
-    DataCenterSnapshot snap;
-    ServerSnapshot server;
-    server.id = 0;
-    server.max_capacity_ghz = 8.0;
-    server.memory_mb = 4000.0;
-    server.max_power_w = 200.0;
-    server.power_efficiency_ghz_per_w = 8.0 / 200.0;
-    server.active = true;
-    snap.servers.push_back(server);
-    std::vector<VmId> candidates;
-    std::vector<double> cost_j;
-    double total_cost = 0.0;
-    for (std::size_t i = 0; i < 18; ++i) {
-      VmSnapshot vm;
-      vm.id = static_cast<VmId>(i);
-      vm.cpu_demand_ghz = rng.uniform(0.2, 1.2);
-      vm.memory_mb = rng.uniform(100.0, 600.0);
-      snap.vms.push_back(vm);
-      candidates.push_back(vm.id);
-      cost_j.push_back(rng.uniform(10.0, 120.0));
-      total_cost += cost_j.back();
-    }
-    const WorkingPlacement placement(snap);
-    const ConstraintSet constraints = ConstraintSet::standard(1.0);
-    MinSlackOptions options;
-    options.step_budget = 1u << 30;
-
-    const double budget = total_cost / 3.0;  // binding: most subsets priced out
-    const BudgetedMinSlackResult fast =
-        minimum_slack_budgeted(placement, 0, candidates, cost_j, budget, constraints, options);
-    const BudgetedMinSlackResult ref = naive::minimum_slack_budgeted(
-        placement, 0, candidates, cost_j, budget, constraints, options);
-    EXPECT_EQ(fast.result.selected, ref.result.selected) << "seed " << seed;
-    EXPECT_EQ(fast.result.steps, ref.result.steps) << "seed " << seed;
-    EXPECT_EQ(fast.result.escalations, ref.result.escalations) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(fast.result.slack_ghz, ref.result.slack_ghz) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(fast.cost_j, ref.cost_j) << "seed " << seed;
-    EXPECT_LE(fast.cost_j, budget + 1e-9) << "seed " << seed;
-
-    // Infinite budget: the cost dimension vanishes and the selection is the
-    // plain engine's, bit for bit.
-    const BudgetedMinSlackResult unbounded = minimum_slack_budgeted(
-        placement, 0, candidates, cost_j, std::numeric_limits<double>::infinity(),
-        constraints, options);
-    const MinSlackResult plain = minimum_slack(placement, 0, candidates, constraints, options);
-    EXPECT_EQ(unbounded.result.selected, plain.selected) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(unbounded.result.slack_ghz, plain.slack_ghz) << "seed " << seed;
   }
 }
 

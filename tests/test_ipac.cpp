@@ -109,19 +109,6 @@ TEST(Ipac, StopsWhenEvacuationDoesNotShrink) {
   EXPECT_LE(report.rounds_accepted, 0u);
 }
 
-TEST(Ipac, MaxRoundsLimitsWork) {
-  Cluster c = heterogeneous_cluster();
-  (void)c.add_vm(make_vm(0.5), 1);
-  (void)c.add_vm(make_vm(0.5), 2);
-  const DataCenterSnapshot snap = snapshot_of(c);
-  const ConstraintSet constraints = ConstraintSet::standard(1.0);
-  IpacOptions options;
-  options.max_rounds = 0;
-  const IpacReport report = ipac(snap, constraints, FreeMigrationPolicy(), options);
-  EXPECT_EQ(report.rounds_attempted, 0u);
-  EXPECT_TRUE(report.plan.moves.empty());
-}
-
 TEST(Ipac, IncrementalSecondInvocationIsQuiescent) {
   Cluster c = heterogeneous_cluster();
   (void)c.add_vm(make_vm(1.0), 1);

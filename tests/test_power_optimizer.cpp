@@ -89,10 +89,17 @@ TEST(PowerOptimizer, CustomConstraintIsEnforced) {
 
 TEST(PowerOptimizer, CostPolicyShared) {
   Cluster c = scattered_cluster();
-  // A zero-byte bandwidth budget vetoes every consolidation round.
-  PowerOptimizer optimizer(
-      make_config(ConsolidationAlgorithm::kIpac, 1.0),
-      std::make_shared<consolidate::BandwidthBudgetPolicy>(1.0));
+  // A policy that vetoes every consolidation round.
+  class VetoPolicy final : public consolidate::MigrationCostPolicy {
+   public:
+    [[nodiscard]] bool allow(const consolidate::DataCenterSnapshot&,
+                             const consolidate::MigrationProposal&) const override {
+      return false;
+    }
+    [[nodiscard]] std::string name() const override { return "veto"; }
+  };
+  PowerOptimizer optimizer(make_config(ConsolidationAlgorithm::kIpac, 1.0),
+                           std::make_shared<VetoPolicy>());
   const OptimizationOutcome outcome = optimizer.optimize(c, 0.0);
   EXPECT_EQ(outcome.migrations, 0u);
 }
@@ -280,12 +287,69 @@ TEST(PowerOptimizer, RejectsBadRackBenefitHorizon) {
   }
 }
 
+// The migration cost model prices every rack-aware gate; a NaN or negative
+// price would make every "cost > budget" and "benefit < cost" test false.
+TEST(PowerOptimizer, RejectsBadRackMigrationPower) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects([bad](OptimizerConfig& c) { c.rack.cost.migration_power_w = bad; },
+                             "rack.cost.migration_power_w");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackNetworkBandwidth) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, -1000.0,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.rack.cost.transfer.network_bandwidth_mbps = bad; },
+        "rack.cost.transfer.network_bandwidth_mbps");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackOverheadFactor) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.3,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.rack.cost.transfer.overhead_factor = bad; },
+        "rack.cost.transfer.overhead_factor");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackCrossRackBandwidthFactor) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.rack.cost.transfer.cross_rack_bandwidth_factor = bad; },
+        "rack.cost.transfer.cross_rack_bandwidth_factor");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackCrossPodBandwidthFactor) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.25,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects(
+        [bad](OptimizerConfig& c) { c.rack.cost.transfer.cross_pod_bandwidth_factor = bad; },
+        "rack.cost.transfer.cross_pod_bandwidth_factor");
+  }
+}
+
+TEST(PowerOptimizer, RejectsBadRackDowntime) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -0.5,
+                           std::numeric_limits<double>::infinity()}) {
+    expect_optimizer_rejects([bad](OptimizerConfig& c) { c.rack.cost.transfer.downtime_s = bad; },
+                             "rack.cost.transfer.downtime_s");
+  }
+}
+
 TEST(PowerOptimizer, AcceptsBoundarySubConfigs) {
   OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
   config.ipac.min_slack.step_budget = 1;
   config.ipac.min_slack.epsilon_escalation = 1.0001;
   config.rack.migration_energy_budget_j = 0.0;
   config.rack.benefit_horizon_s = 0.0;
+  config.rack.cost.migration_power_w = 0.0;  // free moves stay legal
+  config.rack.cost.transfer.downtime_s = 0.0;
+  config.rack.cost.transfer.cross_rack_bandwidth_factor = 1.0;
+  config.rack.cost.transfer.cross_pod_bandwidth_factor = 1e-3;
   EXPECT_NO_THROW(PowerOptimizer{config});
   config.rack.migration_energy_budget_j = std::numeric_limits<double>::infinity();
   EXPECT_NO_THROW(PowerOptimizer{config});

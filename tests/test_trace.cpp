@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace vdc::trace {
 namespace {
 
@@ -9,6 +11,10 @@ TEST(Trace, ConstructionValidation) {
   EXPECT_THROW(UtilizationTrace(0, 10), std::invalid_argument);
   EXPECT_THROW(UtilizationTrace(10, 0), std::invalid_argument);
   EXPECT_THROW(UtilizationTrace(1, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(UtilizationTrace(1, 1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(UtilizationTrace(1, 1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Trace, PaperConstants) {
@@ -28,6 +34,9 @@ TEST(Trace, SetAndGet) {
   EXPECT_THROW(t.set(0, 3, 0.5), std::out_of_range);
   EXPECT_THROW(t.set(0, 0, 1.5), std::invalid_argument);
   EXPECT_THROW(t.set(0, 0, -0.1), std::invalid_argument);
+  EXPECT_THROW(t.set(0, 0, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_THROW(t.set(0, 0, std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(t.at(0, 0), 0.0);  // rejected values leave the cell alone
 }
 
 TEST(Trace, SeriesIsContiguousView) {

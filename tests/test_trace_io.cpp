@@ -55,6 +55,9 @@ TEST(TraceIo, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_csv(ragged), std::runtime_error);
   std::istringstream bad_cell("server,label,u0\n0,x,abc\n");
   EXPECT_THROW(read_trace_csv(bad_cell), std::runtime_error);
+  // from_chars parses "nan" in full, so the range check must reject it.
+  std::istringstream nan_cell("server,label,u0,u1\n0,x,0.1,nan\n");
+  EXPECT_THROW(read_trace_csv(nan_cell), std::invalid_argument);
   std::istringstream header_only("server,label,u0\n");
   EXPECT_THROW(read_trace_csv(header_only), std::runtime_error);
 }
