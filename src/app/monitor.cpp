@@ -4,15 +4,6 @@
 
 namespace vdc::app {
 
-std::string to_string(SlaMetric metric) {
-  switch (metric) {
-    case SlaMetric::kQuantile: return "quantile";
-    case SlaMetric::kMean: return "mean";
-    case SlaMetric::kMax: return "max";
-  }
-  return "?";
-}
-
 ResponseTimeMonitor::ResponseTimeMonitor(double q, SlaMetric metric) : q_(q), metric_(metric) {
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("ResponseTimeMonitor: q outside [0,1]");
 }

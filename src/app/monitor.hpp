@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 
 #include "util/statistics.hpp"
 
@@ -20,8 +19,6 @@ enum class SlaMetric {
   kMean,      ///< average response time
   kMax,       ///< maximum response time
 };
-
-[[nodiscard]] std::string to_string(SlaMetric metric);
 
 struct PeriodStats {
   double mean = 0.0;

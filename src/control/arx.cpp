@@ -20,15 +20,6 @@ double ArxModel::predict(std::span<const double> t_hist,
   return t;
 }
 
-bool ArxModel::ar_stable() const {
-  if (na == 0) return true;
-  // Companion matrix of the AR polynomial z^na - a_1 z^{na-1} - ... - a_na.
-  linalg::Matrix companion(na, na);
-  for (std::size_t i = 0; i < na; ++i) companion(0, i) = a[i];
-  for (std::size_t i = 1; i < na; ++i) companion(i, i - 1) = 1.0;
-  return linalg::spectral_radius(companion) < 1.0 - 1e-9;
-}
-
 std::vector<double> ArxModel::dc_gain() const {
   double denom = 1.0;
   for (const double ai : a) denom -= ai;

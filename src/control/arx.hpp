@@ -36,10 +36,6 @@ struct ArxModel {
   /// Number of regression coefficients (na + nb*nu + 1 for the bias).
   [[nodiscard]] std::size_t parameter_count() const noexcept { return na + nb * nu + 1; }
 
-  /// Open-loop stability of the AR part (roots of 1 - sum a_i z^-i inside
-  /// the unit circle), estimated via the companion-matrix spectral radius.
-  [[nodiscard]] bool ar_stable() const;
-
   /// Steady-state gain from each input to the output (dc gain): the change
   /// in stationary t per unit change in c_m.
   [[nodiscard]] std::vector<double> dc_gain() const;

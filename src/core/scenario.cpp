@@ -44,9 +44,8 @@ ScenarioResult run_app_stack(const ScenarioSpec& spec) {
   AppStackConfig stack = spec.stack;
   if (spec.seed != 0) stack.app.seed = spec.seed;
 
-  telemetry::RecorderConfig recorder_config = spec.telemetry;
-  recorder_config.sample_period_s = stack.mpc.period_s;
-  result.recorder = telemetry::Recorder(recorder_config);
+  result.recorder = telemetry::Recorder(
+      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s, .tsdb = {}});
 
   sim::Simulation sim;
   std::unique_ptr<AppStack> app_stack;
@@ -58,7 +57,7 @@ ScenarioResult run_app_stack(const ScenarioSpec& spec) {
       model = *spec.model;
       result.model_r_squared = 1.0;
     } else {
-      SysIdExperimentResult identified = identify_app_model(stack.app, spec.sysid);
+      SysIdExperimentResult identified = identify_app_model(stack.app);
       model = std::move(identified.model);
       result.model_r_squared = identified.r_squared;
     }
@@ -99,7 +98,6 @@ ScenarioResult run_testbed(const ScenarioSpec& spec) {
   if (spec.seed != 0) config.seed = spec.seed;
   if (spec.model) config.model = spec.model;
   if (spec.faults.enabled()) config.faults = spec.faults;
-  config.telemetry = spec.telemetry;  // Testbed pins sample_period_s itself
   result.control_period_s = config.control_period_s;
   result.app_count = config.num_apps;
 

@@ -50,10 +50,10 @@ struct ScenarioSpec {
 
   /// Pre-identified ARX model shared across the sweep (identified once, as
   /// the paper does for Figures 4/5). When absent, a standalone scenario
-  /// identifies its own model from `stack.app` with `sysid`; the testbed
-  /// engine always identifies internally in that case.
+  /// identifies its own model from `stack.app` with the default
+  /// identification experiment; the testbed engine identifies internally
+  /// with `testbed.sysid`.
   std::optional<control::ArxModel> model;
-  SysIdExperimentConfig sysid;
 
   /// Per-period decision override for standalone scenarios (e.g. a static
   /// provisioning baseline). Leave empty to use the MPC. Must be safe to
@@ -74,14 +74,6 @@ struct ScenarioSpec {
 
   std::vector<SetpointEvent> setpoint_schedule;
   std::vector<ConcurrencyEvent> concurrency_schedule;
-
-  /// Telemetry storage for the scenario's recorder: the tiered tsdb store
-  /// (bounded memory, per-period + hourly rollups). `sample_period_s` is
-  /// overwritten with the engine's control period.
-  telemetry::RecorderConfig telemetry{
-      .sample_period_s = 4.0,
-      .tsdb = {},
-  };
 };
 
 struct ScenarioResult {

@@ -1,6 +1,7 @@
 #include "core/testbed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -147,25 +148,10 @@ Testbed::Testbed(TestbedConfig config)
   last_work_done_.assign(cluster_.vm_count(), 0.0);
   power_series_ = recorder_.declare_scalar(kPowerSeries);
 
-  // Cluster-level gauges sampled at the end of every control tick.
-  probes_.add(kFrequencySeries, [this] {
-    double sum = 0.0;
-    for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
-      sum += cluster_.server(s).frequency_ghz();
-    }
-    return sum / static_cast<double>(cluster_.server_count());
-  });
-  probes_.add(kActiveServersSeries,
-              [this] { return static_cast<double>(cluster_.active_server_count()); });
-  probes_.add(kMigrationsInFlightSeries,
-              [this] { return static_cast<double>(migrations_in_flight_); });
-  probes_.add(kMigrationsCompletedSeries,
-              [this] { return static_cast<double>(completed_migrations_); });
-  probes_.add(kLiveVmsSeries, [this] { return static_cast<double>(cluster_.live_vm_count()); });
-  probes_.add(kFaultsInjectedSeries,
-              [this] { return static_cast<double>(injector_.counters().total()); });
-  probes_.add(kFailedMigrationsSeries,
-              [this] { return static_cast<double>(failed_migrations_); });
+  // Cluster-level gauges appended at the end of every control tick.
+  for (std::size_t g = 0; g < kGaugeSeries.size(); ++g) {
+    gauge_series_[g] = recorder_.declare_scalar(kGaugeSeries[g]);
+  }
 
   // Chaos wiring: sensor faults route through the app stacks. Without a
   // plan the stacks never query the injector.
@@ -580,7 +566,23 @@ void Testbed::control_tick() {
       .grant = [this](datacenter::VmId vm, double ghz) { apply_tier_allocation(vm, ghz); },
   });
 
-  probes_.sample(recorder_, now);
+  // ---- cluster-level gauges, in kGaugeSeries order -------------------------
+  double frequency_sum_ghz = 0.0;
+  for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
+    frequency_sum_ghz += cluster_.server(s).frequency_ghz();
+  }
+  const std::array<double, kGaugeSeries.size()> gauges = {
+      frequency_sum_ghz / static_cast<double>(cluster_.server_count()),
+      static_cast<double>(cluster_.active_server_count()),
+      static_cast<double>(migrations_in_flight_),
+      static_cast<double>(completed_migrations_),
+      static_cast<double>(cluster_.live_vm_count()),
+      static_cast<double>(injector_.counters().total()),
+      static_cast<double>(failed_migrations_),
+  };
+  for (std::size_t g = 0; g < gauges.size(); ++g) {
+    recorder_.append_at(gauge_series_[g], now, gauges[g]);
+  }
   sim_.schedule(now + config_.control_period_s, [this] { control_tick(); });
 }
 

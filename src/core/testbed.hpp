@@ -10,7 +10,7 @@
 // series accessors read from whichever recorder holds the series.
 #pragma once
 
-#include <functional>
+#include <array>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,7 +23,6 @@
 #include "fault/injector.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulation.hpp"
-#include "telemetry/probe.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/statistics.hpp"
 #include "util/thread_pool.hpp"
@@ -150,6 +149,11 @@ inline constexpr const char* kMigrationsCompletedSeries = "cluster/migrations_co
 inline constexpr const char* kLiveVmsSeries = "cluster/live_vms";
 inline constexpr const char* kFaultsInjectedSeries = "fault/injected_total";
 inline constexpr const char* kFailedMigrationsSeries = "fault/failed_migrations";
+/// The gauges among them, declared after the power series in this order.
+inline constexpr std::array kGaugeSeries = {
+    kFrequencySeries, kActiveServersSeries,  kMigrationsInFlightSeries, kMigrationsCompletedSeries,
+    kLiveVmsSeries,   kFaultsInjectedSeries, kFailedMigrationsSeries,
+};
 
 class Testbed {
  public:
@@ -174,8 +178,8 @@ class Testbed {
   [[nodiscard]] double model_r_squared() const noexcept { return model_r2_; }
 
   // ---- recorded series (one sample per control period) -------------------
-  /// The control-plane recorder: cluster-level series (power, frequency,
-  /// probes) and annotations. The per-app series live in per-shard
+  /// The control-plane recorder: cluster-level series (power and the
+  /// gauges) and annotations. The per-app series live in per-shard
   /// recorders — use the series accessors below or `take_recorder()` for
   /// the merged view.
   [[nodiscard]] telemetry::Recorder& recorder() noexcept { return recorder_; }
@@ -299,6 +303,7 @@ class Testbed {
   double model_r2_ = 0.0;
   telemetry::Recorder recorder_;
   telemetry::Recorder::SeriesId power_series_{};
+  std::array<telemetry::Recorder::SeriesId, kGaugeSeries.size()> gauge_series_{};
   /// Control-tick buffers, reused across ticks: the per-app harvest and
   /// decision, and the per-server work of record_power.
   std::vector<std::optional<app::PeriodStats>> harvested_;
@@ -314,7 +319,6 @@ class Testbed {
   /// concurrently across shards. The retire operations commute, so the
   /// outcome is deterministic regardless of arrival order.
   std::mutex retire_mutex_;
-  telemetry::ProbeSet probes_;
   fault::FaultInjector injector_;
   PowerOptimizer optimizer_;
   double last_power_time_s_ = 0.0;

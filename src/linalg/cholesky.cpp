@@ -44,27 +44,4 @@ void CholeskyDecomposition::solve_in_place(std::span<double> b) const {
   }
 }
 
-double CholeskyDecomposition::log_determinant() const noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) sum += std::log(l_(i, i));
-  return 2.0 * sum;
-}
-
-bool is_spd(const Matrix& a) noexcept {
-  if (!a.square()) return false;
-  const double tol = 1e-9 * std::max(1.0, a.max_abs());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = r + 1; c < a.cols(); ++c) {
-      if (std::abs(a(r, c) - a(c, r)) > tol) return false;
-    }
-  }
-  try {
-    const CholeskyDecomposition chol(a);
-    (void)chol;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 }  // namespace vdc::linalg

@@ -17,14 +17,9 @@ class CholeskyDecomposition {
   void solve_in_place(std::span<double> b) const;
   [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
   [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
-  /// log(det A) — numerically safe product of squared diagonal entries.
-  [[nodiscard]] double log_determinant() const noexcept;
 
  private:
   Matrix l_;
 };
-
-/// Returns true when `a` is numerically symmetric positive definite.
-[[nodiscard]] bool is_spd(const Matrix& a) noexcept;
 
 }  // namespace vdc::linalg

@@ -69,8 +69,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix LuDecomposition::inverse() const { return solve(Matrix::identity(lu_.rows())); }
-
 double LuDecomposition::determinant() const noexcept {
   double det = static_cast<double>(sign_);
   for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);

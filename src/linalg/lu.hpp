@@ -15,7 +15,6 @@ class LuDecomposition {
   [[nodiscard]] Vector solve(std::span<const double> b) const;
   /// Solves A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
-  [[nodiscard]] Matrix inverse() const;
   [[nodiscard]] double determinant() const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
 

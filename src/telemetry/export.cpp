@@ -22,15 +22,6 @@ std::string format_sample(double value) {
   return std::string(buffer, ptr);
 }
 
-double parse_sample(const std::string& cell) {
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-  if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-    throw std::runtime_error("telemetry: cell '" + cell + "' is not numeric");
-  }
-  return value;
-}
-
 /// Splits "name[idx]" into (name, idx); nullopt when the column is scalar.
 struct VectorColumn {
   std::string series;
@@ -132,12 +123,13 @@ Recorder from_csv(std::string_view text) {
   for (const std::string& column : table.header) {
     vector_columns.push_back(parse_vector_column(column));
   }
-  for (const std::vector<std::string>& row : table.rows) {
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    const std::vector<std::string>& row = table.rows[r];
     for (std::size_t c = 0; c < table.header.size(); ++c) {
       if (c >= row.size() || row[c].empty()) continue;
       if (vector_columns[c] && vector_columns[c]->index > 0) continue;  // handled below
       if (!vector_columns[c]) {
-        recorder.append(table.header[c], parse_sample(row[c]));
+        recorder.append(table.header[c], table.as_double(r, c));
         continue;
       }
       // First cell of a vector series: gather the contiguous non-empty
@@ -147,7 +139,7 @@ Recorder from_csv(std::string_view text) {
       for (std::size_t j = c; j < table.header.size(); ++j) {
         if (!vector_columns[j] || vector_columns[j]->series != series) break;
         if (j >= row.size() || row[j].empty()) break;
-        sample.push_back(parse_sample(row[j]));
+        sample.push_back(table.as_double(r, j));
       }
       recorder.append(series, sample);
     }

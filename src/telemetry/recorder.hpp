@@ -1,8 +1,8 @@
 // Named-series recorder: the single sink for everything an experiment
 // measures, one sample per control period. Replaces the ad-hoc metric
 // vectors that used to live inside `core::Testbed` — any layer (AppStack,
-// Testbed, probes) appends into series it names, and exporters/analyses
-// read them back uniformly.
+// Testbed) appends into series it names, and exporters/analyses read them
+// back uniformly.
 //
 // Two kinds of series:
 //   * scalar — one double per sample (response time p90, cluster power, ...)

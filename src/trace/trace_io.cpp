@@ -58,6 +58,11 @@ UtilizationTrace read_trace_csv(std::istream& in, double sample_period_s) {
         if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
           throw std::runtime_error("read_trace_csv: bad cell '" + std::string(cell) + "'");
         }
+        if (!(v >= 0.0 && v <= 1.0)) {  // a NaN fails both comparisons
+          throw std::runtime_error("read_trace_csv: utilization '" + std::string(cell) +
+                                   "' outside [0,1] at data row " + std::to_string(rows.size()) +
+                                   ", column u" + std::to_string(values.size()));
+        }
         values.push_back(v);
       }
       start = end + 1;

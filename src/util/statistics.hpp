@@ -1,12 +1,9 @@
 // Statistics primitives used throughout the simulator and benchmarks:
-// running moments (Welford), exact and streaming (P^2) percentile
-// estimation, per-window accumulators and fixed-bin histograms.
+// running moments (Welford), exact percentiles and per-window accumulators.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace vdc::util {
@@ -15,7 +12,6 @@ namespace vdc::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
@@ -43,26 +39,6 @@ class RunningStats {
 
 /// Convenience: copies, sorts, and evaluates `exact_quantile`.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
-
-/// Streaming quantile estimator (Jain & Chlamtac's P^2 algorithm).
-/// Uses O(1) memory; converges to the true quantile for stationary inputs.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  /// Current estimate. Exact while fewer than 5 samples have been seen.
-  [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    // marker heights
-  std::array<double, 5> positions_{};  // actual marker positions
-  std::array<double, 5> desired_{};    // desired marker positions
-  std::array<double, 5> increments_{};
-};
 
 /// Accumulator for one bounded window of samples: Welford moments plus the
 /// window's samples, so count/min/mean/max are available at every point of
@@ -104,33 +80,6 @@ class WindowStats {
  private:
   RunningStats moments_;
   std::vector<double> samples_;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples (including
-/// ±infinity) are clamped into the first/last bin so totals are conserved.
-/// NaN samples are counted separately in `invalid()` — they belong to no bin
-/// and previously invoked undefined behaviour via a float->int cast.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// NaN samples seen by add(); never binned, never part of total().
-  [[nodiscard]] std::size_t invalid() const noexcept { return invalid_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  /// Render a short textual summary (for example binaries / debugging).
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t invalid_ = 0;
 };
 
 }  // namespace vdc::util

@@ -69,18 +69,6 @@ TEST(Arx, DcGainThrowsOnIntegrator) {
   EXPECT_THROW(m.dc_gain(), std::runtime_error);
 }
 
-TEST(Arx, ArStability) {
-  ArxModel m = paper_equation_1();
-  EXPECT_TRUE(m.ar_stable());
-  m.a = {1.2};
-  EXPECT_FALSE(m.ar_stable());
-  m.na = 2;
-  m.a = {1.5, -0.7};  // roots inside unit circle
-  EXPECT_TRUE(m.ar_stable());
-  m.a = {2.0, -0.5};  // roots ~1.7, 0.29 -> unstable
-  EXPECT_FALSE(m.ar_stable());
-}
-
 TEST(Arx, ValidateCatchesShapeErrors) {
   ArxModel m = paper_equation_1();
   EXPECT_NO_THROW(m.validate());

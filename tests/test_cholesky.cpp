@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/rng.hpp"
 
 namespace vdc::linalg {
@@ -44,11 +42,6 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(CholeskyDecomposition(Matrix(2, 3)), std::invalid_argument);
 }
 
-TEST(Cholesky, LogDeterminant) {
-  const Matrix a{{2.0, 0.0}, {0.0, 8.0}};
-  EXPECT_NEAR(CholeskyDecomposition(a).log_determinant(), std::log(16.0), 1e-12);
-}
-
 class CholeskyRandomSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskyRandomSweep, SolveResidualTiny) {
@@ -63,14 +56,6 @@ TEST_P(CholeskyRandomSweep, SolveResidualTiny) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CholeskyRandomSweep, ::testing::Range(0, 10));
-
-TEST(IsSpd, Classification) {
-  util::Rng rng(4);
-  EXPECT_TRUE(is_spd(random_spd(4, rng)));
-  EXPECT_FALSE(is_spd(Matrix{{1.0, 2.0}, {2.0, 1.0}}));   // indefinite
-  EXPECT_FALSE(is_spd(Matrix{{1.0, 0.5}, {0.4, 1.0}}));   // asymmetric
-  EXPECT_FALSE(is_spd(Matrix(2, 3)));                     // not square
-}
 
 }  // namespace
 }  // namespace vdc::linalg

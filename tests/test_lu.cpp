@@ -36,17 +36,6 @@ TEST(Lu, DeterminantWithPermutationSign) {
   EXPECT_NEAR(LuDecomposition(b).determinant(), 6.0, 1e-12);
 }
 
-TEST(Lu, InverseTimesOriginalIsIdentity) {
-  util::Rng rng(7);
-  Matrix a(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
-    a(i, i) += 3.0;  // diagonally dominant, comfortably invertible
-  }
-  const Matrix inv = LuDecomposition(a).inverse();
-  EXPECT_LT((a * inv - Matrix::identity(4)).max_abs(), 1e-10);
-}
-
 class LuRandomSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(LuRandomSweep, ResidualIsTiny) {

@@ -73,12 +73,6 @@ TEST(Monitor, ControlledValueFollowsMetricSelection) {
   EXPECT_DOUBLE_EQ(p90.quantile_level(), 0.9);
 }
 
-TEST(Monitor, MetricNames) {
-  EXPECT_EQ(to_string(SlaMetric::kQuantile), "quantile");
-  EXPECT_EQ(to_string(SlaMetric::kMean), "mean");
-  EXPECT_EQ(to_string(SlaMetric::kMax), "max");
-}
-
 TEST(Monitor, DefaultControlledIsNinetiethPercentile) {
   ResponseTimeMonitor m;
   for (int i = 1; i <= 101; ++i) m.record(static_cast<double>(i));

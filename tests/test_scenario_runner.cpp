@@ -127,6 +127,26 @@ TEST(ScenarioRunner, TestbedEngineRunsAndExposesClusterSeries) {
   EXPECT_TRUE(parallel[1].recorder == serial.recorder);
 }
 
+TEST(ScenarioRunner, TestbedEngineKeepsItsTelemetryConfig) {
+  // A tsdb budget on the Testbed's own telemetry config bounds what the
+  // scenario's recorder retains: 20 control periods into 2 pages of 4.
+  ScenarioSpec spec;
+  spec.name = "bounded";
+  spec.engine = ScenarioSpec::Engine::kTestbed;
+  spec.testbed.num_apps = 2;
+  spec.testbed.num_servers = 2;
+  spec.testbed.model = shared_model();
+  spec.testbed.telemetry.tsdb.page_samples = 4;
+  spec.testbed.telemetry.tsdb.tier0_max_pages = 2;
+  spec.duration_s = 80.0;
+  spec.seed = 3;
+
+  const ScenarioResult run = ScenarioRunner(1).run(spec);
+  EXPECT_EQ(run.recorder.config().tsdb, spec.testbed.telemetry.tsdb);
+  EXPECT_GT(run.power_series().size(), 0u);
+  EXPECT_LE(run.power_series().size(), 8u);
+}
+
 TEST(ScenarioRunner, ChaosTelemetryIsByteIdenticalAcrossRerunsAndThreadCounts) {
   // The determinism regression demanded by the fault subsystem: one seeded
   // chaos spec => the exported CSV (series AND annotations) is the same
@@ -178,9 +198,8 @@ TEST(ScenarioRunner, StackOnACopiedControllerMatchesTheScenarioRun) {
 
   AppStackConfig stack = spec.stack;
   stack.app.seed = spec.seed;
-  telemetry::RecorderConfig recorder_config = spec.telemetry;
-  recorder_config.sample_period_s = stack.mpc.period_s;
-  telemetry::Recorder recorder(recorder_config);
+  telemetry::Recorder recorder(
+      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s, .tsdb = {}});
   const ResponseTimeController prototype(
       *spec.model, stack.mpc,
       std::vector<double>(stack.app.tiers.size(), stack.initial_allocation_ghz), stack.robust);

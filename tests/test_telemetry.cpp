@@ -12,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/probe.hpp"
 
 namespace vdc::telemetry {
 namespace {
@@ -160,6 +158,7 @@ TEST(RecorderSeriesId, NameAndIdAppendsLandInOneSeries) {
   rec.append_at(at, 4.0, 10.0);
   rec.append_at("at", 8.0, 20.0);
   EXPECT_EQ(rec.values("at"), (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(rec.tsdb().last_time_s(rec.tsdb().find("at").value()).value_or(-1.0), 8.0);
 
   const Recorder::SeriesId alloc = rec.declare_vector("app0/alloc");
   const std::vector<double> row{0.5, 0.75};
@@ -413,21 +412,6 @@ TEST(RecorderTsdb, RowEqualityComparesRetainedRows) {
   EXPECT_FALSE(a == b);
 }
 
-TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
-  sim::Simulation sim;
-  Recorder rec;
-  ProbeSet probes;
-  probes.add("clock", [&] { return sim.now(); });
-  PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
-  sampler.start();
-  sim.run_until(20.0);
-  EXPECT_EQ(rec.values("clock"), (std::vector<double>{4.0, 8.0, 12.0, 16.0, 20.0}));
-  const auto id = rec.tsdb().find("clock");
-  ASSERT_TRUE(id.has_value());
-  ASSERT_TRUE(rec.tsdb().last_time_s(*id).has_value());
-  EXPECT_EQ(*rec.tsdb().last_time_s(*id), 20.0);  // real sim time, not index
-}
-
 /// The exporter's cell format: the shortest text that parses back exactly.
 std::string shortest(double value) {
   char buffer[32];
@@ -453,39 +437,6 @@ TEST(RecorderTsdb, CsvExportHoldsEveryAppendedValue) {
   EXPECT_EQ(to_csv(tiered), expected.str());
 }
 
-TEST(Probe, SetSamplesEveryGaugeIntoItsSeries) {
-  Recorder rec;
-  double power = 100.0;
-  int servers = 4;
-  ProbeSet probes;
-  probes.add("power", [&] { return power; });
-  probes.add("servers", [&] { return double(servers); });
-  probes.sample(rec, 4.0);
-  power = 80.0;
-  servers = 3;
-  probes.sample(rec, 8.0);
-  EXPECT_EQ(rec.values("power"), (std::vector<double>{100.0, 80.0}));
-  EXPECT_EQ(rec.values("servers"), (std::vector<double>{4.0, 3.0}));
-}
-
-TEST(Probe, RejectsEmptyNameAndNullGauge) {
-  ProbeSet probes;
-  EXPECT_THROW(probes.add("", [] { return 0.0; }), std::invalid_argument);
-  EXPECT_THROW(probes.add("x", nullptr), std::invalid_argument);
-}
-
-TEST(PeriodicSampler, SamplesOncePerPeriodStartingAtFirstPeriod) {
-  sim::Simulation sim;
-  Recorder rec;
-  ProbeSet probes;
-  probes.add("clock", [&] { return sim.now(); });
-  PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
-  sampler.start();
-  sim.run_until(20.0);  // samples at t = 4, 8, 12, 16, 20
-  EXPECT_EQ(sampler.samples_taken(), 5u);
-  EXPECT_EQ(rec.values("clock"), (std::vector<double>{4.0, 8.0, 12.0, 16.0, 20.0}));
-}
-
 TEST(Export, CsvRoundTripsExactly) {
   Recorder rec;
   rec.append("p90", 1.0 / 3.0);  // not representable in short decimal
@@ -496,6 +447,13 @@ TEST(Export, CsvRoundTripsExactly) {
   // power has 1 sample, p90 has 2: ragged lengths pad with empty cells.
   const Recorder back = from_csv(to_csv(rec));
   EXPECT_TRUE(back == rec);
+  // A cell that does not parse as a number in full is rejected by name.
+  try {
+    (void)from_csv("p90\n1.0\nabc\n");
+    ADD_FAILURE() << "a non-numeric cell was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'abc'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Export, CsvRoundTripKeepsRowsPastDefaultRetention) {

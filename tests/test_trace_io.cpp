@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/synthetic.hpp"
 
@@ -57,7 +59,14 @@ TEST(TraceIo, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_csv(bad_cell), std::runtime_error);
   // from_chars parses "nan" in full, so the range check must reject it.
   std::istringstream nan_cell("server,label,u0,u1\n0,x,0.1,nan\n");
-  EXPECT_THROW(read_trace_csv(nan_cell), std::invalid_argument);
+  EXPECT_THROW(read_trace_csv(nan_cell), std::runtime_error);
+  std::istringstream high_cell("server,label,u0,u1\n0,x,0.1,0.2\n1,y,1.5,0.3\n");
+  try {
+    (void)read_trace_csv(high_cell);
+    ADD_FAILURE() << "a utilization above 1 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("data row 1, column u0"), std::string::npos) << e.what();
+  }
   std::istringstream header_only("server,label,u0\n");
   EXPECT_THROW(read_trace_csv(header_only), std::runtime_error);
 }
