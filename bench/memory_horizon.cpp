@@ -3,10 +3,10 @@
 // bench reads VmRSS from /proc/self/status and the live operator-new bytes
 // (a counting allocator sized by malloc_usable_size) after construction and
 // at 240, 1,920 and 7,680 s, and prints the growth of each above
-// construction in KB per app. It runs at the default tsdb retention and at
-// one that is full by 1,920 s (64-sample pages x 4 raw, 256 per-period
-// points, one 960 s rollup), the latter on every hardware thread and on
-// one. With memory bounded in simulated time the full-by-1,920 s runs read
+// construction in KB per app. It runs at the default telemetry retention
+// (64 pages of 256 samples a series) and at one that is full by 1,920 s (4
+// pages of 64 samples, full at 1,024 s), the latter on every hardware
+// thread and on one. With memory bounded in simulated time the full-by-1,920 s runs read
 // the same live KB per app at 1,920 s and at 7,680 s; RSS also counts what
 // the allocator keeps in its per-thread arenas.
 //
@@ -84,7 +84,7 @@ double rss_kb() {
   return 0.0;
 }
 
-void run(const char* label, const telemetry::tsdb::TsdbConfig& tsdb, std::size_t threads) {
+void run(const char* label, const telemetry::RecorderConfig& retention, std::size_t threads) {
   core::SysIdExperimentConfig sysid;
   sysid.periods = 120;
   const control::ArxModel model =
@@ -95,7 +95,7 @@ void run(const char* label, const telemetry::tsdb::TsdbConfig& tsdb, std::size_t
   config.shards = kShards;
   config.seed = 7;
   config.model = model;
-  config.telemetry.tsdb = tsdb;
+  config.telemetry = retention;
   config.shard_threads = threads;
   core::Testbed testbed(config);
   const double base_kb = rss_kb();
@@ -116,13 +116,13 @@ void run(const char* label, const telemetry::tsdb::TsdbConfig& tsdb, std::size_t
 }
 
 /// Runs `run(...)` in a child process; false when the child failed.
-bool run_in_child(const char* label, const telemetry::tsdb::TsdbConfig& tsdb,
+bool run_in_child(const char* label, const telemetry::RecorderConfig& retention,
                   std::size_t threads) {
   std::fflush(stdout);
   const pid_t pid = fork();
   if (pid < 0) return false;
   if (pid == 0) {
-    run(label, tsdb, threads);
+    run(label, retention, threads);
     std::fflush(stdout);
     _exit(0);
   }
@@ -139,16 +139,10 @@ int main() {
   for (const double t : kCheckpointsS) std::printf(" %8.0fs", t);
   std::printf("\n");
 
-  bool ok = run_in_child("default, all", telemetry::tsdb::TsdbConfig{}, 0);
+  bool ok = run_in_child("default, all", telemetry::RecorderConfig{}, 0);
 
-  // Raw samples and per-period points fill at 1,024 s, the one 960 s rollup
-  // at 960 s.
-  telemetry::tsdb::TsdbConfig small;
-  small.page_samples = 64;
-  small.tier0_max_pages = 4;
-  small.tier1_retention_points = 256;
-  small.tier2_period_s = 960.0;
-  small.tier2_retention_points = 1;
+  // 256 samples a series: full at 1,024 s of 4 s control periods.
+  const telemetry::RecorderConfig small{.page_samples = 64, .max_pages = 4};
   ok = run_in_child("full-by-1920s, all", small, 0) && ok;
   ok = run_in_child("full-by-1920s, 1", small, 1) && ok;
   return ok ? 0 : 1;

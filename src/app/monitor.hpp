@@ -74,8 +74,8 @@ class ResponseTimeMonitor {
   SlaMetric metric_;
   // The current period only (Welford moments plus its samples): record() is
   // O(1), harvest() selects the quantile in O(n), and the values are
-  // bit-identical to the tsdb's tier rollups, which run the same
-  // accumulator. Nothing outlives the period.
+  // bit-identical to util::quantile and util::RunningStats recomputed over
+  // the period's samples. Nothing outlives the period.
   util::WindowStats period_;
   std::size_t period_dropped_ = 0;
   bool period_stale_ = false;

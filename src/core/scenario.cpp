@@ -45,7 +45,7 @@ ScenarioResult run_app_stack(const ScenarioSpec& spec) {
   if (spec.seed != 0) stack.app.seed = spec.seed;
 
   result.recorder = telemetry::Recorder(
-      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s, .tsdb = {}});
+      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s});
 
   sim::Simulation sim;
   std::unique_ptr<AppStack> app_stack;

@@ -122,13 +122,11 @@ struct TestbedConfig {
   std::size_t shard_threads = 0;
 
   // ---- telemetry storage --------------------------------------------------
-  /// Recorder storage (tiered tsdb store). With the default retention
-  /// covering a full testbed run, its exports hold every appended sample.
+  /// Recorder storage: page-aged flat buffers, one per series. The default
+  /// retention (64 pages of 256 samples) covers 65,536 s of 4 s periods, so
+  /// the exports of shorter runs hold every appended sample.
   /// `sample_period_s` is overwritten with `control_period_s`.
-  telemetry::RecorderConfig telemetry{
-      .sample_period_s = 4.0,
-      .tsdb = {},
-  };
+  telemetry::RecorderConfig telemetry{.sample_period_s = 4.0};
 
   // ---- chaos (fault injection) -------------------------------------------
   /// Deterministic fault schedule threaded through the co-simulation:

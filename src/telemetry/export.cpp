@@ -113,10 +113,8 @@ void write_csv_file(const Recorder& recorder, const std::filesystem::path& path)
 
 Recorder from_csv(std::string_view text) {
   const util::CsvTable table = util::parse_csv(text);
-  // tier0_max_pages = 0 keeps every raw sample, however long the CSV.
-  RecorderConfig config;
-  config.tsdb.tier0_max_pages = 0;
-  Recorder recorder(config);
+  // max_pages = 0 keeps every sample, however long the CSV.
+  Recorder recorder(RecorderConfig{.max_pages = 0});
   // Column metadata, preserving vector-column grouping.
   std::vector<std::optional<VectorColumn>> vector_columns;
   vector_columns.reserve(table.header.size());

@@ -1,16 +1,16 @@
 #include "telemetry/recorder.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace vdc::telemetry {
 
-Recorder::Recorder(RecorderConfig config) : config_(config), tsdb_(config.tsdb) {
+Recorder::Recorder(RecorderConfig config) : config_(config) {
   if (!std::isfinite(config_.sample_period_s) || config_.sample_period_s <= 0.0) {
     throw std::invalid_argument("Recorder: sample_period_s must be finite and > 0");
   }
+  if (config_.page_samples == 0) throw std::invalid_argument("Recorder: page_samples == 0");
 }
 
 Recorder::SeriesId Recorder::open(const std::string& series, bool vector) {
@@ -19,7 +19,7 @@ Recorder::SeriesId Recorder::open(const std::string& series, bool vector) {
     const auto id = static_cast<SeriesId>(series_.size());
     Series& s = series_.emplace_back();
     s.vector = vector;
-    if (!vector) s.metric = tsdb_.declare(series);
+    if (!vector) s.width = 1;
     ids_.emplace(series, id);
     names_.push_back(series);
     return id;
@@ -49,16 +49,19 @@ const Recorder::Series* Recorder::find(std::string_view series) const noexcept {
 
 void Recorder::append(SeriesId series, double value) {
   Series& s = at(series, /*vector=*/false);
-  const double time_s =
-      static_cast<double>(tsdb_.samples_appended(s.metric)) * config_.sample_period_s;
-  tsdb_.append(s.metric, time_s, value);
-  s.cache_dirty = true;
+  accept(s, static_cast<double>(s.accepted) * config_.sample_period_s, value);
 }
 
 void Recorder::append_at(SeriesId series, double time_s, double value) {
-  Series& s = at(series, /*vector=*/false);
-  tsdb_.append(s.metric, time_s, value);
-  s.cache_dirty = true;
+  accept(at(series, /*vector=*/false), time_s, value);
+}
+
+void Recorder::accept(Series& s, double time_s, double value) {
+  // NaN samples and time regressions are rejected and not stored.
+  if (std::isnan(time_s) || std::isnan(value) || time_s < s.last_time_s) return;
+  s.last_time_s = time_s;
+  ++s.accepted;
+  push(s, std::span<const double>(&value, 1));
 }
 
 void Recorder::append(SeriesId series, std::span<const double> row) {
@@ -68,10 +71,14 @@ void Recorder::append(SeriesId series, std::span<const double> row) {
     throw std::invalid_argument("Recorder: series '" + names_[static_cast<std::size_t>(series)] +
                                 "' holds rows of width " + std::to_string(s.width));
   }
-  // The tsdb's tier-0 rule: past tier0_max_pages pages, the row that opens
-  // a page drops the oldest page whole. Erasing keeps the capacity.
-  const std::size_t page = config_.tsdb.page_samples;
-  if (config_.tsdb.tier0_max_pages > 0 && s.rows == config_.tsdb.tier0_max_pages * page) {
+  push(s, row);
+}
+
+void Recorder::push(Series& s, std::span<const double> row) {
+  // Past max_pages pages, the sample that opens a page erases the oldest
+  // page whole. Erasing keeps the capacity.
+  const std::size_t page = config_.page_samples;
+  if (config_.max_pages > 0 && s.rows == config_.max_pages * page) {
     s.data.erase(s.data.begin(), s.data.begin() + static_cast<std::ptrdiff_t>(page * s.width));
     s.rows -= page;
   }
@@ -88,24 +95,12 @@ bool Recorder::is_vector(std::string_view series) const {
   return s->vector;
 }
 
-const std::vector<double>& Recorder::scalar_samples(const Series& s) const {
-  if (s.cache_dirty) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const std::vector<tsdb::RawSample> raw = tsdb_.raw(s.metric, -kInf, kInf);
-    s.cache.clear();
-    s.cache.reserve(raw.size());
-    for (const tsdb::RawSample& sample : raw) s.cache.push_back(sample.value);
-    s.cache_dirty = false;
-  }
-  return s.cache;
-}
-
 const std::vector<double>& Recorder::values(std::string_view series) const {
   const Series* s = find(series);
   if (s == nullptr || s->vector) {
     throw std::out_of_range("Recorder: no scalar series named '" + std::string(series) + "'");
   }
-  return scalar_samples(*s);
+  return s->data;
 }
 
 Recorder::RowsView Recorder::rows(std::string_view series) const {
@@ -127,13 +122,17 @@ Recorder::RowsView::operator const std::vector<std::vector<double>>&() const {
 
 std::size_t Recorder::size(std::string_view series) const noexcept {
   const Series* s = find(series);
-  if (s == nullptr) return 0;
-  if (s->vector) return s->rows;
-  return tsdb_.samples_appended(s->metric) - tsdb_.samples_evicted(s->metric);
+  return s == nullptr ? 0 : s->rows;
+}
+
+std::size_t Recorder::approx_memory_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const Series& s : series_) total += s.data.capacity() * sizeof(double);
+  return total;
 }
 
 void Recorder::absorb(Recorder&& other) {
-  if (!(config_.tsdb == other.config_.tsdb)) {
+  if (config_ != other.config_) {
     throw std::invalid_argument("Recorder::absorb: config mismatch");
   }
   for (const std::string& name : other.names_) {
@@ -142,8 +141,7 @@ void Recorder::absorb(Recorder&& other) {
     }
   }
   for (std::size_t k = 0; k < other.series_.size(); ++k) {
-    Series& s = series_.emplace_back(std::move(other.series_[k]));
-    if (!s.vector) s.metric = tsdb_.adopt(other.tsdb_, s.metric);
+    series_.push_back(std::move(other.series_[k]));
     ids_.emplace(other.names_[k], static_cast<SeriesId>(series_.size() - 1));
     names_.push_back(std::move(other.names_[k]));
   }
@@ -165,9 +163,8 @@ bool operator==(const Recorder& a, const Recorder& b) {
   for (const std::string& name : a.names_) {
     const Recorder::Series* sa = a.find(name);
     const Recorder::Series* sb = b.find(name);
-    if (sb == nullptr || sa->vector != sb->vector) return false;
-    if (sa->vector ? sa->rows != sb->rows || sa->data != sb->data
-                   : a.scalar_samples(*sa) != b.scalar_samples(*sb)) {
+    if (sb == nullptr || sa->vector != sb->vector || sa->rows != sb->rows ||
+        sa->data != sb->data) {
       return false;
     }
   }

@@ -8,17 +8,20 @@
 //   * scalar — one double per sample (response time p90, cluster power, ...)
 //   * vector — one row of doubles per sample (per-tier CPU allocation)
 //
-// Scalar samples flow into the tiered telemetry::tsdb engine (bounded ring
-// pages + per-period/hourly rollups). While tier-0 retention covers the run,
-// values() returns every appended sample in append order, so every exporter
-// reading it sees the same bytes an unbounded vector would hold; past
-// retention, raw history ages out but the rollups stay exact. NaN samples
-// are rejected (counted, never stored). Vector series keep their rows in one
-// flat buffer of the first row's width, under the same tier-0 rule: past
-// tier0_max_pages pages of page_samples rows, the row that opens a page
-// drops the oldest page whole (0 keeps every row). At the defaults (64 pages
-// x 256 samples, 4,096 tier-1 and 1,024 tier-2 points) a scalar metric levels
-// off near 0.5 MB, and memory stops growing once every series is full.
+// Both kinds keep their samples in one flat buffer, oldest first: a scalar
+// series is a vector series of width 1. They age out by one rule: past
+// max_pages pages of page_samples samples (rows), the sample that opens a
+// page erases the oldest page whole and the buffer keeps its capacity, so
+// memory stops growing once a series is full (max_pages x page_samples x 8
+// bytes a scalar series: 128 KiB at the defaults). max_pages = 0 keeps every
+// sample. While nothing has aged out, values() is every accepted sample in
+// append order, so every exporter reading it sees the bytes an unbounded
+// vector would hold.
+//
+// Scalar samples carry a time: append_at()'s, or the accepted count times
+// sample_period_s for append(). A NaN sample or time, or a time before the
+// series' last accepted one, is rejected and not stored; equal times are
+// accepted. Only the last accepted time is kept.
 //
 // References returned by the accessors stay valid as more series are
 // created (series storage is a deque indexed by id).
@@ -33,14 +36,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "telemetry/tsdb.hpp"
 
 namespace vdc::telemetry {
 
@@ -57,10 +59,16 @@ struct Annotation {
 struct RecorderConfig {
   /// Timestamp synthesized for the i-th sample of plain append() calls
   /// (i * sample_period_s). append_at() callers supply real times instead.
-  /// Must be finite and > 0; anything else would make the store reject
-  /// samples as out of order or NaN.
+  /// Must be finite and > 0; anything else would make the order check
+  /// reject samples as out of order or NaN.
   double sample_period_s = 1.0;
-  tsdb::TsdbConfig tsdb;
+  /// Samples (rows, for a vector series) per page, the ageing granule.
+  /// Must be > 0.
+  std::size_t page_samples = 256;
+  /// Pages a series retains; 0 keeps every sample.
+  std::size_t max_pages = 64;
+
+  friend bool operator==(const RecorderConfig&, const RecorderConfig&) = default;
 };
 
 class Recorder {
@@ -72,9 +80,9 @@ class Recorder {
   /// absorbed series (see there), and clear() invalidates every id.
   enum class SeriesId : std::uint32_t {};
 
-  /// The tsdb store with the default TsdbConfig and a 1 s sample period.
+  /// The default retention and a 1 s sample period.
   Recorder() = default;
-  /// Throws std::invalid_argument on a bad sample_period_s or tsdb config.
+  /// Throws std::invalid_argument on a bad sample_period_s or page_samples.
   explicit Recorder(RecorderConfig config);
 
   /// Read-only view of a vector series' retained rows, oldest first: row k
@@ -113,7 +121,8 @@ class Recorder {
   /// index * sample_period_s.
   void append(SeriesId series, double value);
   /// Appends one sample with an explicit timestamp (simulation time). A
-  /// timestamp before the series' last accepted one is rejected.
+  /// timestamp before the series' last accepted one is rejected, as is a
+  /// NaN value or time (neither is stored).
   void append_at(SeriesId series, double time_s, double value);
   /// Appends one row (copied) to a vector series. Every row of a series has
   /// the first row's width; another width throws std::invalid_argument.
@@ -133,10 +142,10 @@ class Recorder {
   [[nodiscard]] bool has(std::string_view series) const noexcept;
   [[nodiscard]] bool is_vector(std::string_view series) const;
 
-  /// Samples of a scalar series; throws std::out_of_range when unknown or
-  /// when the name refers to a vector series. Materializes the retained
-  /// tier-0 samples into a per-series cache (the returned reference stays
-  /// valid and is refreshed in place).
+  /// Retained samples of a scalar series, oldest first: the series' own
+  /// buffer, so the reference stays valid and sees later appends. Throws
+  /// std::out_of_range when unknown or when the name refers to a vector
+  /// series.
   [[nodiscard]] const std::vector<double>& values(std::string_view series) const;
   /// Retained rows of a vector series, oldest first; throws
   /// std::out_of_range when unknown or when the name refers to a scalar
@@ -150,8 +159,8 @@ class Recorder {
   /// Moves every series of `other` into this recorder, preserving `other`'s
   /// creation order after this recorder's existing series, and appends its
   /// annotations. The sharded engine merges its per-shard recorders through
-  /// this: series and tsdb pages move, samples are never copied.
-  /// Requires the same tsdb config and disjoint series names (throws
+  /// this: series move with their buffers, samples are never copied.
+  /// Requires the same config and disjoint series names (throws
   /// std::invalid_argument otherwise). `other` is left empty.
   ///
   /// Ids: the series `other` knew as id k is id series_count() + k here
@@ -177,27 +186,27 @@ class Recorder {
   void clear() { *this = Recorder(config_); }
 
   [[nodiscard]] const RecorderConfig& config() const noexcept { return config_; }
-  /// The tiered store behind the scalar series. Tier/rollup queries go
-  /// straight through it: tsdb().find(name) then tsdb().query(...).
-  [[nodiscard]] const tsdb::Tsdb& tsdb() const noexcept { return tsdb_; }
+  /// Bytes the series buffers hold: the sum of their capacities.
+  [[nodiscard]] std::size_t approx_memory_bytes() const noexcept;
 
   /// Exact equality of series names, kinds, and every retained sample —
   /// the determinism check the parallel ScenarioRunner is tested against.
-  /// Recorders with different tsdb configs compare equal while their
-  /// materialized samples match.
+  /// Recorders with different configs compare equal while their retained
+  /// samples match.
   friend bool operator==(const Recorder& a, const Recorder& b);
 
  private:
   struct Series {
     bool vector = false;
-    tsdb::MetricId metric = 0;  // scalar series only
-    // Vector series: the retained rows, flat and oldest first.
+    // The retained samples (rows), flat and oldest first.
     std::vector<double> data;
-    std::size_t width = 0;  // fixed by the first row
+    std::size_t width = 0;  // 1 for a scalar; fixed by a vector's first row
     std::size_t rows = 0;
-    // Tier-0 samples materialized on demand for values(), or the rows for
-    // RowsView's nested-vector form.
-    mutable std::vector<double> cache;
+    // Scalar order check: accepted samples (append() stamps the next one
+    // accepted * sample_period_s) and the last accepted time.
+    std::size_t accepted = 0;
+    double last_time_s = -std::numeric_limits<double>::infinity();
+    // The rows for RowsView's nested-vector form.
     mutable std::vector<std::vector<double>> row_cache;
     mutable bool cache_dirty = false;
   };
@@ -205,10 +214,10 @@ class Recorder {
   SeriesId open(const std::string& series, bool vector);
   [[nodiscard]] Series& at(SeriesId id, bool vector);
   [[nodiscard]] const Series* find(std::string_view series) const noexcept;
-  [[nodiscard]] const std::vector<double>& scalar_samples(const Series& s) const;
+  void accept(Series& s, double time_s, double value);
+  void push(Series& s, std::span<const double> row);
 
   RecorderConfig config_;
-  tsdb::Tsdb tsdb_{};
   // Series by id. A deque keeps references stable as series are added.
   std::deque<Series> series_;
   // Name -> id; transparent comparison, so lookups work from string_view

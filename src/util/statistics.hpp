@@ -43,12 +43,11 @@ class RunningStats {
 /// Accumulator for one bounded window of samples: Welford moments plus the
 /// window's samples, so count/min/mean/max are available at every point of
 /// the stream and any exact type-7 quantile by selection (nth_element) when
-/// asked for. This is the hoisted glue shared by the response-time
-/// monitor's per-control-period statistics and the telemetry tsdb's tier
-/// rollup accumulators — both must produce bit-identical values for the
-/// same sample order, which sharing one implementation guarantees. A sample
-/// costs one Welford update and one push_back; the selection runs once per
-/// window, when it closes.
+/// asked for. The response-time monitor keeps each control period's
+/// statistics in one; its values are bit-identical to RunningStats and
+/// util::quantile recomputed over the same samples in the same order. A
+/// sample costs one Welford update and one push_back; the selection runs
+/// once per window, when it closes.
 ///
 /// NaN samples are rejected with an exception (they would corrupt the
 /// selection); ±infinity is accepted. `reset()` recycles the accumulator

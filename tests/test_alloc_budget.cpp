@@ -201,18 +201,17 @@ TEST(AllocBudget, ShardedTestbedControlPeriodStaysWithinPerAppBudget) {
               "per period\n",
               allocs, config.num_apps * kPeriods, static_cast<unsigned long long>(requests),
               per_app_period);
-  // Reads 2.30: the control plane's share. Each request used to add one
+  // Reads 1.19: the control plane's share. Each request used to add one
   // block per tier hop (16.51 with ~7.1 requests per app-period).
   EXPECT_LE(per_app_period, 3.0);
 }
 
 TEST(AllocBudget, LiveHeapStaysFlatOnceTelemetryRetentionIsFull) {
-  // The fleet-shaped Testbed above with every telemetry tier kept small:
-  // 16 raw samples (2 pages of 8), 16 per-period and 4 two-period rollups
-  // per series, all full after ~20 control periods. Past that point
-  // nothing in the run may keep growing: not the monitor (one period of
-  // samples), not the vector series (rows age out by whole pages), not the
-  // tsdb (pages recycle, rollup rings are bounded).
+  // The fleet-shaped Testbed above with telemetry retention kept small:
+  // 16 samples a series (2 pages of 8), full after 16 control periods.
+  // Past that point nothing in the run may keep growing: not the monitor
+  // (one period of samples), not the series buffers (samples and rows age
+  // out by whole pages into the capacity they already hold).
   core::TestbedConfig config;
   config.num_apps = 16;
   config.num_servers = 16;
@@ -223,11 +222,8 @@ TEST(AllocBudget, LiveHeapStaysFlatOnceTelemetryRetentionIsFull) {
   config.shard_threads = 1;
   config.parallel_control_min_apps = static_cast<std::size_t>(-1);
   config.enable_optimizer = false;
-  config.telemetry.tsdb.page_samples = 8;
-  config.telemetry.tsdb.tier0_max_pages = 2;
-  config.telemetry.tsdb.tier1_retention_points = 16;
-  config.telemetry.tsdb.tier2_period_s = 2.0 * config.control_period_s;
-  config.telemetry.tsdb.tier2_retention_points = 4;
+  config.telemetry.page_samples = 8;
+  config.telemetry.max_pages = 2;
   const app::AppConfig staging = app::default_two_tier_app("staging", 1001, config.concurrency);
   config.model = core::identify_app_model(staging, config.sysid).model;
   core::Testbed testbed(config);

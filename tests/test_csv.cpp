@@ -86,22 +86,22 @@ TEST(ReadCsvFile, MissingFileThrows) {
   EXPECT_THROW(read_csv_file("/nonexistent/path.csv"), std::runtime_error);
 }
 
-TEST(TelemetryCsv, TsdbBackedRecorderRoundTripsThroughParser) {
-  // The tiered recorder's export must be bytes this parser round-trips,
-  // holding exactly the appended values (ragged series lengths and vector
-  // columns included).
-  telemetry::Recorder tiered;
-  tiered.append("p90", 1.0 / 3.0);
-  tiered.append("p90", 0.125);
-  tiered.append("alloc", std::vector<double>{0.3, 0.7});
-  tiered.append("power", 123.456789);
-  const std::string csv = telemetry::to_csv(tiered);
+TEST(TelemetryCsv, RecorderRoundTripsThroughParser) {
+  // The recorder's export must be bytes this parser round-trips, holding
+  // exactly the appended values (ragged series lengths and vector columns
+  // included).
+  telemetry::Recorder rec;
+  rec.append("p90", 1.0 / 3.0);
+  rec.append("p90", 0.125);
+  rec.append("alloc", std::vector<double>{0.3, 0.7});
+  rec.append("power", 123.456789);
+  const std::string csv = telemetry::to_csv(rec);
   EXPECT_EQ(csv,
             "p90,alloc[0],alloc[1],power\n"
             "0.3333333333333333,0.3,0.7,123.456789\n"
             "0.125,,,\n");
   const telemetry::Recorder back = telemetry::from_csv(csv);
-  EXPECT_TRUE(back == tiered);
+  EXPECT_TRUE(back == rec);
   const CsvTable table = parse_csv(csv);
   ASSERT_EQ(table.rows.size(), 2u);
   EXPECT_EQ(table.as_double(0, 0), 1.0 / 3.0);

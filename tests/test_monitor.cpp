@@ -7,8 +7,8 @@
 #include <limits>
 #include <vector>
 
-#include "telemetry/tsdb.hpp"
 #include "util/rng.hpp"
+#include "util/statistics.hpp"
 
 namespace vdc::app {
 namespace {
@@ -153,45 +153,31 @@ TEST(Monitor, RejectsNaNSamples) {
   EXPECT_EQ(m.pending_samples(), 1u);  // rejected sample left no trace
 }
 
-TEST(Monitor, PercentilePathBitIdenticalToTsdbRollups) {
-  // The monitor's per-period percentile and the telemetry store's tier-1
-  // rollups run the same util::WindowStats accumulator — the regression
-  // this test pins is that both report EXACTLY the same doubles for the
-  // same samples, so dashboards reading rollups agree with the controller's
-  // feedback to the last bit.
+TEST(Monitor, PercentilePathBitIdenticalToBruteForce) {
+  // The monitor's per-period statistics must be EXACTLY the doubles a
+  // brute-force recompute over the period's samples gives: util::quantile
+  // for the percentile, util::RunningStats in arrival order for the
+  // moments. So the controller's feedback agrees to the last bit with any
+  // offline analysis of the same samples.
   ResponseTimeMonitor m(0.9);
-  telemetry::tsdb::TsdbConfig config;
-  config.tier1_period_s = 4.0;
-  telemetry::tsdb::Tsdb db(config);
-  const telemetry::tsdb::MetricId id = db.declare("rt");
-
   util::Rng rng(99);
-  double t = 0.1;
-  std::vector<app::PeriodStats> harvested;
   for (int period = 0; period < 50; ++period) {
     const std::int64_t n = rng.uniform_int(1, 40);
+    std::vector<double> samples;
+    util::RunningStats moments;
     for (std::int64_t k = 0; k < n; ++k) {
       const double rt = rng.uniform(0.01, 2.5);
       m.record(rt);
-      ASSERT_TRUE(db.append(id, t, rt));
-      t += 4.0 / static_cast<double>(n + 1);
+      samples.push_back(rt);
+      moments.add(rt);
     }
     const auto stats = m.harvest();
     ASSERT_TRUE(stats.has_value());
-    harvested.push_back(*stats);
-    t = std::ceil(t / 4.0) * 4.0 + 0.1;  // next control period
-  }
-
-  const std::vector<telemetry::tsdb::RollupPoint> rollups = db.rollups(
-      id, telemetry::tsdb::Tier::kPeriod, -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::infinity());
-  ASSERT_EQ(rollups.size(), harvested.size());
-  for (std::size_t k = 0; k < rollups.size(); ++k) {
-    EXPECT_EQ(rollups[k].count, harvested[k].count) << "period " << k;
-    EXPECT_EQ(rollups[k].p90, harvested[k].quantile) << "period " << k;
-    EXPECT_EQ(rollups[k].mean, harvested[k].mean) << "period " << k;
-    EXPECT_EQ(rollups[k].min, harvested[k].min) << "period " << k;
-    EXPECT_EQ(rollups[k].max, harvested[k].max) << "period " << k;
+    EXPECT_EQ(stats->count, samples.size()) << "period " << period;
+    EXPECT_EQ(stats->quantile, util::quantile(samples, 0.9)) << "period " << period;
+    EXPECT_EQ(stats->mean, moments.mean()) << "period " << period;
+    EXPECT_EQ(stats->min, moments.min()) << "period " << period;
+    EXPECT_EQ(stats->max, moments.max()) << "period " << period;
   }
 }
 

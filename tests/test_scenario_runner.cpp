@@ -128,21 +128,22 @@ TEST(ScenarioRunner, TestbedEngineRunsAndExposesClusterSeries) {
 }
 
 TEST(ScenarioRunner, TestbedEngineKeepsItsTelemetryConfig) {
-  // A tsdb budget on the Testbed's own telemetry config bounds what the
-  // scenario's recorder retains: 20 control periods into 2 pages of 4.
+  // A retention budget on the Testbed's own telemetry config bounds what
+  // the scenario's recorder retains: 20 control periods into 2 pages of 4.
   ScenarioSpec spec;
   spec.name = "bounded";
   spec.engine = ScenarioSpec::Engine::kTestbed;
   spec.testbed.num_apps = 2;
   spec.testbed.num_servers = 2;
   spec.testbed.model = shared_model();
-  spec.testbed.telemetry.tsdb.page_samples = 4;
-  spec.testbed.telemetry.tsdb.tier0_max_pages = 2;
+  spec.testbed.telemetry.page_samples = 4;
+  spec.testbed.telemetry.max_pages = 2;
   spec.duration_s = 80.0;
   spec.seed = 3;
 
   const ScenarioResult run = ScenarioRunner(1).run(spec);
-  EXPECT_EQ(run.recorder.config().tsdb, spec.testbed.telemetry.tsdb);
+  EXPECT_EQ(run.recorder.config().page_samples, 4u);
+  EXPECT_EQ(run.recorder.config().max_pages, 2u);
   EXPECT_GT(run.power_series().size(), 0u);
   EXPECT_LE(run.power_series().size(), 8u);
 }
@@ -199,7 +200,7 @@ TEST(ScenarioRunner, StackOnACopiedControllerMatchesTheScenarioRun) {
   AppStackConfig stack = spec.stack;
   stack.app.seed = spec.seed;
   telemetry::Recorder recorder(
-      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s, .tsdb = {}});
+      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s});
   const ResponseTimeController prototype(
       *spec.model, stack.mpc,
       std::vector<double>(stack.app.tiers.size(), stack.initial_allocation_ghz), stack.robust);

@@ -80,9 +80,9 @@ INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0));
 
 TEST(WindowStats, MatchesRunningStatsAndExactQuantileBitForBit) {
-  // WindowStats is the shared order-statistic glue behind both the
-  // monitor's percentile path and the tsdb's tier rollups; its outputs
-  // must be the exact doubles of the brute-force recompute.
+  // WindowStats is the order-statistic glue behind the monitor's
+  // percentile path; its outputs must be the exact doubles of the
+  // brute-force recompute.
   WindowStats w;
   RunningStats rs;
   std::vector<double> samples;
