@@ -12,7 +12,7 @@ namespace vdc::consolidate {
 
 namespace {
 
-// The fast engine for Algorithm 1. Seven changes against the test-only
+// The fast engine for Algorithm 1. Eight changes against the test-only
 // reference (naive::minimum_slack), all of them *plan-exact*: the engine
 // returns the same selection as the reference for every input, including
 // when the step budget binds and epsilon escalates mid-search.
@@ -61,6 +61,19 @@ namespace {
 //    near the target are leaves of this kind, and each used to cost three
 //    loop iterations (descend, reject run, pop).
 //
+//  * Dead runs: the siblings that follow such a leaf are mostly leaves of
+//    the same kind, and none of them can improve the incumbent (their
+//    demand is no larger). One tight pass takes every following sibling
+//    whose selection also leaves the level below dead — n - j counted
+//    steps for sibling j — plus the symmetric and memory-rejected siblings
+//    among them, one step each, and stops at the first sibling the
+//    per-candidate loop must handle. Every test in the pass is the loop's
+//    own expression on the loop's own values: the reference restores its
+//    selection sum with += d ... -= d, which drifts by ulps, so the pass
+//    replays (sel + d) - d for each sibling it selects. Nothing in the run
+//    changes the incumbent, so one consume lands on every escalation
+//    threshold the per-sibling steps would have crossed.
+//
 //  * All-fits tail collapse: once every remaining candidate fits together
 //    (CPU, memory and raw slack all hold for the full tail, with a safety
 //    margin), the reference engine's behaviour in that subtree is closed
@@ -76,123 +89,39 @@ namespace {
 //    skip would change the attempt count) and a minimum tail demand (so
 //    subset slacks cannot tie the incumbent within its 1e-12 margin).
 //
-//  * Scratch reuse: the candidate ordering, mirrors, suffix sums and the
-//    selection stack live in thread-local buffers whose capacity persists
-//    across calls — PAC calls Minimum Slack once per server visit, and the
-//    allocation churn of fresh vectors per call used to rival the search
-//    itself. The sorted ordering is reused across calls too: PAC drops the
-//    selected VMs from its list order-preservingly, so the next call's
-//    candidates are a subsequence of the previous call's and their sorted
-//    order is the cached one with the dropped entries filtered out.
-struct Scratch {
-  std::vector<VmId> order;        // candidates, largest demand first
-  std::vector<double> demand_of;  // demand_of[i] = demand of order[i]
-  std::vector<double> memory_of;  // memory_of[i] = memory of order[i]
-  std::vector<double> suffix;     // suffix[i] = total demand of order[i..]
-  std::vector<double> msuffix;    // msuffix[i] = total memory of order[i..]
-  std::vector<double> msuffix_min;  // msuffix_min[i] = smallest memory in order[i..]
-  std::vector<char> dupfree;      // dupfree[i]: no equal-adjacent pair in order[i..]
-  std::vector<std::size_t> stack; // selected candidate index per depth
-  std::vector<const VmSnapshot*> resident;  // generic path: existing + selected
-  std::vector<VmId> selected;               // generic path: current selection
-  const DataCenterSnapshot* cached_snapshot = nullptr;  // sorted-order cache key
-  std::vector<VmId> cached;                             // candidate span it was built from
-  std::vector<VmId> dropped;                            // cached entries absent from a call
+//  * Sorted once: the search reads a CandidateSet — the sorted order, its
+//    demand/memory mirrors and suffix arrays — and works in the set's
+//    selection stack. PAC builds one set per call and erases each
+//    selection from it by position, so the many calls of one PAC walk sort
+//    nothing, never re-read the snapshot and allocate nothing.
+
+/// The set's arrays as the search reads them.
+struct Mirrors {
+  std::size_t n;
+  const VmId* order;
+  const double* demand_ghz;
+  const double* memory_mb;
+  const double* suffix;
+  const double* msuffix;
+  const double* msuffix_min;
+  const char* dupfree;
 };
 
-Scratch& scratch() {
-  thread_local Scratch s;
-  return s;
-}
-
-/// Recomputes the suffix sums, suffix minimum and duplicate flags from the
-/// demand/memory mirrors, back to front — the one summation order every
-/// path uses, so a filtered cache and a fresh sort agree to the bit.
-void rebuild_suffixes(Scratch& s) {
-  const std::size_t count = s.order.size();
-  s.suffix.resize(count + 1);
-  s.msuffix.resize(count + 1);
-  s.msuffix_min.resize(count + 1);
-  s.dupfree.resize(count + 1);
-  s.suffix[count] = 0.0;
-  s.msuffix[count] = 0.0;
-  s.msuffix_min[count] = std::numeric_limits<double>::infinity();
-  s.dupfree[count] = 1;
-  for (std::size_t i = count; i-- > 0;) {
-    s.suffix[i] = s.suffix[i + 1] + s.demand_of[i];
-    s.msuffix[i] = s.msuffix[i + 1] + s.memory_of[i];
-    s.msuffix_min[i] = std::min(s.msuffix_min[i + 1], s.memory_of[i]);
-    s.dupfree[i] = s.dupfree[i + 1] &&
-                   // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                   (i + 1 >= count || s.demand_of[i] != s.demand_of[i + 1] ||
-                    // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                    s.memory_of[i] != s.memory_of[i + 1]);
-  }
-}
-
-/// Loads the sorted ordering of `candidates` from the previous call's cache
-/// when that is exact, and reports whether it could. When the candidates
-/// are a subsequence of the cached span, their sorted order is the cached
-/// order without the dropped entries: the sort key (demand descending, then
-/// id) is a total order. The filter drops by id, so it must keep exactly
-/// one entry per candidate — it keeps fewer only when a dropped id also
-/// remains a candidate (a duplicated id), and then the caller sorts afresh.
-/// Every kept entry's mirrored demand and memory is checked against the
-/// snapshot — a different snapshot at a recycled address, or mutated
-/// demands, fail the check and force a full sort — at a fraction of the
-/// sort's cost.
-bool reuse_cached_order(Scratch& s, const DataCenterSnapshot& snapshot,
-                        std::span<const VmId> candidates) {
-  if (s.cached_snapshot != &snapshot || candidates.size() > s.cached.size()) return false;
-  s.dropped.clear();
-  std::size_t matched = 0;
-  for (const VmId vm : s.cached) {
-    if (matched < candidates.size() && vm == candidates[matched]) {
-      ++matched;
-    } else {
-      s.dropped.push_back(vm);
-    }
-  }
-  if (matched != candidates.size()) return false;  // not a subsequence
-  std::sort(s.dropped.begin(), s.dropped.end());
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (std::binary_search(s.dropped.begin(), s.dropped.end(), s.order[i])) continue;
-    const VmSnapshot& info = snapshot.vm(s.order[i]);
-    // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
-    if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) return false;
-    s.order[kept] = s.order[i];
-    s.demand_of[kept] = s.demand_of[i];
-    s.memory_of[kept] = s.memory_of[i];
-    ++kept;
-  }
-  if (kept != candidates.size()) return false;
-  if (!s.dropped.empty()) {
-    s.order.resize(kept);
-    s.demand_of.resize(kept);
-    s.memory_of.resize(kept);
-    rebuild_suffixes(s);
-    s.cached.assign(candidates.begin(), candidates.end());
-  }
-  return true;
-}
-
-/// Builtin-only search: explicit-stack DFS over the scratch mirrors.
+/// Builtin-only search: explicit-stack DFS over the set's mirrors.
 /// Mirrors the generic recursion exactly — same visit order, same step
 /// accounting, same escalation points — with all hot state in locals.
-void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& options,
-                    bool bnb, double cap_minus_base, double base_demand_ghz, double base_memory_mb,
-                    bool check_cpu, double cpu_limit, bool check_memory,
-                    double memory_limit_mb) {
-  const std::size_t n = s.order.size();
-  const double* const demand_of = s.demand_of.data();
-  const double* const memory_of = s.memory_of.data();
-  const double* const suffix = s.suffix.data();
-  const double* const msuffix = s.msuffix.data();
-  const double* const msuffix_min = s.msuffix_min.data();
-  const char* const dupfree = s.dupfree.data();
-  std::size_t* const stk = s.stack.data();
-  const VmId* const order = s.order.data();
+void search_builtin(const Mirrors& c, std::size_t* const stk, MinSlackResult& best,
+                    const MinSlackOptions& options, bool bnb, double cap_minus_base,
+                    double base_demand_ghz, double base_memory_mb, bool check_cpu,
+                    double cpu_limit, bool check_memory, double memory_limit_mb) {
+  const std::size_t n = c.n;
+  const double* const demand_of = c.demand_ghz;
+  const double* const memory_of = c.memory_mb;
+  const double* const suffix = c.suffix;
+  const double* const msuffix = c.msuffix;
+  const double* const msuffix_min = c.msuffix_min;
+  const char* const dupfree = c.dupfree;
+  const VmId* const order = c.order;
 
   double epsilon = options.epsilon_ghz;
   std::size_t budget = options.step_budget;
@@ -224,6 +153,16 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
       if (best_slack < epsilon) return true;
     }
     return false;
+  };
+
+  // After selecting candidate k with these selection sums: does the level
+  // below reject every candidate? It does when even the smallest remaining
+  // candidate fails the raw slack or the CPU limit, or the smallest
+  // remaining memory fails the memory limit (all three tests are monotone).
+  const auto level_below_dead = [&](std::size_t k, double with_ghz, double with_mb) {
+    return k + 1 >= n || demand_of[n - 1] > cap_minus_base - with_ghz + 1e-9 ||
+           (check_cpu && base_demand_ghz + with_ghz + demand_of[n - 1] > cpu_limit + 1e-9) ||
+           (check_memory && base_memory_mb + with_mb + msuffix_min[k + 1] > memory_limit_mb + 1e-9);
   };
 
   // Tail-collapse precondition: strict-subset selections of an all-fits
@@ -419,16 +358,51 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
     // candidate and then pop back here, so consume the steps in bulk and
     // move on to candidate i + 1 directly. Armed branch-and-bound could exit
     // the level below early, so it keeps the explicit descent.
-    if (!bnb && (i + 1 >= n || demand_of[n - 1] > cap_minus_base - sel_demand + 1e-9 ||
-                 (check_cpu && base_demand_ghz + sel_demand + demand_of[n - 1] >
-                                   cpu_limit + 1e-9) ||
-                 (check_memory &&
-                  base_memory_mb + sel_memory + msuffix_min[i + 1] > memory_limit_mb + 1e-9))) {
-      if (consume(n - i - 1)) break;
+    if (!bnb && level_below_dead(i, sel_demand, sel_memory)) {
       --depth;  // line 9 of Algorithm 1: remove VM from S
       sel_demand -= demand;
       sel_memory -= memory;
-      ++i;
+      // Dead run: take the following siblings in one pass while each is a
+      // symmetry skip or a memory reject (one counted step) or a selection
+      // that leaves the level below dead (n - j steps), and stop at the
+      // first sibling that is none of these — it is left to the loop,
+      // uncounted. The tests are the loop's own, in its order and on its
+      // values; the selection sum replays the loop's (sel + d) - d drift.
+      // Siblings fit the raw slack and the CPU limit because candidate i
+      // did, but a drifted sum could in principle flip that at the margin,
+      // so both stay checked, as does the incumbent (no sibling beats i's
+      // slack by more than the drift). Tail collapse cannot fire on a
+      // memory reject (its tail test includes the candidate's own memory)
+      // nor on a dead selection (its margins of 1e-6 GHz and 1e-3 MB
+      // contradict the dead tests' 1e-9). So the loop would take exactly
+      // these steps with no other effect, and one consume replays them.
+      std::size_t count = n - i - 1;
+      const double improve_below = best_slack - 1e-12;
+      std::size_t j = i + 1;
+      for (; j < n; ++j) {
+        const double dj = demand_of[j];
+        const double mj = memory_of[j];
+        // vdc-lint: float-eq-ok identical VMs are grouped by bitwise equality of their stored demand/memory; the values are copies, never recomputed
+        if (demand_of[j - 1] == dj && memory_of[j - 1] == mj) {
+          ++count;  // symmetry skip
+          continue;
+        }
+        if (dj > cap_minus_base - sel_demand + 1e-9) break;
+        if (check_cpu && base_demand_ghz + sel_demand + dj > cpu_limit + 1e-9) break;
+        if (check_memory && base_memory_mb + sel_memory + mj > memory_limit_mb + 1e-9) {
+          ++count;  // memory reject
+          continue;
+        }
+        const double with_demand = sel_demand + dj;
+        const double with_memory = sel_memory + mj;
+        if (cap_minus_base - with_demand < improve_below) break;
+        if (!level_below_dead(j, with_demand, with_memory)) break;  // the loop descends
+        count += n - j;
+        sel_demand = with_demand - dj;
+        sel_memory = with_memory - mj;
+      }
+      if (consume(count)) break;
+      i = j;
       continue;
     }
     start = i + 1;  // line 7: recurse on the remaining VMs
@@ -446,7 +420,9 @@ struct GenericSearch {
   const DataCenterSnapshot* snapshot;
   const ServerSnapshot* server;
   const ConstraintSet* constraints;
-  Scratch* s;
+  const Mirrors* c;
+  std::vector<const VmSnapshot*>* resident;  // existing + selected
+  std::vector<VmId>* selected;
   double base_demand_ghz = 0.0;
   double selected_demand_ghz = 0.0;
 
@@ -465,16 +441,16 @@ struct GenericSearch {
     const double sl = slack();
     if (sl < best.slack_ghz - 1e-12) {
       best.slack_ghz = sl;
-      best.selected = s->selected;
+      best.selected = *selected;
     }
     if (best.slack_ghz < epsilon) done = true;  // line 4-5 of Algorithm 1
   }
 
   void dfs(std::size_t start) {
     if (done) return;
-    for (std::size_t i = start; i < s->order.size(); ++i) {
+    for (std::size_t i = start; i < c->n; ++i) {
       if (done) return;
-      if (bnb && slack() - s->suffix[i] >= best.slack_ghz) return;  // branch-and-bound
+      if (bnb && slack() - c->suffix[i] >= best.slack_ghz) return;  // branch-and-bound
       ++best.steps;
       if (best.steps >= budget) {  // lines 15-17: escalate epsilon
         if (best.escalations >= options->max_escalations) {
@@ -489,22 +465,22 @@ struct GenericSearch {
           return;
         }
       }
-      const double demand = s->demand_of[i];
+      const double demand = c->demand_ghz[i];
       // vdc-lint: float-eq-ok identical VMs are grouped by bitwise equality of their stored demand/memory; the values are copies, never recomputed
-      if (i > start && s->demand_of[i - 1] == demand && s->memory_of[i - 1] == s->memory_of[i]) {
+      if (i > start && c->demand_ghz[i - 1] == demand && c->memory_mb[i - 1] == c->memory_mb[i]) {
         continue;  // symmetry pruning
       }
       if (demand > slack() + 1e-9) continue;  // CPU-slack bound
-      s->resident.push_back(&snapshot->vm(s->order[i]));  // line 2: pack VM into S
-      if (constraints->admits(*server, s->resident)) {    // line 3
-        s->selected.push_back(s->order[i]);
+      resident->push_back(&snapshot->vm(c->order[i]));  // line 2: pack VM into S
+      if (constraints->admits(*server, *resident)) {    // line 3
+        selected->push_back(c->order[i]);
         selected_demand_ghz += demand;
         consider_current();
         if (!done) dfs(i + 1);
         selected_demand_ghz -= demand;
-        s->selected.pop_back();
+        selected->pop_back();
       }
-      s->resident.pop_back();  // line 9: remove VM from S
+      resident->pop_back();  // line 9: remove VM from S
     }
   }
 };
@@ -524,46 +500,119 @@ void validate(const MinSlackOptions& options, std::string_view owner) {
   }
 }
 
-MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
-                             std::span<const VmId> candidates,
-                             const ConstraintSet& constraints, const MinSlackOptions& options) {
+void CandidateSet::assign(const WorkingPlacement& placement, std::span<const VmId> vms) {
   const DataCenterSnapshot& snapshot = placement.snapshot();
-  if (server >= snapshot.servers.size()) throw std::out_of_range("minimum_slack: server id");
-  const ServerSnapshot& target = snapshot.server(server);
-
-  Scratch& s = scratch();
-  for (const VmId vm : candidates) {
+  for (const VmId vm : vms) {
     if (placement.host_of(vm) != datacenter::kNoServer) {
       throw std::invalid_argument("minimum_slack: candidate VM is already placed");
     }
   }
-  // Sorted-order cache: PAC probes many servers against the *same*
-  // candidate list, and relief probes hundreds of receivers with one list —
-  // re-sorting per call used to dominate the entry cost. After a selection
-  // PAC's next list is the previous one minus the selected VMs, which
-  // filtering the cached order serves too.
-  if (!reuse_cached_order(s, snapshot, candidates)) {
-    s.cached_snapshot = nullptr;  // the scratch is inconsistent until rebuilt
-    s.order.assign(candidates.begin(), candidates.end());
-    std::sort(s.order.begin(), s.order.end(), [&](VmId a, VmId b) {
-      const double da = snapshot.vm(a).cpu_demand_ghz;
-      const double db = snapshot.vm(b).cpu_demand_ghz;
-      // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
-      if (da != db) return da > db;
-      return a < b;
-    });
-    const std::size_t count = s.order.size();
-    s.demand_of.resize(count);
-    s.memory_of.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const VmSnapshot& info = snapshot.vm(s.order[i]);
-      s.demand_of[i] = info.cpu_demand_ghz;
-      s.memory_of[i] = info.memory_mb;
-    }
-    rebuild_suffixes(s);
-    s.cached_snapshot = &snapshot;
-    s.cached.assign(candidates.begin(), candidates.end());
+  snapshot_ = &snapshot;
+  order_.assign(vms.begin(), vms.end());
+  std::sort(order_.begin(), order_.end(), [&](VmId a, VmId b) {
+    const double da = snapshot.vm(a).cpu_demand_ghz;
+    const double db = snapshot.vm(b).cpu_demand_ghz;
+    // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
+    if (da != db) return da > db;
+    return a < b;
+  });
+  demand_of_.resize(order_.size());
+  memory_of_.resize(order_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const VmSnapshot& info = snapshot.vm(order_[i]);
+    demand_of_[i] = info.cpu_demand_ghz;
+    memory_of_[i] = info.memory_mb;
   }
+  rebuild_suffixes();
+}
+
+void CandidateSet::erase(std::span<const VmId> selected) {
+  if (selected.empty()) return;
+  // A selection lists its VMs in set order, so one forward scan finds
+  // their positions; the set is left alone unless all are found.
+  erased_.clear();
+  for (std::size_t i = 0; i < order_.size() && erased_.size() < selected.size(); ++i) {
+    if (order_[i] == selected[erased_.size()]) erased_.push_back(i);
+  }
+  if (erased_.size() != selected.size()) {
+    throw std::invalid_argument("CandidateSet::erase: selection is not a subsequence of the set");
+  }
+  std::size_t kept = erased_.front();
+  std::size_t next = 0;
+  for (std::size_t i = kept; i < order_.size(); ++i) {
+    if (next < erased_.size() && erased_[next] == i) {
+      ++next;
+      continue;
+    }
+    order_[kept] = order_[i];
+    demand_of_[kept] = demand_of_[i];
+    memory_of_[kept] = memory_of_[i];
+    ++kept;
+  }
+  order_.resize(kept);
+  demand_of_.resize(kept);
+  memory_of_.resize(kept);
+  rebuild_suffixes();
+}
+
+double CandidateSet::smallest_demand_ghz() const noexcept {
+  return demand_of_.empty() ? std::numeric_limits<double>::infinity() : demand_of_.back();
+}
+
+/// Recomputes the suffix sums, suffix minimum and duplicate flags from the
+/// demand/memory mirrors, back to front: the one summation order, so a set
+/// that had entries erased and one built afresh agree to the bit.
+void CandidateSet::rebuild_suffixes() {
+  const std::size_t count = order_.size();
+  suffix_.resize(count + 1);
+  msuffix_.resize(count + 1);
+  msuffix_min_.resize(count + 1);
+  dupfree_.resize(count + 1);
+  suffix_[count] = 0.0;
+  msuffix_[count] = 0.0;
+  msuffix_min_[count] = std::numeric_limits<double>::infinity();
+  dupfree_[count] = 1;
+  for (std::size_t i = count; i-- > 0;) {
+    suffix_[i] = suffix_[i + 1] + demand_of_[i];
+    msuffix_[i] = msuffix_[i + 1] + memory_of_[i];
+    msuffix_min_[i] = std::min(msuffix_min_[i + 1], memory_of_[i]);
+    // Exact neighbour comparison: equal (demand, memory) sort keys are
+    // bitwise-identical copies of snapshot values.
+    dupfree_[i] = dupfree_[i + 1] &&
+                  (i + 1 >= count || demand_of_[i] != demand_of_[i + 1] ||
+                   memory_of_[i] != memory_of_[i + 1]);
+  }
+}
+
+MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
+                             std::span<const VmId> candidates,
+                             const ConstraintSet& constraints, const MinSlackOptions& options) {
+  if (server >= placement.snapshot().servers.size()) {
+    throw std::out_of_range("minimum_slack: server id");
+  }
+  thread_local CandidateSet set;
+  set.assign(placement, candidates);
+  return minimum_slack(placement, server, set, constraints, options);
+}
+
+MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
+                             CandidateSet& candidates,
+                             const ConstraintSet& constraints, const MinSlackOptions& options) {
+  const DataCenterSnapshot& snapshot = placement.snapshot();
+  if (server >= snapshot.servers.size()) throw std::out_of_range("minimum_slack: server id");
+  if (candidates.snapshot_ != &snapshot) {
+    throw std::invalid_argument("minimum_slack: candidate set belongs to another snapshot");
+  }
+  const ServerSnapshot& target = snapshot.server(server);
+  const std::size_t n = candidates.size();
+  const Mirrors mirrors{n,
+                        candidates.order_.data(),
+                        candidates.demand_of_.data(),
+                        candidates.memory_of_.data(),
+                        candidates.suffix_.data(),
+                        candidates.msuffix_.data(),
+                        candidates.msuffix_min_.data(),
+                        candidates.dupfree_.data()};
 
   const ConstraintSet::BuiltinProfile& profile = constraints.builtin_profile();
   const double base_demand_ghz = placement.cpu_demand_ghz(server);
@@ -578,11 +627,11 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
     // Arm branch-and-bound only when the search provably cannot exhaust the
     // step budget (at most 2^n - 1 placement attempts over n candidates):
     // then epsilon never escalates and pruning cannot shift any decision.
-    const std::size_t n = s.order.size();
     const bool bnb = n < 64 && (std::uint64_t{1} << n) - 1 <= options.step_budget;
     if (profile.all_builtin) {
-      if (s.stack.size() < n) s.stack.resize(n);
-      search_builtin(s, best, options, bnb, target.max_capacity_ghz - base_demand_ghz, base_demand_ghz,
+      if (candidates.stack_.size() < n) candidates.stack_.resize(n);
+      search_builtin(mirrors, candidates.stack_.data(), best, options, bnb,
+                     target.max_capacity_ghz - base_demand_ghz, base_demand_ghz,
                      placement.memory_used_mb(server), profile.has_cpu,
                      constraints.cpu_limit_ghz(target), profile.has_memory, target.memory_mb);
     } else {
@@ -590,7 +639,9 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
       state.snapshot = &snapshot;
       state.server = &target;
       state.constraints = &constraints;
-      state.s = &s;
+      state.c = &mirrors;
+      state.resident = &candidates.resident_;
+      state.selected = &candidates.selected_;
       state.options = &options;
       state.bnb = bnb;
       state.epsilon = options.epsilon_ghz;
@@ -598,13 +649,13 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
       state.base_demand_ghz = base_demand_ghz;
       state.best.slack_ghz = best.slack_ghz;
       const auto resident = placement.hosted_snapshots(server);
-      s.resident.assign(resident.begin(), resident.end());
-      s.selected.clear();
+      candidates.resident_.assign(resident.begin(), resident.end());
+      candidates.selected_.clear();
       state.dfs(0);
       best = std::move(state.best);
     }
   }
-  audit::min_slack_selection(placement, server, candidates, constraints, best.selected);
+  audit::min_slack_selection(placement, server, candidates.vms(), constraints, best.selected);
   return best;
 }
 

@@ -1,8 +1,5 @@
 #include "consolidate/pac.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "consolidate/ffd.hpp"
 
 namespace vdc::consolidate {
@@ -13,9 +10,14 @@ PacResult consolidate(WorkingPlacement& placement, std::span<const VmId> vms,
                       const ConstraintSet& constraints, const MinSlackOptions& options,
                       std::span<const ServerId> server_order, const SlackIndex* index) {
   PacResult result;
-  std::vector<VmId> remaining(vms.begin(), vms.end());
-  if (remaining.empty()) return result;
+  if (vms.empty()) return result;
   const DataCenterSnapshot& snapshot = placement.snapshot();
+  // The candidates, sorted once for the whole walk: the snapshot cannot
+  // change during it, so every Minimum Slack call reads this set and each
+  // selection is erased from it by position. Its buffers keep their
+  // capacity from one walk to the next.
+  thread_local CandidateSet remaining;
+  remaining.assign(placement, vms);
 
   // Servers whose raw CPU slack is below the smallest remaining demand are
   // skipped: Minimum Slack's capacity bound would prune every candidate at
@@ -40,23 +42,13 @@ PacResult consolidate(WorkingPlacement& placement, std::span<const VmId> vms,
   const ConstraintSet::BuiltinProfile& profile = constraints.builtin_profile();
   const bool memory_gate = profile.all_builtin && profile.has_memory;
   const bool cpu_gate = profile.all_builtin && profile.has_cpu;
-  double smallest = 0.0;
-  double smallest_memory = 0.0;
-  auto refresh_smallest = [&] {
-    smallest = std::numeric_limits<double>::infinity();
-    smallest_memory = std::numeric_limits<double>::infinity();
-    for (const VmId vm : remaining) {
-      const VmSnapshot& info = snapshot.vm(vm);
-      smallest = std::min(smallest, info.cpu_demand_ghz);
-      smallest_memory = std::min(smallest_memory, info.memory_mb);
-    }
-  };
-  refresh_smallest();
-
-  std::vector<VmId> sorted_selected;
   const std::size_t limit = index != nullptr ? index->size() : server_order.size();
   for (std::size_t pos = 0; pos < limit; ++pos) {
     if (remaining.empty()) break;
+    // The sorted set keeps both in O(1): its last demand and its suffix
+    // minimum over memory.
+    const double smallest = remaining.smallest_demand_ghz();
+    const double smallest_memory = remaining.smallest_memory_mb();
     ServerId server = 0;
     if (index != nullptr) {
       pos = index->find_first(pos, smallest - 1e-9);
@@ -85,20 +77,17 @@ PacResult consolidate(WorkingPlacement& placement, std::span<const VmId> vms,
     MinSlackResult fit = minimum_slack(placement, server, remaining, constraints, options);
     result.min_slack_steps += fit.steps;
     if (fit.selected.empty()) continue;
+    remaining.erase(fit.selected);
     for (const VmId vm : fit.selected) {
       placement.place(vm, server);
       result.placed.push_back(vm);
     }
-    // One filtering pass instead of an erase-remove per placed VM.
-    sorted_selected.assign(fit.selected.begin(), fit.selected.end());
-    std::sort(sorted_selected.begin(), sorted_selected.end());
-    std::erase_if(remaining, [&](VmId vm) {
-      return std::binary_search(sorted_selected.begin(), sorted_selected.end(), vm);
-    });
-    refresh_smallest();
     ++result.servers_used;
   }
-  result.unplaced = std::move(remaining);
+  // What is left, in the caller's order.
+  for (const VmId vm : vms) {
+    if (placement.host_of(vm) == datacenter::kNoServer) result.unplaced.push_back(vm);
+  }
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "telemetry/recorder.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -71,6 +72,8 @@ void Recorder::append(SeriesId series, std::span<const double> row) {
     throw std::invalid_argument("Recorder: series '" + names_[static_cast<std::size_t>(series)] +
                                 "' holds rows of width " + std::to_string(s.width));
   }
+  // A row holding a NaN is rejected and not stored, like a NaN sample.
+  if (std::ranges::any_of(row, [](double x) { return std::isnan(x); })) return;
   push(s, row);
 }
 
@@ -158,6 +161,8 @@ void Recorder::annotate(double time_s, std::string label) {
   annotations_.push_back(Annotation{time_s, std::move(label)});
 }
 
+// No series stores a NaN, so comparing the buffers value by value is an
+// equivalence: a recorder equals its own copy.
 bool operator==(const Recorder& a, const Recorder& b) {
   if (a.names_ != b.names_ || a.annotations_ != b.annotations_) return false;
   for (const std::string& name : a.names_) {

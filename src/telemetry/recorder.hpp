@@ -21,7 +21,9 @@
 // Scalar samples carry a time: append_at()'s, or the accepted count times
 // sample_period_s for append(). A NaN sample or time, or a time before the
 // series' last accepted one, is rejected and not stored; equal times are
-// accepted. Only the last accepted time is kept.
+// accepted. Only the last accepted time is kept. A row that holds a NaN is
+// rejected the same way, so no series ever stores a NaN and operator== is
+// reflexive: a recorder equals its own copy.
 //
 // References returned by the accessors stay valid as more series are
 // created (series storage is a deque indexed by id).
@@ -125,7 +127,8 @@ class Recorder {
   /// NaN value or time (neither is stored).
   void append_at(SeriesId series, double time_s, double value);
   /// Appends one row (copied) to a vector series. Every row of a series has
-  /// the first row's width; another width throws std::invalid_argument.
+  /// the first row's width; another width throws std::invalid_argument. A
+  /// row holding a NaN is rejected (not stored), as a NaN sample is.
   void append(SeriesId series, std::span<const double> row);
   // The id overloads throw std::out_of_range for an id this recorder never
   // issued and std::invalid_argument for an id of the other kind.

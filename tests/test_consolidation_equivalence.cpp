@@ -53,6 +53,16 @@ DataCenterSnapshot random_fleet(std::size_t servers, std::size_t vms, std::uint6
   return snap;
 }
 
+/// The same fleet after a demand surge: every VM's demand grows by 30 %, so
+/// at the 0.8 target most awake servers start overloaded and IPAC's Step 1
+/// (overload relief) makes nearly every move. Relief runs PAC over one long
+/// migration list, where Minimum Slack's step budget binds on most calls.
+DataCenterSnapshot surged_fleet(std::uint64_t seed) {
+  DataCenterSnapshot snap = random_fleet(100, 500, seed);
+  for (VmSnapshot& vm : snap.vms) vm.cpu_demand_ghz *= 1.3;
+  return snap;
+}
+
 /// The same fleet with physical coordinates: racks of 5 servers, pods of 4
 /// racks, non-trivial shared draws, and bandwidth tiers that slow distant
 /// copies. Exercises every rack-aware branch of both engines.
@@ -244,6 +254,17 @@ TEST_P(ConsolidationEquivalence, DegenerateTopologyReproducesFlatPlans) {
                    pmapper(flat, constraints).plan, seed);
 }
 
+TEST_P(ConsolidationEquivalence, IpacPlansIdenticalAfterSurgeAtTarget08) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const DataCenterSnapshot snap = surged_fleet(seed);
+  const ConstraintSet constraints = ConstraintSet::standard(0.8);
+  const IpacReport fast = ipac(snap, constraints);
+  const IpacReport ref = naive::ipac(snap, constraints);
+  expect_same_plan(fast.plan, ref.plan, seed);
+  EXPECT_EQ(fast.overload_moves, ref.overload_moves) << "seed " << seed;
+  EXPECT_GT(fast.overload_moves, fast.consolidation_moves) << "seed " << seed;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsolidationEquivalence, ::testing::Range(1, 11));
 
 // Minimum Slack head-to-head under a *binding* budget: with 24 candidates
@@ -331,6 +352,41 @@ TEST(ConsolidationEquivalence, IpacStepAccountingPinnedAtTarget08) {
     EXPECT_EQ(hash, p.plan_hash) << "seed " << p.seed;
     EXPECT_TRUE(report.plan.unplaced.empty()) << "seed " << p.seed;
     EXPECT_EQ(report.rounds_accepted, p.rounds_accepted) << "seed " << p.seed;
+    EXPECT_EQ(report.min_slack_steps, p.min_slack_steps) << "seed " << p.seed;
+  }
+}
+
+// The same pin where Step 1 dominates: after a 30 % demand surge, overload
+// relief makes nearly every move, and its PAC walk over one long migration
+// list counts nearly every step. Recorded from the engine before Minimum
+// Slack took dead runs in one pass and PAC kept one sorted candidate set.
+TEST(ConsolidationEquivalence, IpacReliefPinnedAfterSurgeAtTarget08) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t moves;
+    std::uint64_t plan_hash;
+    std::size_t overload_moves;
+    std::size_t min_slack_steps;
+  };
+  const Pinned pinned[] = {
+      {1, 130, 0x5e085a55c5f806d1ull, 129, 2112965},
+      {2, 137, 0x9c0a802f96cc80bfull, 135, 2267724},
+      {3, 140, 0xc2d812e98cc1b631ull, 139, 1648162},
+  };
+  const ConstraintSet constraints = ConstraintSet::standard(0.8);
+  for (const Pinned& p : pinned) {
+    const IpacReport report = ipac(surged_fleet(p.seed), constraints);
+    std::uint64_t hash = 14695981039346656037ull;  // FNV-1a over (vm, from, to)
+    for (const Move& move : report.plan.moves) {
+      for (const std::uint64_t v : {std::uint64_t{move.vm}, std::uint64_t{move.from},
+                                    std::uint64_t{move.to}}) {
+        hash = (hash ^ v) * 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(report.plan.moves.size(), p.moves) << "seed " << p.seed;
+    EXPECT_EQ(hash, p.plan_hash) << "seed " << p.seed;
+    EXPECT_TRUE(report.plan.unplaced.empty()) << "seed " << p.seed;
+    EXPECT_EQ(report.overload_moves, p.overload_moves) << "seed " << p.seed;
     EXPECT_EQ(report.min_slack_steps, p.min_slack_steps) << "seed " << p.seed;
   }
 }

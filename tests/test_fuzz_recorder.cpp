@@ -71,11 +71,13 @@ struct NaiveModel {
     append_at(name, static_cast<double>(s.accepted.size()) * config.sample_period_s, value);
   }
 
-  /// False when the row's width differs from the series' first row.
+  /// False when the row's width differs from the series' first row. A row
+  /// holding a NaN is dropped, like a NaN sample.
   bool append_row(const std::string& name, const std::vector<double>& row) {
     ModelSeries& s = open(name, true);
     if (s.accepted.empty()) s.width = row.size();
     if (row.size() != s.width) return false;
+    if (std::ranges::any_of(row, [](double x) { return std::isnan(x); })) return true;
     s.accepted.push_back(row);
     return true;
   }
@@ -220,6 +222,50 @@ TEST_P(RecorderFuzz, MatchesNaiveVectorModel) {
       EXPECT_LE(rec.size(name), config.max_pages * config.page_samples) << name;
     }
   }
+}
+
+// Rows and samples that hold NaN, by name and by id, into series that age
+// out: every NaN row is dropped exactly as a NaN sample is, and after every
+// append the recorder equals its own copy and a recorder fed the same
+// traffic, which a stored NaN would break.
+TEST_P(RecorderFuzz, NaNRowsAreRejectedAndCopiesStayEqual) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
+  RecorderConfig config;
+  config.page_samples = static_cast<std::size_t>(rng.uniform_int(1, 4));
+  config.max_pages = static_cast<std::size_t>(rng.uniform_int(0, 3));
+
+  Recorder rec(config);
+  Recorder twin(config);
+  NaiveModel model{config, {}, {}};
+  const Recorder::SeriesId alloc = rec.declare_vector("alloc");
+  const Recorder::SeriesId p90 = rec.declare_scalar("p90");
+  twin.declare_vector("alloc");
+  twin.declare_scalar("p90");
+  model.open("alloc", true);
+  model.open("p90", false);
+  std::size_t nan_rows = 0;
+
+  for (int op = 0; op < 400; ++op) {
+    if (rng.bernoulli(0.3)) {
+      const double v = rng.bernoulli(0.2) ? kNan : rng.uniform(0.0, 1.0);
+      rec.append(p90, v);
+      twin.append("p90", v);
+      model.append("p90", v);
+    } else {
+      std::vector<double> row(3);
+      for (double& x : row) x = rng.bernoulli(0.15) ? kNan : rng.uniform(0.0, 2.0);
+      if (std::ranges::any_of(row, [](double x) { return std::isnan(x); })) ++nan_rows;
+      rec.append(alloc, row);
+      twin.append("alloc", row);
+      ASSERT_TRUE(model.append_row("alloc", row));
+    }
+    expect_matches(rec, model);
+    const Recorder copy = rec;
+    EXPECT_TRUE(copy == rec) << "op " << op;
+    EXPECT_TRUE(twin == rec) << "op " << op;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(nan_rows, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecorderFuzz, ::testing::Range(0, 12));

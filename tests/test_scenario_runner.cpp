@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,24 @@ TEST(ScenarioRunner, RepeatedRunsAreDeterministic) {
   const ScenarioResult first = ScenarioRunner().run(spec);
   const ScenarioResult second = ScenarioRunner().run(spec);
   EXPECT_TRUE(first.recorder == second.recorder);
+}
+
+// A row holding a NaN, appended after the run to two identical results, is
+// rejected like a NaN sample: the determinism check still sees the two
+// recorders, and each recorder and its copy, as equal.
+TEST(ScenarioRunner, DeterminismCheckSurvivesANaNRow) {
+  const ScenarioSpec spec = mpc_spec("nan-row", 7);
+  ScenarioResult first = ScenarioRunner().run(spec);
+  ScenarioResult second = ScenarioRunner().run(spec);
+  const std::string allocation = allocation_series_name(0);
+  const std::size_t rows = first.recorder.size(allocation);
+  const std::vector<double> row{0.5, std::numeric_limits<double>::quiet_NaN()};
+  first.recorder.append(allocation, row);
+  second.recorder.append(allocation, row);
+  EXPECT_EQ(first.recorder.size(allocation), rows);
+  EXPECT_TRUE(first.recorder == second.recorder);
+  const telemetry::Recorder copy = first.recorder;
+  EXPECT_TRUE(copy == first.recorder);
 }
 
 TEST(ScenarioRunner, SeedOverrideChangesTheRun) {
