@@ -64,36 +64,6 @@ bool ConstraintSet::admits(const ServerSnapshot& server,
   return true;
 }
 
-bool ConstraintSet::admits_with(const ServerSnapshot& server,
-                                std::span<const VmSnapshot* const> resident,
-                                std::span<const VmSnapshot* const> extra,
-                                std::vector<const VmSnapshot*>& scratch) const {
-  if (server.failed) return false;
-  if (profile_.all_builtin) {
-    // Builtin-only sets reduce to two running sums — no concatenation, no
-    // virtual dispatch. Same formulas and epsilons as the constraint
-    // classes themselves.
-    double demand = 0.0;
-    double memory = 0.0;
-    for (const VmSnapshot* vm : resident) {
-      demand += vm->cpu_demand_ghz;
-      memory += vm->memory_mb;
-    }
-    for (const VmSnapshot* vm : extra) {
-      demand += vm->cpu_demand_ghz;
-      memory += vm->memory_mb;
-    }
-    if (profile_.has_cpu && demand > cpu_limit_ghz(server) + 1e-9) return false;
-    if (profile_.has_memory && memory > server.memory_mb + 1e-9) return false;
-    return true;
-  }
-  scratch.clear();
-  scratch.reserve(resident.size() + extra.size());
-  scratch.insert(scratch.end(), resident.begin(), resident.end());
-  scratch.insert(scratch.end(), extra.begin(), extra.end());
-  return admits(server, scratch);
-}
-
 ConstraintSet ConstraintSet::standard(double utilization_target) {
   ConstraintSet set;
   set.add(std::make_unique<CpuCapacityConstraint>(utilization_target));

@@ -68,9 +68,10 @@ class ConstraintSet {
   /// builtin (CPU capacity / memory) constraint, callers holding running
   /// demand/memory sums can evaluate admission in O(1) against
   /// `cpu_limit_ghz(server)` / the server's memory instead of walking the
-  /// polymorphic chain — the fast path of WorkingPlacement::admits_with and
-  /// the Minimum Slack DFS. Any custom (or future) constraint type clears
-  /// `all_builtin` and forces the generic evaluation everywhere.
+  /// polymorphic chain. WorkingPlacement::admits_with, which every
+  /// algorithm and auditor admits through, and the Minimum Slack DFS take
+  /// this path. Any custom (or future) constraint type clears `all_builtin`
+  /// and forces the generic evaluation (`admits`) everywhere.
   struct BuiltinProfile {
     bool all_builtin = true;
     bool has_cpu = false;
@@ -87,14 +88,6 @@ class ConstraintSet {
   ConstraintSet& add(std::unique_ptr<PlacementConstraint> constraint);
   [[nodiscard]] bool admits(const ServerSnapshot& server,
                             std::span<const VmSnapshot* const> hosted) const;
-  /// Allocation-free variant for callers that hold the residents and the
-  /// candidates separately: concatenates them into `scratch` (reused across
-  /// calls, grown once) and evaluates the conjunction. Builtin-only sets
-  /// are evaluated by direct summation without touching `scratch`.
-  [[nodiscard]] bool admits_with(const ServerSnapshot& server,
-                                 std::span<const VmSnapshot* const> resident,
-                                 std::span<const VmSnapshot* const> extra,
-                                 std::vector<const VmSnapshot*>& scratch) const;
   [[nodiscard]] std::size_t size() const noexcept { return constraints_.size(); }
 
   [[nodiscard]] const BuiltinProfile& builtin_profile() const noexcept { return profile_; }

@@ -1,5 +1,6 @@
 #include "core/app_stack.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,24 @@ std::string allocation_series_name(std::size_t app_index) {
 
 std::string replica_series_name(std::size_t app_index) {
   return "app" + std::to_string(app_index) + "/replicas";
+}
+
+util::RunningStats response_stats_after(const telemetry::Recorder& recorder,
+                                        std::size_t app_index, double from_s,
+                                        double control_period_s) {
+  if (!(std::isfinite(from_s) && from_s >= 0.0)) {
+    throw std::invalid_argument("response_stats_after: from_s must be finite and >= 0");
+  }
+  const std::vector<double>& series = recorder.values(response_series_name(app_index));
+  // Compared in double first: a from_s past the series would overflow the
+  // cast.
+  const double skipped = std::floor(from_s / control_period_s);
+  const std::size_t first = skipped >= static_cast<double>(series.size())
+                                ? series.size()
+                                : static_cast<std::size_t>(skipped);
+  util::RunningStats stats;
+  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
+  return stats;
 }
 
 AppStack::AppStack(sim::Simulation& sim, AppStackConfig config)

@@ -30,6 +30,7 @@
 #include "fault/injector.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/recorder.hpp"
+#include "util/statistics.hpp"
 
 namespace vdc::core {
 
@@ -56,6 +57,14 @@ struct AppStackConfig {
 [[nodiscard]] std::string response_series_name(std::size_t app_index);
 [[nodiscard]] std::string allocation_series_name(std::size_t app_index);
 [[nodiscard]] std::string replica_series_name(std::size_t app_index);
+
+/// Statistics over app `app_index`'s response samples in `recorder` after
+/// `from_s` (skip settling): the first floor(from_s / control_period_s)
+/// samples are left out. Throws std::invalid_argument for a negative or
+/// non-finite `from_s`.
+[[nodiscard]] util::RunningStats response_stats_after(const telemetry::Recorder& recorder,
+                                                      std::size_t app_index, double from_s,
+                                                      double control_period_s);
 
 class AppStack {
  public:
@@ -108,25 +117,26 @@ class AppStack {
   [[nodiscard]] std::vector<double> control_tick();
 
   // ---- split control tick (parallel control plane) -----------------------
-  // `control_tick` decomposed into its serial and parallelizable parts so
-  // an owner driving many stacks can batch the expensive MPC solves onto a
-  // thread pool. Call order per period: harvest_tick (serial — touches the
-  // fault injector and the shared telemetry recorder), then decide_tick
-  // (safe to run concurrently with other stacks' decide_tick: it only
-  // touches this stack's controller/policy state), then record_decision
-  // (serial — appends to the recorder). The composition is bit-identical to
-  // control_tick().
+  // `control_tick` decomposed into three phases so an owner driving many
+  // stacks can run each phase for many stacks at once. Call order per
+  // period: harvest_tick, decide_tick, record_decision. Each phase touches
+  // only this stack's state: its app and monitor, its controller or
+  // policy, its own series (appended by id) and its own stream of the fault
+  // injector. So a phase may run concurrently across stacks, and the
+  // Testbed runs harvest and record per shard in parallel. The composition
+  // is bit-identical to control_tick().
 
   /// Harvests the monitor, applies sensor-fault staleness, records the
-  /// response sample, and updates the held measurement. Serial phase.
+  /// response sample, and updates the held measurement.
   [[nodiscard]] std::optional<app::PeriodStats> harvest_tick();
 
   /// Pure decision: maps the harvested stats to per-tier CPU demands via
   /// the MPC controller (or policy). Mutates only this stack's controller
-  /// state — stacks may decide concurrently. Parallel phase.
+  /// state.
   [[nodiscard]] std::vector<double> decide_tick(const std::optional<app::PeriodStats>& stats);
 
-  /// Appends the decided demands to the allocation telemetry. Serial phase.
+  /// Appends the decided demands to the allocation telemetry and the
+  /// replica counts to the replica telemetry.
   void record_decision(std::span<const double> demands);
 
   void apply_allocation(std::size_t tier, double ghz);

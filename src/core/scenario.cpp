@@ -1,10 +1,7 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
-#include <future>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "fault/injector.hpp"
@@ -26,11 +23,7 @@ const std::vector<double>& ScenarioResult::power_series() const {
 
 util::RunningStats ScenarioResult::response_stats_after(std::size_t app,
                                                         double from_s) const {
-  util::RunningStats stats;
-  const std::vector<double>& series = response_series(app);
-  const auto first = static_cast<std::size_t>(from_s / control_period_s);
-  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
-  return stats;
+  return core::response_stats_after(recorder, app, from_s, control_period_s);
 }
 
 namespace {
@@ -147,27 +140,11 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) const {
 
 std::vector<ScenarioResult> ScenarioRunner::run_all(
     std::span<const ScenarioSpec> specs) const {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  if (specs.empty()) return results;
-
-  std::size_t threads = threads_;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, specs.size());
-  if (threads == 1) {
-    for (const ScenarioSpec& spec : specs) results.push_back(run(spec));
-    return results;
-  }
-
-  util::ThreadPool pool(threads);
-  std::vector<std::future<ScenarioResult>> futures;
-  futures.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
-    futures.push_back(pool.submit([this, &spec] { return run(spec); }));
-  }
-  for (std::future<ScenarioResult>& future : futures) results.push_back(future.get());
+  // Each result lands in its spec's slot, so the order never depends on
+  // which worker ran what.
+  std::vector<ScenarioResult> results(specs.size());
+  util::parallel_for(
+      specs.size(), [&](std::size_t i) { results[i] = run(specs[i]); }, threads_);
   return results;
 }
 

@@ -2,7 +2,7 @@
 // independent run — which engine (a standalone AppStack or the full
 // Testbed co-simulation), how long, which setpoint/concurrency schedule,
 // and which seed — and `ScenarioRunner::run_all` executes a table of specs
-// in parallel on a `util::ThreadPool`. Each scenario owns its private
+// in parallel with `util::parallel_for`. Each scenario owns its private
 // `sim::Simulation` and RNG stream, so results are bit-identical across
 // runs and thread counts: the figure sweeps (fig4/fig5), multi-scenario
 // figures (fig3), and ablation grids are all spec tables now.
@@ -118,8 +118,10 @@ class ScenarioRunner {
   /// Executes one scenario to completion (always serial).
   [[nodiscard]] ScenarioResult run(const ScenarioSpec& spec) const;
 
-  /// Executes independent scenarios in parallel, one ThreadPool job each.
-  /// Results come back in spec order and are identical to a serial run.
+  /// Executes independent scenarios in parallel, one parallel_for
+  /// iteration each, on up to `threads` threads. Results come back in spec
+  /// order and are identical to a serial run. A spec that throws makes the
+  /// call rethrow the first exception caught.
   [[nodiscard]] std::vector<ScenarioResult> run_all(
       std::span<const ScenarioSpec> specs) const;
 

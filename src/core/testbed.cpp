@@ -42,18 +42,11 @@ Testbed::Testbed(TestbedConfig config)
         "Testbed: optimizer_period_s must be finite and > 0 when the optimizer is enabled");
   }
 
-  // Telemetry sinks. The sample period follows the control period (every
-  // series here records once per control tick). The per-app series stream
-  // into per-shard recorders so a shard's harvest/record phase never
-  // synchronizes with another's; the cluster-level series and annotations
-  // stay on the control-plane recorder. take_recorder() reassembles the
-  // canonical layout.
+  // The telemetry sink. The sample period follows the control period
+  // (every series here records once per control tick). Every series is
+  // declared below, before any phase runs in parallel.
   config_.telemetry.sample_period_s = config_.control_period_s;
   recorder_ = telemetry::Recorder(config_.telemetry);
-  shard_recorders_.reserve(engine_.shard_count());
-  for (std::size_t s = 0; s < engine_.shard_count(); ++s) {
-    shard_recorders_.push_back(std::make_unique<telemetry::Recorder>(config_.telemetry));
-  }
 
   if (config_.model) {
     model_ = *config_.model;
@@ -112,7 +105,7 @@ Testbed::Testbed(TestbedConfig config)
     // touch the spine.
     auto app_stack =
         std::make_unique<AppStack>(engine_.shard(shard_of_app(i)), *controller, stack);
-    app_stack->bind_recorder(&recorder_for_app(i), i);
+    app_stack->bind_recorder(&recorder_, i);
 
     const std::size_t tiers = app_stack->tier_count();
     std::vector<std::vector<datacenter::VmId>> ids(tiers);
@@ -258,18 +251,6 @@ std::uint64_t Testbed::scale_in_count() const noexcept {
   return total;
 }
 
-telemetry::Recorder Testbed::take_recorder() {
-  // Canonical merge order: shard recorders by shard index (their apps are a
-  // contiguous ascending range each), then the control-plane recorder —
-  // app0/p90, app0/alloc, ..., cluster/*, fault/* at any shard count.
-  telemetry::Recorder merged(recorder_.config());
-  for (std::unique_ptr<telemetry::Recorder>& rec : shard_recorders_) {
-    merged.absorb(std::move(*rec));
-  }
-  merged.absorb(std::move(recorder_));
-  return merged;
-}
-
 void Testbed::set_setpoint(std::size_t app, double setpoint_s) {
   stacks_.at(app)->set_setpoint(setpoint_s);
 }
@@ -279,7 +260,7 @@ void Testbed::set_concurrency(std::size_t app, std::size_t concurrency) {
 }
 
 const std::vector<double>& Testbed::response_series(std::size_t app) const {
-  return recorder_for_app(app).values(response_series_name(app));
+  return recorder_.values(response_series_name(app));
 }
 
 const std::vector<double>& Testbed::power_series() const {
@@ -287,15 +268,11 @@ const std::vector<double>& Testbed::power_series() const {
 }
 
 telemetry::Recorder::RowsView Testbed::allocation_series(std::size_t app) const {
-  return recorder_for_app(app).rows(allocation_series_name(app));
+  return recorder_.rows(allocation_series_name(app));
 }
 
 util::RunningStats Testbed::response_stats_after(std::size_t app, double from_s) const {
-  util::RunningStats stats;
-  const std::vector<double>& series = response_series(app);
-  const auto first = static_cast<std::size_t>(from_s / config_.control_period_s);
-  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
-  return stats;
+  return core::response_stats_after(recorder_, app, from_s, config_.control_period_s);
 }
 
 void Testbed::run_until(double until_s) {
@@ -523,12 +500,12 @@ void Testbed::control_tick() {
 
   // ---- feedback control: demands per application --------------------------
   // Phases (see AppStack::harvest_tick): harvest (monitor + per-app fault
-  // stream + the app's recorder), parallel MPC decide (each solve touches
+  // stream + the app's series), parallel MPC decide (each solve touches
   // only its own controller), then record/push-down. Harvest and record run
-  // per shard in parallel — each shard appends only to its own recorder and
-  // writes only its own apps' VM demands, and the per-recorder append order
-  // (app index within the shard) is the serial order, so results are
-  // bit-identical at any shard and thread count.
+  // per shard in parallel — each shard appends only to its own apps' series
+  // and writes only its own apps' VM demands, and each series gets its one
+  // sample per tick whatever the order, so results are bit-identical at any
+  // shard and thread count.
   harvested_.resize(stacks_.size());
   decided_.resize(stacks_.size());
   for_each_shard_apps([&](std::size_t i) { harvested_[i] = stacks_[i]->harvest_tick(); });

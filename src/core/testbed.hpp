@@ -5,15 +5,15 @@
 //
 // Structurally the Testbed is a thin composition: a `Cluster`, one
 // `AppStack` per application (plant + monitor + controller) on its shard's
-// event loop, a control-plane `Recorder` plus one recorder per shard for
-// the per-app series, and the optimizer tick for the two-level mode. The
-// series accessors read from whichever recorder holds the series.
+// event loop, one `Recorder` holding every series, and the optimizer tick
+// for the two-level mode.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/app_stack.hpp"
@@ -100,10 +100,9 @@ struct TestbedConfig {
 
   // ---- control-plane parallelism ----------------------------------------
   /// With at least this many applications, the per-app MPC solves of a
-  /// control tick are batched onto ThreadPool::shared() (the decide phase
-  /// only — monitor harvest and telemetry stay serial, and a barrier
-  /// precedes per-server arbitration, so results are bit-identical to the
-  /// serial path). Below the threshold the solves run inline: at testbed
+  /// control tick are batched onto ThreadPool::shared() (the decide phase;
+  /// harvest and telemetry run per shard, and a barrier precedes per-server
+  /// arbitration, so results are bit-identical to the serial path). Below the threshold the solves run inline: at testbed
   /// scale (8 apps) the pool's wake/handoff overhead exceeds the solve
   /// cost. Set to 0 to force the parallel path, SIZE_MAX to disable it.
   std::size_t parallel_control_min_apps = 16;
@@ -112,7 +111,7 @@ struct TestbedConfig {
   /// Number of workload shards the applications are partitioned into (block
   /// partition: app i lands on shard i*shards/num_apps, so each shard owns
   /// a contiguous app range). Each shard has its own event loop, fault
-  /// streams, and telemetry recorder, advanced concurrently between
+  /// streams, and telemetry series, advanced concurrently between
   /// control-period barriers; telemetry, plans, and counters are
   /// bit-identical at any shard count (see DESIGN.md "Sharded engine").
   /// 0 is read as 1.
@@ -176,18 +175,15 @@ class Testbed {
   [[nodiscard]] double model_r_squared() const noexcept { return model_r2_; }
 
   // ---- recorded series (one sample per control period) -------------------
-  /// The control-plane recorder: cluster-level series (power and the
-  /// gauges) and annotations. The per-app series live in per-shard
-  /// recorders — use the series accessors below or `take_recorder()` for
-  /// the merged view.
+  /// Every recorded series and the annotations, in canonical order: each
+  /// app's p90, alloc and replicas series in app order, then the power
+  /// series and the gauges (kGaugeSeries order). The layout is the same at
+  /// any shard count.
   [[nodiscard]] telemetry::Recorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const telemetry::Recorder& recorder() const noexcept { return recorder_; }
-  /// Moves every recorded series out into one recorder, with the per-shard
-  /// recorders merged ahead of the control-plane one in canonical (app,
-  /// then cluster) order — the same series layout at any shard count. The
-  /// testbed's own series accessors are dead afterwards; call once when the
-  /// run is over.
-  [[nodiscard]] telemetry::Recorder take_recorder();
+  /// Moves the recorder out. The testbed's own series accessors are dead
+  /// afterwards; call once when the run is over.
+  [[nodiscard]] telemetry::Recorder take_recorder() { return std::move(recorder_); }
   [[nodiscard]] const std::vector<double>& response_series(std::size_t app) const;
   [[nodiscard]] const std::vector<double>& power_series() const;
   [[nodiscard]] telemetry::Recorder::RowsView allocation_series(std::size_t app) const;
@@ -273,13 +269,6 @@ class Testbed {
   [[nodiscard]] std::size_t shard_of_app(std::size_t i) const noexcept {
     return i * engine_.shard_count() / config_.num_apps;
   }
-  /// The recorder app `i`'s series stream into: its shard's recorder.
-  [[nodiscard]] telemetry::Recorder& recorder_for_app(std::size_t i) noexcept {
-    return *shard_recorders_[shard_of_app(i)];
-  }
-  [[nodiscard]] const telemetry::Recorder& recorder_for_app(std::size_t i) const noexcept {
-    return *shard_recorders_[shard_of_app(i)];
-  }
 
   TestbedConfig config_;
   sim::ShardedEngine engine_;
@@ -299,6 +288,10 @@ class Testbed {
   std::vector<VmSlot> vm_slots_;
   control::ArxModel model_;
   double model_r2_ = 0.0;
+  /// Every series, declared in the constructor. The sharded harvest and
+  /// record phases append by id to their own apps' series at once; that is
+  /// race-free because an id append touches only its own deque element and
+  /// no series is declared after construction.
   telemetry::Recorder recorder_;
   telemetry::Recorder::SeriesId power_series_{};
   std::array<telemetry::Recorder::SeriesId, kGaugeSeries.size()> gauge_series_{};
@@ -307,11 +300,6 @@ class Testbed {
   std::vector<std::optional<app::PeriodStats>> harvested_;
   std::vector<std::vector<double>> decided_;
   std::vector<double> server_work_;
-  /// One recorder per shard for the per-app series, appended from that
-  /// shard's harvest/record phase without any cross-shard synchronization;
-  /// merged into canonical order by take_recorder(). unique_ptr for stable
-  /// addresses across construction.
-  std::vector<std::unique_ptr<telemetry::Recorder>> shard_recorders_;
   /// Serializes replica retirement (cluster tombstone + slot bookkeeping):
   /// drained replicas retire from inside their shard's advance, possibly
   /// concurrently across shards. The retire operations commute, so the

@@ -134,29 +134,6 @@ std::size_t Recorder::approx_memory_bytes() const noexcept {
   return total;
 }
 
-void Recorder::absorb(Recorder&& other) {
-  if (config_ != other.config_) {
-    throw std::invalid_argument("Recorder::absorb: config mismatch");
-  }
-  for (const std::string& name : other.names_) {
-    if (ids_.find(name) != ids_.end()) {
-      throw std::invalid_argument("Recorder::absorb: series '" + name + "' exists here too");
-    }
-  }
-  for (std::size_t k = 0; k < other.series_.size(); ++k) {
-    series_.push_back(std::move(other.series_[k]));
-    ids_.emplace(other.names_[k], static_cast<SeriesId>(series_.size() - 1));
-    names_.push_back(std::move(other.names_[k]));
-  }
-  other.series_.clear();
-  other.ids_.clear();
-  other.names_.clear();
-  annotations_.insert(annotations_.end(),
-                      std::make_move_iterator(other.annotations_.begin()),
-                      std::make_move_iterator(other.annotations_.end()));
-  other.annotations_.clear();
-}
-
 void Recorder::annotate(double time_s, std::string label) {
   annotations_.push_back(Annotation{time_s, std::move(label)});
 }

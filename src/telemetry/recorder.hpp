@@ -33,6 +33,13 @@
 // append_at and the row append skip the name lookup. The name overloads
 // are thin wrappers that resolve (or create) the series and take the id
 // path.
+//
+// Concurrency: an append by id touches only its own series (and reads the
+// config), and the deque's element access counts as a read under the
+// standard library's container data-race rules. So threads may append by id
+// to distinct series at once, as long as none declares a series (or appends
+// by name, which may declare one) meanwhile. The Testbed's sharded phases
+// rely on this.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +85,7 @@ class Recorder {
 
  public:
   /// A series handle: its index in creation order (series_names()[id]).
-  /// Ids stay valid as more series are created; absorb() renumbers the
-  /// absorbed series (see there), and clear() invalidates every id.
+  /// Ids stay valid as more series are created.
   enum class SeriesId : std::uint32_t {};
 
   /// The default retention and a 1 s sample period.
@@ -159,19 +165,6 @@ class Recorder {
   /// names. Equal to the number appended while nothing has been evicted.
   [[nodiscard]] std::size_t size(std::string_view series) const noexcept;
 
-  /// Moves every series of `other` into this recorder, preserving `other`'s
-  /// creation order after this recorder's existing series, and appends its
-  /// annotations. The sharded engine merges its per-shard recorders through
-  /// this: series move with their buffers, samples are never copied.
-  /// Requires the same config and disjoint series names (throws
-  /// std::invalid_argument otherwise). `other` is left empty.
-  ///
-  /// Ids: the series `other` knew as id k is id series_count() + k here
-  /// (series_count() taken before the call); ids this recorder issued are
-  /// unchanged. Every id `other` issued is dead afterwards — `other` holds
-  /// no series, so its id overloads throw until it declares new ones.
-  void absorb(Recorder&& other);
-
   /// Appends a timestamped text marker (kept in insertion order, which for
   /// simulation-driven recorders is time order).
   void annotate(double time_s, std::string label);
@@ -185,8 +178,6 @@ class Recorder {
   }
   [[nodiscard]] std::size_t series_count() const noexcept { return names_.size(); }
   [[nodiscard]] bool empty() const noexcept { return names_.empty(); }
-
-  void clear() { *this = Recorder(config_); }
 
   [[nodiscard]] const RecorderConfig& config() const noexcept { return config_; }
   /// Bytes the series buffers hold: the sum of their capacities.

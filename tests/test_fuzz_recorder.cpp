@@ -1,10 +1,9 @@
-// Fuzz test: random append/absorb/compare/clear traffic against a naive
-// model of the Recorder. The model keeps every accepted sample (row) of
-// every series and derives what the Recorder must still retain from page
-// arithmetic; after every operation the Recorder must match it exactly —
-// names in creation order, kinds, sizes, values and rows — including NaN
-// and out-of-order rejections, rows of the wrong width, absorbed series,
-// copies and clears.
+// Fuzz test: random append/compare traffic against a naive model of the
+// Recorder. The model keeps every accepted sample (row) of every series and
+// derives what the Recorder must still retain from page arithmetic; after
+// every operation the Recorder must match it exactly — names in creation
+// order, kinds, sizes, values and rows — including NaN and out-of-order
+// rejections, rows of the wrong width, and copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "telemetry/recorder.hpp"
@@ -81,13 +79,6 @@ struct NaiveModel {
     s.accepted.push_back(row);
     return true;
   }
-
-  void absorb(NaiveModel&& other) {
-    for (const std::string& name : other.names) {
-      series.emplace(name, std::move(other.series.at(name)));
-      names.push_back(name);
-    }
-  }
 };
 
 void expect_matches(const Recorder& rec, const NaiveModel& model) {
@@ -139,10 +130,9 @@ TEST_P(RecorderFuzz, MatchesNaiveVectorModel) {
   const std::string vectors[] = {"alloc", "util"};
   const auto pick = [&](const auto& names) { return names[rng.index(std::size(names))]; };
   const auto value = [&] { return rng.bernoulli(0.05) ? kNan : rng.uniform(-5.0, 5.0); };
-  std::size_t absorbed = 0;
 
   for (int op = 0; op < 600; ++op) {
-    const std::int64_t kind = rng.uniform_int(0, 19);
+    const std::int64_t kind = rng.uniform_int(0, 16);
     if (kind < 6) {  // append at the synthesized time, by name or by id
       const std::string& name = pick(scalars);
       const double v = value();
@@ -176,41 +166,11 @@ TEST_P(RecorderFuzz, MatchesNaiveVectorModel) {
       } else {
         EXPECT_THROW(rec.append(name, row), std::invalid_argument);
       }
-    } else if (kind < 18) {  // absorb a recorder holding fresh series
-      Recorder other(config);
-      NaiveModel other_model{config, {}, {}};
-      std::string scalar = "x";
-      scalar += std::to_string(absorbed);
-      std::string vector = "xv";
-      vector += std::to_string(absorbed);
-      ++absorbed;
-      const std::int64_t n = rng.uniform_int(0, 12);
-      for (std::int64_t k = 0; k < n; ++k) {
-        const double v = value();
-        other.append(scalar, v);
-        other_model.append(scalar, v);
-        const std::vector<double> row{rng.uniform(0.0, 1.0)};
-        other.append(vector, row);
-        other_model.append_row(vector, row);
-      }
-      // A clashing name is refused before anything moves.
-      if (!model.names.empty()) {
-        Recorder clash(config);
-        clash.declare_scalar("clash-free");
-        clash.declare_scalar(model.names.front());
-        EXPECT_THROW(rec.absorb(std::move(clash)), std::invalid_argument);
-      }
-      rec.absorb(std::move(other));
-      model.absorb(std::move(other_model));
-    } else if (kind == 18) {  // a copy compares equal until one side moves
+    } else {  // a copy compares equal until one side moves
       Recorder copy = rec;
       EXPECT_TRUE(copy == rec);
       copy.append("copy-only", 1.0);
       EXPECT_FALSE(copy == rec);
-    } else if (rng.bernoulli(0.2)) {  // clear, rarely
-      rec.clear();
-      model = NaiveModel{config, {}, {}};
-      absorbed = 0;
     }
     expect_matches(rec, model);
     if (::testing::Test::HasFatalFailure()) return;

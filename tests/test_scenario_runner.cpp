@@ -247,5 +247,71 @@ TEST(ScenarioRunner, CopiedControllerMustMatchTheTierCount) {
   EXPECT_THROW(AppStack(sim, one_input, spec.stack), std::invalid_argument);
 }
 
+TEST(ScenarioRunner, RunAllRethrowsAFailingSpec) {
+  std::vector<ScenarioSpec> specs;
+  specs.push_back(static_spec("ok-a", 1, 0.5));
+  specs.push_back(static_spec("zero", 2, 0.5));
+  specs.back().duration_s = 0.0;  // rejected by run()
+  specs.push_back(static_spec("ok-b", 3, 0.5));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_THROW((void)ScenarioRunner(threads).run_all(specs), std::invalid_argument)
+        << threads << " threads";
+  }
+}
+
+// response_stats_after on both result surfaces: a Testbed after 10 control
+// periods of 4 s, and a ScenarioResult.
+struct StatsRuns {
+  StatsRuns()
+      : testbed([] {
+          TestbedConfig config;
+          config.num_apps = 1;
+          config.num_servers = 1;
+          config.model = shared_model();
+          return config;
+        }()),
+        scenario(ScenarioRunner().run(static_spec("stats", 5, 0.5))) {
+    testbed.run_until(40.0);
+  }
+  Testbed testbed;
+  ScenarioResult scenario;
+};
+
+StatsRuns& stats_runs() {
+  static StatsRuns runs;
+  return runs;
+}
+
+void expect_rejected(double from_s) {
+  StatsRuns& runs = stats_runs();
+  EXPECT_THROW((void)runs.testbed.response_stats_after(0, from_s), std::invalid_argument);
+  EXPECT_THROW((void)runs.scenario.response_stats_after(0, from_s), std::invalid_argument);
+}
+
+TEST(ResponseStatsAfter, RejectsANegativeStart) {
+  expect_rejected(-4.0);  // one period before the start
+  expect_rejected(-0.5);
+}
+
+TEST(ResponseStatsAfter, RejectsANaNStart) {
+  expect_rejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(ResponseStatsAfter, RejectsAnInfiniteStart) {
+  expect_rejected(std::numeric_limits<double>::infinity());
+  expect_rejected(-std::numeric_limits<double>::infinity());
+}
+
+TEST(ResponseStatsAfter, SkipsWholePeriodsAndNothingPastTheRun) {
+  StatsRuns& runs = stats_runs();
+  EXPECT_EQ(runs.testbed.response_series(0).size(), 10u);
+  EXPECT_EQ(runs.testbed.response_stats_after(0, 0.0).count(), 10u);
+  EXPECT_EQ(runs.testbed.response_stats_after(0, 7.9).count(), 9u);
+  EXPECT_EQ(runs.testbed.response_stats_after(0, 1e300).count(), 0u);
+  EXPECT_EQ(runs.scenario.response_stats_after(0, 8.0).count(),
+            runs.scenario.response_series(0).size() - 2);
+  EXPECT_EQ(runs.scenario.response_stats_after(0, 1e300).count(), 0u);
+}
+
 }  // namespace
 }  // namespace vdc::core

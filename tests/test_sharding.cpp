@@ -266,7 +266,7 @@ TEST(ShardingEquivalence, ScheduleEventsLandInTheSerialPhase) {
 
 TEST(ShardingEquivalence, ShardCountAboveAppCountIsHarmless) {
   // More shards than apps leaves some shards empty; empty loops must not
-  // disturb the barrier protocol or the merged recorder layout.
+  // disturb the barrier protocol or the recorder layout.
   const RunDigest oracle = run_with(base_spec(), 1, 1);
   const RunDigest sharded = run_with(base_spec(), 8, 2);
   expect_equivalent(oracle, sharded, "shards=8 apps=4");

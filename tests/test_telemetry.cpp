@@ -89,17 +89,6 @@ TEST(Recorder, EqualityIsExact) {
   EXPECT_FALSE(a == b);
 }
 
-TEST(Recorder, ClearRemovesEverything) {
-  Recorder rec;
-  rec.append("p90", 1.0);
-  rec.clear();
-  EXPECT_TRUE(rec.empty());
-  EXPECT_FALSE(rec.has("p90"));
-  EXPECT_EQ(rec.approx_memory_bytes(), 0u);
-  rec.append("p90", 3.0);  // usable again after the reset
-  EXPECT_EQ(rec.values("p90"), (std::vector<double>{3.0}));
-}
-
 TEST(Recorder, RejectsNegativeSamplePeriod) {
   // A negative period would stamp sample 1 before sample 0, and the store
   // would reject every sample after the first as out of order.
@@ -213,46 +202,6 @@ TEST(RecorderSeriesId, WrongKindOrUnknownIdThrows) {
   EXPECT_THROW(rec.declare_vector("s"), std::invalid_argument);
   EXPECT_EQ(rec.size("s"), 0u);
   EXPECT_EQ(rec.size("v"), 0u);
-}
-
-TEST(RecorderSeriesId, AbsorbRenumbersTheSourceAfterTheDestination) {
-  Recorder dst;
-  const Recorder::SeriesId power = dst.declare_scalar("cluster/power");
-  dst.append(power, 100.0);
-  Recorder src;
-  const Recorder::SeriesId p90 = src.declare_scalar("app0/p90");
-  const Recorder::SeriesId alloc = src.declare_vector("app0/alloc");
-  src.append(p90, 0.9);
-  src.append(alloc, std::vector<double>{0.5});
-
-  const std::size_t before = dst.series_count();
-  dst.absorb(std::move(src));
-  // Source id k is destination id before + k; the destination's own ids
-  // are untouched.
-  const auto moved = [&](Recorder::SeriesId id) {
-    return static_cast<Recorder::SeriesId>(before + static_cast<std::size_t>(id));
-  };
-  EXPECT_EQ(dst.declare_scalar("app0/p90"), moved(p90));
-  EXPECT_EQ(dst.declare_vector("app0/alloc"), moved(alloc));
-  EXPECT_EQ(dst.declare_scalar("cluster/power"), power);
-  dst.append(moved(p90), 0.8);
-  dst.append(power, 110.0);
-  EXPECT_EQ(dst.values("app0/p90"), (std::vector<double>{0.9, 0.8}));
-  EXPECT_EQ(dst.values("cluster/power"), (std::vector<double>{100.0, 110.0}));
-  EXPECT_EQ(dst.rows("app0/alloc").size(), 1u);
-
-  // The source is empty: its old ids are dead, and new series start at 0.
-  EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move): absorb leaves it valid
-  EXPECT_THROW(src.append(p90, 1.0), std::out_of_range);
-  EXPECT_EQ(static_cast<std::size_t>(src.declare_scalar("fresh")), 0u);
-}
-
-TEST(RecorderSeriesId, ClearInvalidatesIds) {
-  Recorder rec;
-  const Recorder::SeriesId id = rec.declare_scalar("x");
-  rec.clear();
-  EXPECT_THROW(rec.append(id, 1.0), std::out_of_range);
-  EXPECT_EQ(rec.declare_scalar("y"), id);  // ids restart from 0
 }
 
 // ---- page-aged buffers -------------------------------------------------------

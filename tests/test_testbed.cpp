@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace vdc::core {
@@ -331,6 +332,36 @@ TEST(Testbed, EveryRunRecordsTheSameSeries) {
     for (const double v : healthy.values(series)) EXPECT_EQ(v, 0.0) << series;
   }
   EXPECT_TRUE(healthy.annotations().empty());
+}
+
+TEST(Testbed, RecorderHoldsEverySeriesInCanonicalOrder) {
+  // One recorder holds every series from construction on: each app's p90,
+  // alloc and replicas in app order, then the power series and the gauges.
+  // take_recorder() hands over the same layout at any shard count.
+  TestbedConfig config = fast_config();
+  config.num_apps = 5;  // an uneven block partition over 4 shards
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < config.num_apps; ++i) {
+    expected.push_back(response_series_name(i));
+    expected.push_back(allocation_series_name(i));
+    expected.push_back(replica_series_name(i));
+  }
+  expected.emplace_back(kPowerSeries);
+  expected.insert(expected.end(), kGaugeSeries.begin(), kGaugeSeries.end());
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    config.shards = shards;
+    Testbed tb{config};
+    config.model = tb.identified_model();  // identify once
+    EXPECT_EQ(tb.recorder().series_names(), expected) << shards << " shards";
+    tb.run_until(40.0);
+    EXPECT_EQ(tb.recorder().series_names(), expected) << shards << " shards";
+    for (std::size_t i = 0; i < config.num_apps; ++i) {
+      EXPECT_EQ(tb.recorder().size(response_series_name(i)), 10u) << "app " << i;
+    }
+    const telemetry::Recorder taken = tb.take_recorder();
+    EXPECT_EQ(taken.series_names(), expected) << shards << " shards";
+  }
 }
 
 TEST(Testbed, ClockKeepsMovingPastTwoToTheFifteenSeconds) {
